@@ -17,12 +17,7 @@ from pathlib import Path
 
 from newsgeo.config import load_config
 from newsgeo.corpus import load_corpus, load_gold
-from newsgeo.evaluation import (
-    baseline_predictor,
-    format_report_table,
-    ranked_predictor,
-    run_experiment,
-)
+from newsgeo.evaluation import baseline_predictor, format_report_table, run_experiment
 
 FIXTURES = Path(__file__).resolve().parents[1] / "data" / "fixtures"
 
@@ -41,16 +36,7 @@ def main() -> None:
     systems = [
         ("baseline-first-location", baseline_predictor(resolver, providers)),
         ("baseline-first-location-located", baseline_predictor(resolver, providers, True)),
-        (
-            "ranked-" + "+".join(config.representation_modes),
-            ranked_predictor(
-                resolver,
-                providers,
-                config.build_embedder(),
-                config.representation_modes,
-                config.chunking(),
-            ),
-        ),
+        ("ranked-" + "+".join(config.representation_modes), config.build_pipeline().predict),
     ]
     reports = [
         run_experiment(articles, gold, predictor, system=name, workers=config.workers)

@@ -32,19 +32,17 @@ from .embedding import (
     chunk_document,
     cosine,
     embed_document,
-    load_embeddings,
-    save_embeddings,
     split_sentences,
     truncate_text,
 )
 from .evaluation import (
     EvalReport,
     LevelResult,
+    Pipeline,
     TraceEntry,
     baseline_predictor,
     format_report_table,
     precision_at_1,
-    ranked_predictor,
     run_experiment,
 )
 from .kb import (
@@ -78,8 +76,6 @@ from .ner import (
     NerSpan,
     ensemble_spans,
     is_location_label,
-    location_spans,
-    spans_to_mentions,
 )
 from .ranking import (
     REPRESENTATION_MODES,

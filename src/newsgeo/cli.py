@@ -17,7 +17,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -30,19 +29,14 @@ from .corpus import (
     load_gold,
     save_corpus,
 )
-from .evaluation import (
-    baseline_predictor,
-    format_report_table,
-    ranked_predictor,
-    run_experiment,
-)
+from .evaluation import baseline_predictor, format_report_table, map_articles, run_experiment
 from .kb import KbCacheMiss
 from .locations import LocationTuple, Resolver
-from .ner import ensemble_spans
-from .ranking import build_candidate_pool, rank_candidates, ranking_record
+from .ranking import ranking_record
 from .training import (
     LinearAdapter,
     TrainingDiverged,
+    TrainingPair,
     generate_pairs,
     load_pairs,
     save_checkpoint,
@@ -251,12 +245,15 @@ def cmd_classify_categories(args: argparse.Namespace, config: PipelineConfig) ->
     return 0
 
 
-def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _corpus_pairs(
+    config: PipelineConfig, category_locations: str | None = None
+) -> list[TrainingPair]:
+    """Training pairs of the corpus, from a classify-categories file or computed."""
     articles = _load_all(config)
     resolver = config.build_resolver()
-    if args.category_locations:
+    if category_locations:
         locations: dict[str, list[LocationTuple]] = {}
-        with Path(args.category_locations).open(encoding="utf-8") as handle:
+        with Path(category_locations).open(encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
@@ -267,7 +264,11 @@ def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
                 ]
     else:
         locations = _category_locations(articles, resolver)
-    pairs = generate_pairs(articles, locations, resolver, seed=config.seed)
+    return generate_pairs(articles, locations, resolver, seed=config.seed)
+
+
+def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
+    pairs = _corpus_pairs(config, args.category_locations)
     save_pairs(pairs, args.output)
     positives = sum(1 for pair in pairs if pair.label == 1)
     print(
@@ -279,23 +280,13 @@ def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
     articles = _load_all(config)
-    resolver = config.build_resolver()
-    providers = config.build_ner_providers()
-    embedder = config.build_embedder()
-    chunking = config.chunking()
-    modes = config.representation_modes
-
-    def rank_one(article: Article) -> dict[str, Any]:
-        spans = ensemble_spans(article.text, article.language, providers)
-        pool = build_candidate_pool(spans, article.language, modes, resolver)
-        ranked = rank_candidates(article.text, pool, embedder, chunking)
-        return ranking_record(article.id, "+".join(modes), ranked)
-
-    if config.workers == 1:
-        records = [rank_one(article) for article in articles]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool_executor:
-            records = list(pool_executor.map(rank_one, articles))
+    pipeline = config.build_pipeline()
+    mode = "+".join(config.representation_modes)
+    records = map_articles(
+        lambda article: ranking_record(article.id, mode, pipeline.rank(article)),
+        articles,
+        config.workers,
+    )
     with Path(args.output).open("w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
@@ -308,20 +299,14 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
         raise ConfigError(["gold: no gold file configured"])
     articles = _load_all(config)
     gold = load_gold(config.gold)
-    resolver = config.build_resolver()
-    providers = config.build_ner_providers()
     if args.baseline:
         system = f"baseline-{args.baseline}"
-        predictor = baseline_predictor(resolver, providers, _BASELINES[args.baseline])
+        predictor = baseline_predictor(
+            config.build_resolver(), config.build_ner_providers(), _BASELINES[args.baseline]
+        )
     else:
         system = "ranked-" + "+".join(config.representation_modes)
-        predictor = ranked_predictor(
-            resolver,
-            providers,
-            config.build_embedder(),
-            config.representation_modes,
-            config.chunking(),
-        )
+        predictor = config.build_pipeline().predict
     report = run_experiment(articles, gold, predictor, system=system, workers=config.workers)
     print(format_report_table([report]))
     if args.output:
@@ -337,14 +322,7 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
-    if args.pairs:
-        pairs = load_pairs(args.pairs)
-    else:
-        articles = _load_all(config)
-        resolver = config.build_resolver()
-        pairs = generate_pairs(
-            articles, _category_locations(articles, resolver), resolver, seed=config.seed
-        )
+    pairs = load_pairs(args.pairs) if args.pairs else _corpus_pairs(config)
     adapter = LinearAdapter(config.build_embedder())
     report = train(adapter, pairs, config.loss, config.chunking())
     summary = report.to_json()

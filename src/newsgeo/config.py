@@ -26,6 +26,7 @@ from .embedding import (
     MockEmbedder,
     SentenceTransformerProvider,
 )
+from .evaluation import Pipeline
 from .kb import CACHE_ONLY, ONLINE, DbpediaClient, KbCache, WikidataClient
 from .linking import WikipediaLinker
 from .locations import Resolver
@@ -55,7 +56,6 @@ class PipelineConfig:
     ner_providers: list[str] = dataclasses.field(default_factory=list)
     embedder: str = "mock:16"
     chunking_mode: str = AVERAGE
-    segmenter: str = "rule"
     representation_modes: list[str] = dataclasses.field(
         default_factory=lambda: [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS]
     )
@@ -111,7 +111,7 @@ class PipelineConfig:
         return _NETWORK_ALIASES.get(self.network, self.network)
 
     def chunking(self) -> ChunkingConfig:
-        return ChunkingConfig(mode=self.chunking_mode, segmenter=self.segmenter)
+        return ChunkingConfig(mode=self.chunking_mode)
 
     def cache_path(self) -> Path:
         path = self.cache or os.environ.get(CACHE_DIR_ENV) or "kb_cache"
@@ -136,6 +136,16 @@ class PipelineConfig:
             dimension = int(argument) if argument else 16
             return MockEmbedder(dimension=dimension, seed=self.seed)
         return SentenceTransformerProvider(argument or "paraphrase-multilingual-mpnet-base-v2")
+
+    def build_pipeline(self) -> Pipeline:
+        """The ranked system over this configuration's components."""
+        return Pipeline(
+            resolver=self.build_resolver(),
+            providers=self.build_ner_providers(),
+            embedder=self.build_embedder(),
+            modes=tuple(self.representation_modes),
+            chunking=self.chunking(),
+        )
 
     def build_ner_providers(self) -> list[NerProvider]:
         providers: list[NerProvider] = []

@@ -18,17 +18,15 @@ import dataclasses
 import json
 import logging
 import random
-import re
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TypeVar
 
+from .kb import _QID_RE
 from .locations import LocationTuple
 
 logger = logging.getLogger(__name__)
 
 SUPPORTED_LANGUAGES = ("de", "en", "es", "fr", "it")
-
-_QID_RE = re.compile(r"^Q[0-9]+$")
 
 T = TypeVar("T")
 

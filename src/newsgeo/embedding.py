@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import logging
 import re
-from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -46,13 +44,10 @@ class ChunkingConfig:
     """How documents longer than the encoder's limit are handled."""
 
     mode: str = AVERAGE
-    segmenter: str = "rule"
 
     def validate(self) -> None:
         if self.mode not in (TRUNCATE, AVERAGE):
             raise ValueError(f"unknown chunking mode {self.mode!r}")
-        if self.segmenter not in SEGMENTERS:
-            raise ValueError(f"unknown sentence segmenter {self.segmenter!r}")
 
 
 def split_sentences(text: str) -> list[str]:
@@ -65,9 +60,6 @@ def split_sentences(text: str) -> list[str]:
     if start < len(text):
         pieces.append(text[start:])
     return pieces
-
-
-SEGMENTERS: dict[str, Callable[[str], list[str]]] = {"rule": split_sentences}
 
 
 def chunk_document(
@@ -87,7 +79,7 @@ def chunk_document(
     m = provider.max_tokens
     if provider.token_count(text) <= m:
         return [text]
-    sentences = SEGMENTERS[config.segmenter](text)
+    sentences = split_sentences(text)
     chunks: list[str] = []
     current = ""
     for sentence in sentences:
@@ -229,28 +221,3 @@ class SentenceTransformerProvider:
 
     def embed(self, text: str) -> np.ndarray:
         return np.asarray(self._model.encode(text), dtype=float)
-
-
-def save_embeddings(
-    ids: Sequence[str], matrix: np.ndarray, path: str | Path
-) -> None:
-    """Persist a (len(ids), n) matrix as .npy plus a JSON sidecar with the ids."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != len(ids):
-        raise ValueError("matrix must be 2-D with one row per id")
-    path = Path(path)
-    np.save(path.with_suffix(".npy"), matrix)
-    sidecar = dict(ids=list(ids), dimension=matrix.shape[1], count=len(ids))
-    path.with_suffix(".json").write_text(
-        json.dumps(sidecar, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
-def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    matrix = np.load(path.with_suffix(".npy"))
-    if matrix.shape != (sidecar["count"], sidecar["dimension"]):
-        raise ValueError("embedding matrix does not match its sidecar")
-    return list(sidecar["ids"]), matrix

@@ -1,4 +1,5 @@
-"""Macro Precision@Top-1 at country and city level, and experiment running.
+"""The ranked system as one Pipeline, macro Precision@Top-1 at country and
+city level, and experiment running.
 
 A document scores a hit when its single predicted location matches any of the
 document's gold locations at the requested level; ids are compared when both
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from .corpus import Article, GoldAnnotation
 from .embedding import ChunkingConfig, EmbeddingProvider
@@ -20,6 +21,7 @@ from .linking import normalized_match
 from .locations import LocationTuple, Resolver
 from .ner import NerProvider, ensemble_spans
 from .ranking import (
+    RankedCandidate,
     baseline_first_location,
     build_candidate_pool,
     predict_location,
@@ -29,6 +31,7 @@ from .ranking import (
 logger = logging.getLogger(__name__)
 
 Predictor = Callable[[Article], LocationTuple | None]
+T = TypeVar("T")
 
 LEVELS = ("country", "city")
 
@@ -173,12 +176,7 @@ def run_experiment(
             logger.exception("prediction failed for article %s", article.id)
             return article.id, None, f"{type(exc).__name__}: {exc}"
 
-    if workers == 1:
-        outcomes = [predict_one(article) for article in articles]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(predict_one, articles))
-
+    outcomes = map_articles(predict_one, articles, workers)
     predictions = {article_id: prediction for article_id, prediction, _ in outcomes}
     errors = {article_id: error for article_id, _, error in outcomes}
     languages = {article.id: article.language for article in articles}
@@ -206,22 +204,33 @@ def run_experiment(
     return EvalReport(system=system, country=country, city=city, trace=trace)
 
 
-def ranked_predictor(
-    resolver: Resolver,
-    providers: Sequence[NerProvider],
-    embedder: EmbeddingProvider,
-    modes: Sequence[str],
-    chunking: ChunkingConfig | None = None,
-) -> Predictor:
-    """Full-pipeline predictor: recognize, represent, rank, resolve the top."""
+def map_articles(
+    fn: Callable[[Article], T], articles: Sequence[Article], workers: int = 1
+) -> list[T]:
+    """`fn` of every article in corpus order: serially, or on a thread pool."""
+    if workers == 1:
+        return [fn(article) for article in articles]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, articles))
 
-    def predict(article: Article) -> LocationTuple | None:
-        spans = ensemble_spans(article.text, article.language, providers)
-        pool = build_candidate_pool(spans, article.language, modes, resolver)
-        ranked = rank_candidates(article.text, pool, embedder, chunking)
-        return predict_location(ranked, article.language, resolver)
 
-    return predict
+@dataclasses.dataclass(frozen=True)
+class Pipeline:
+    """The ranked system: recognize, represent, rank, resolve the top."""
+
+    resolver: Resolver
+    providers: Sequence[NerProvider]
+    embedder: EmbeddingProvider
+    modes: Sequence[str]
+    chunking: ChunkingConfig | None = None
+
+    def rank(self, article: Article) -> list[RankedCandidate]:
+        spans = ensemble_spans(article.text, article.language, self.providers)
+        pool = build_candidate_pool(spans, article.language, self.modes, self.resolver)
+        return rank_candidates(article.text, pool, self.embedder, self.chunking)
+
+    def predict(self, article: Article) -> LocationTuple | None:
+        return predict_location(self.rank(article), article.language, self.resolver)
 
 
 def baseline_predictor(

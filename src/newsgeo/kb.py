@@ -80,14 +80,24 @@ class KbCache:
         self.path = path
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], Any] = {}
+        # A crash in the middle of `put` leaves a torn last line without its
+        # newline: it is skipped here and cut off by the next `put`.
+        self._torn_at: int | None = None
+        self._unterminated = False
         if path.exists():
-            with path.open(encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
+            with path.open("rb") as handle:
+                for number, line in enumerate(handle, 1):
+                    if not line.strip():
                         continue
-                    record = json.loads(line)
-                    self._entries[(record["source"], record["key"])] = record["value"]
+                    self._unterminated = not line.endswith(b"\n")
+                    try:
+                        record = json.loads(line.decode("utf-8"))
+                        self._entries[(record["source"], record["key"])] = record["value"]
+                    except (ValueError, KeyError, TypeError) as exc:
+                        if not self._unterminated:
+                            raise ValueError(f"{path}:{number}: bad cache record ({exc})") from exc
+                        logger.warning("%s:%d: skipping a torn last line", path, number)
+                        self._torn_at = handle.tell() - len(line)
 
     def __contains__(self, source_key: tuple[str, str]) -> bool:
         return source_key in self._entries
@@ -105,7 +115,12 @@ class KbCache:
         with self._lock:
             self._entries[(source, key)] = value
             with self.path.open("a", encoding="utf-8") as handle:
+                if self._torn_at is not None:
+                    handle.truncate(self._torn_at)
+                elif self._unterminated:
+                    handle.write("\n")
                 handle.write(line + "\n")
+            self._torn_at, self._unterminated = None, False
 
     def keys(self) -> list[tuple[str, str]]:
         return sorted(self._entries)
@@ -182,11 +197,7 @@ class WikidataItem:
     p131: list[str]
 
     def label(self, language: str = "en") -> str | None:
-        if language in self.labels:
-            return self.labels[language]
-        if "en" in self.labels:
-            return self.labels["en"]
-        return next(iter(self.labels.values()), None)
+        return _pick_label(self.labels, language)
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "WikidataItem":
@@ -257,8 +268,14 @@ class _CachedClient:
         self.retries = retries
         self.backoff = backoff
 
-    def _lookup(self, source: str, key: str, url: str) -> Any:
-        """Cache-through fetch of `url`, honouring the network policy."""
+    def _lookup(
+        self, source: str, key: str, url: str, reduce: Callable[[Any], Any]
+    ) -> Any:
+        """Cached record of (source, key), else `reduce` of the fetched `url`.
+
+        Honours the network policy; a confirmed absence is cached and raises
+        KbNotFound, on this call and every later one.
+        """
         if (source, key) in self.cache:
             value = self.cache.get(source, key)
             if value == _MISSING:
@@ -267,10 +284,12 @@ class _CachedClient:
         if self.policy == CACHE_ONLY:
             raise KbCacheMiss(source, key)
         try:
-            value = self._fetch_remote(url)
+            payload = self._fetch_remote(url)
         except KbNotFound:
             self.cache.put(source, key, _MISSING)
             raise KbNotFound(f"{source}:{key}")
+        value = reduce(payload)
+        self.cache.put(source, key, value)
         return value
 
     def _fetch_remote(self, url: str) -> Any:
@@ -303,37 +322,31 @@ class WikidataClient(_CachedClient):
         """Return the entity with country / instance-of / located-in populated."""
         if not _QID_RE.match(qid or ""):
             raise ValueError(f"malformed WikiData id {qid!r}")
-        value = self._lookup(self.SOURCE, qid, self.base_url.format(qid=qid))
-        if "qid" in value:
-            return WikidataItem.from_json(value)
-        # Raw entity payload fetched online: reduce, resolve class labels, cache.
-        item = self._parse_entity(qid, value)
-        self.cache.put(self.SOURCE, qid, item.to_json())
-        return item
+        value = self._lookup(
+            self.SOURCE,
+            qid,
+            self.base_url.format(qid=qid),
+            lambda payload: self._parse_entity(qid, payload).to_json(),
+        )
+        return WikidataItem.from_json(value)
 
     def label(self, qid: str, language: str = "en") -> str | None:
         """English (or requested-language) label of an entity, cache-backed."""
         if (self.SOURCE, qid) in self.cache:
             value = self.cache.get(self.SOURCE, qid)
             if value != _MISSING:
-                return WikidataItem.from_json(value).label(language)
-        value = self._lookup(self.LABEL_SOURCE, qid, self.base_url.format(qid=qid))
-        if "labels" in value and "entities" not in value:
-            labels = value["labels"]
-        else:
-            labels = self._extract_labels(qid, value)
-            self.cache.put(self.LABEL_SOURCE, qid, {"labels": labels})
-        if language in labels:
-            return labels[language]
-        if "en" in labels:
-            return labels["en"]
-        return next(iter(labels.values()), None)
+                return _pick_label(value["labels"], language)
+        value = self._lookup(
+            self.LABEL_SOURCE,
+            qid,
+            self.base_url.format(qid=qid),
+            lambda payload: {"labels": _entity_labels(_entity_node(qid, payload))},
+        )
+        return _pick_label(value["labels"], language)
 
     def _parse_entity(self, qid: str, payload: dict[str, Any]) -> WikidataItem:
-        entity = self._entity_node(qid, payload)
-        labels = {
-            lang: record["value"] for lang, record in entity.get("labels", {}).items()
-        }
+        entity = _entity_node(qid, payload)
+        labels = _entity_labels(entity)
         claims = entity.get("claims", {})
         p17 = _claim_targets(claims.get("P17", []))
         p131 = _claim_targets(claims.get("P131", []))
@@ -342,19 +355,28 @@ class WikidataClient(_CachedClient):
             p31.append((target, self.label(target) or ""))
         return WikidataItem(qid=qid, labels=labels, p17=p17, p31=p31, p131=p131)
 
-    def _extract_labels(self, qid: str, payload: dict[str, Any]) -> dict[str, str]:
-        entity = self._entity_node(qid, payload)
-        return {lang: record["value"] for lang, record in entity.get("labels", {}).items()}
 
-    @staticmethod
-    def _entity_node(qid: str, payload: dict[str, Any]) -> dict[str, Any]:
-        entities = payload.get("entities", {})
-        if qid in entities:
-            return entities[qid]
-        if entities:
-            # Redirected entity: the payload is keyed by the canonical id.
-            return next(iter(entities.values()))
-        raise KbNotFound(qid)
+def _pick_label(labels: dict[str, str], language: str) -> str | None:
+    """The label in `language`, else the English one, else any; None without labels."""
+    if language in labels:
+        return labels[language]
+    if "en" in labels:
+        return labels["en"]
+    return next(iter(labels.values()), None)
+
+
+def _entity_node(qid: str, payload: dict[str, Any]) -> dict[str, Any]:
+    entities = payload.get("entities", {})
+    if qid in entities:
+        return entities[qid]
+    if entities:
+        # Redirected entity: the payload is keyed by the canonical id.
+        return next(iter(entities.values()))
+    raise KbNotFound(qid)
+
+
+def _entity_labels(entity: dict[str, Any]) -> dict[str, str]:
+    return {lang: record["value"] for lang, record in entity.get("labels", {}).items()}
 
 
 def _claim_targets(claims: list[dict[str, Any]]) -> list[str]:
@@ -391,12 +413,13 @@ class DbpediaClient(_CachedClient):
         url = self.base_url.format(
             lang=language, title=urllib.parse.quote(title.replace(" ", "_"))
         )
-        value = self._lookup(self.SOURCE, key, url)
-        if "title" in value and "properties" in value:
-            return DbpediaRecord.from_json(value)
-        record = _parse_dbpedia(title, language, value)
-        self.cache.put(self.SOURCE, key, record.to_json())
-        return record
+        value = self._lookup(
+            self.SOURCE,
+            key,
+            url,
+            lambda payload: _parse_dbpedia(title, language, payload).to_json(),
+        )
+        return DbpediaRecord.from_json(value)
 
 
 def _parse_dbpedia(title: str, language: str, payload: dict[str, Any]) -> DbpediaRecord:

@@ -10,15 +10,13 @@ the intended page; ``rank_in_results`` is kept on the result for auditing.
 from __future__ import annotations
 
 import dataclasses
-import logging
+import urllib.parse
 from typing import TYPE_CHECKING, Any
 
-from .kb import CACHE_ONLY, KbCache, KbNotFound, _CachedClient
+from .kb import KbCache, KbNotFound, _CachedClient
 
 if TYPE_CHECKING:
     from .locations import LocationTuple
-
-logger = logging.getLogger(__name__)
 
 SEARCH_URL = (
     "https://{lang}.wikipedia.org/w/api.php"
@@ -75,38 +73,28 @@ class WikipediaLinker(_CachedClient):
         """Link `surface` to its first search hit; empty qid when nothing matches."""
         if not surface:
             raise ValueError("empty surface form")
-        key = f"{language}:{surface}"
-        if (self.SOURCE, key) in self.cache:
-            return LinkResult.from_json(self.cache.get(self.SOURCE, key))
-        if self.policy == CACHE_ONLY:
-            from .kb import KbCacheMiss
+        value = self._lookup(
+            self.SOURCE,
+            f"{language}:{surface}",
+            self.search_url.format(lang=language, query=urllib.parse.quote(surface)),
+            lambda payload: self._first_hit(surface, language, payload).to_json(),
+        )
+        return LinkResult.from_json(value)
 
-            raise KbCacheMiss(self.SOURCE, key)
-        result = self._link_remote(surface, language)
-        self.cache.put(self.SOURCE, key, result.to_json())
-        return result
-
-    def _link_remote(self, surface: str, language: str) -> LinkResult:
-        import urllib.parse
-
-        query = urllib.parse.quote(surface)
-        payload = self._fetch_remote(self.search_url.format(lang=language, query=query))
+    def _first_hit(self, surface: str, language: str, payload: Any) -> LinkResult:
         hits = payload.get("query", {}).get("search", [])
         if not hits:
             return LinkResult(surface=surface, language=language)
         title = hits[0]["title"]
-        qid = self._page_qid(title, language)
         return LinkResult(
             surface=surface,
             language=language,
             page_title=title,
-            qid=qid,
+            qid=self._page_qid(title, language),
             rank_in_results=0,
         )
 
     def _page_qid(self, title: str, language: str) -> str | None:
-        import urllib.parse
-
         try:
             payload = self._fetch_remote(
                 self.pageprops_url.format(lang=language, title=urllib.parse.quote(title))

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import re
 from typing import Any
 
-from .kb import DbpediaClient, KbNotFound, KbRemoteError, WikidataClient, WikidataItem
+from .kb import _QID_RE, DbpediaClient, KbNotFound, KbRemoteError, WikidataClient, WikidataItem
 from .linking import WikipediaLinker
 
 logger = logging.getLogger(__name__)
-
-_QID_RE = re.compile(r"^Q[0-9]+$")
 
 # DBpedia ontology types / property names that mark a category as a location.
 CATEGORY_LOCATION_MARKERS = frozenset(

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Any, Iterable, Protocol, Sequence
-
-from .corpus import ParsedMention
+from typing import Any, Protocol, Sequence
 
 # Entity classes that count as location mentions across the supported tagsets.
 LOCATION_LABELS = frozenset({"loc", "location", "geopolitical area", "gpe"})
@@ -140,25 +138,6 @@ def ensemble_spans(
             seen.add(key)
             merged.append(span)
     return sorted(merged, key=_span_order)
-
-
-def location_spans(
-    text: str, language: str, providers: Sequence[NerProvider]
-) -> list[NerSpan]:
-    """Ensemble spans restricted to location entity classes."""
-    return [
-        span
-        for span in ensemble_spans(text, language, providers)
-        if is_location_label(span.label)
-    ]
-
-
-def spans_to_mentions(spans: Iterable[NerSpan]) -> list[ParsedMention]:
-    """Convert spans to corpus mentions (ids unknown at recognition time)."""
-    return [
-        ParsedMention(surface=span.surface, start=span.start, end=span.end)
-        for span in spans
-    ]
 
 
 def _span_order(span: NerSpan) -> tuple[int, int, str]:

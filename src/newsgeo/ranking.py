@@ -13,11 +13,9 @@ import dataclasses
 import logging
 from typing import Any, Sequence
 
-import numpy as np
-
 from .embedding import ChunkingConfig, EmbeddingProvider, cosine, embed_document
 from .kb import KbNotFound, KbRemoteError
-from .locations import LocationTuple, Resolver, Unresolvable
+from .locations import LocationTuple, Resolver
 from .ner import NerSpan, is_location_label
 
 logger = logging.getLogger(__name__)
@@ -254,10 +252,3 @@ def ranking_record(
         mode=mode,
         candidates=[candidate.to_json() for candidate in ranked],
     )
-
-
-def scale_embedding(vector: np.ndarray, factor: float) -> np.ndarray:
-    """Scale helper used to assert ranking invariance under positive scaling."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    return np.asarray(vector, dtype=float) * factor

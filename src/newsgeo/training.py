@@ -33,9 +33,6 @@ TRIPLET = "triplet"
 INFONCE = "infonce"
 LOSSES = (COSINE_MSE, CONTRASTIVE, TRIPLET, INFONCE)
 
-# Batch sizes of the experiment grid; other values are allowed but warned.
-GRID_BATCH_SIZES = (64, 128, 256)
-
 
 @dataclasses.dataclass(frozen=True)
 class TrainingPair:
@@ -97,8 +94,6 @@ class LossConfig:
         minimum = 2 if self.loss == INFONCE else 1
         if self.batch_size < minimum:
             raise ValueError(f"batch_size must be >= {minimum} for {self.loss}")
-        if self.batch_size not in GRID_BATCH_SIZES:
-            logger.info("batch_size %d is outside the usual grid %s", self.batch_size, GRID_BATCH_SIZES)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.early_stop_patience < 0:

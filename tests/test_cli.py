@@ -341,3 +341,28 @@ class TestFailureModes:
         assert error["error"] == "cache-miss"
         assert error["details"] == ["wplink:en:Atlantis"]
         assert "--network online" in error["hint"]
+
+    def test_removed_segmenter_field_is_unknown(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"segmenter": "rule"}), encoding="utf-8")
+        code = main(
+            ["cache-export", "--config", str(config), "--output", str(tmp_path / "out.jsonl")]
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {
+            "error": "config",
+            "details": ["segmenter: unknown configuration field"],
+        }
+
+    def test_bad_cache_line_names_file_and_line(self, tmp_path, fixture_tree, capsys):
+        cache = tmp_path / "kb_cache.jsonl"
+        lines = fixture_tree["cache"].read_text(encoding="utf-8").splitlines()
+        cache.write_text("\n".join([lines[0], "{torn", *lines[1:]]) + "\n", encoding="utf-8")
+        code = main(
+            ["cache-export", "--cache", str(cache), "--output", str(tmp_path / "out.jsonl")]
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "valueerror"
+        assert error["details"][0].startswith(f"{cache}:2: bad cache record")

@@ -14,8 +14,6 @@ from newsgeo.embedding import (
     chunk_document,
     cosine,
     embed_document,
-    load_embeddings,
-    save_embeddings,
     split_sentences,
     truncate_text,
 )
@@ -101,8 +99,6 @@ class TestChunkDocument:
     def test_unknown_mode_rejected(self, mock_provider):
         with pytest.raises(ValueError):
             embed_document("x", mock_provider, ChunkingConfig(mode="middle-out"))
-        with pytest.raises(ValueError):
-            chunk_document("x", mock_provider, ChunkingConfig(segmenter="neural"))
 
 
 class TestTruncateText:
@@ -212,19 +208,3 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             cosine(np.zeros(3), np.ones(3))
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        ids = ["a", "b", "c"]
-        matrix = rng.standard_normal((3, 8))
-        path = tmp_path / "vectors.npy"
-        save_embeddings(ids, matrix, path)
-        loaded_ids, loaded = load_embeddings(path)
-        assert loaded_ids == ids
-        assert np.array_equal(loaded, matrix)
-
-    def test_mismatched_counts_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_embeddings(["a"], np.zeros((2, 4)), tmp_path / "v.npy")

@@ -1,14 +1,17 @@
 """MP@1 scoring, experiment runs and report formatting."""
 
+import time
+
 import pytest
 
 from newsgeo.corpus import Article, GoldAnnotation
 from newsgeo.evaluation import (
     EvalReport,
+    Pipeline,
     baseline_predictor,
     format_report_table,
+    map_articles,
     precision_at_1,
-    ranked_predictor,
     run_experiment,
 )
 from newsgeo.locations import LocationTuple
@@ -196,6 +199,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(corpus, gold, lambda a: PARIS, workers=0)
 
+    def test_map_articles_keeps_corpus_order_on_a_pool(self):
+        corpus, _ = self.make_world()
+        delays = {"en-0": 0.03, "en-1": 0.0, "fr-0": 0.02, "fr-1": 0.0}
+
+        def slow_id(article):
+            time.sleep(delays[article.id])
+            return article.id
+
+        expected = [a.id for a in corpus]
+        assert map_articles(slow_id, corpus) == expected
+        assert map_articles(slow_id, corpus, workers=4) == expected
+
 
 class TestFixturePipeline:
     """End-to-end scoring of the offline mini-world."""
@@ -224,16 +239,44 @@ class TestFixturePipeline:
 
         corpus = load_fixture_corpus(fixture_tree)
         gold = load_fixture_gold(fixture_tree)
-        predictor = ranked_predictor(
+        predictor = Pipeline(
             resolver,
             [gazetteer_ner],
             mock_provider,
             [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS],
-        )
+        ).predict
         first = run_experiment(corpus, gold, predictor, system="ranked", workers=1)
         second = run_experiment(corpus, gold, predictor, system="ranked", workers=4)
         assert first.to_json() == second.to_json()
         assert first.country.documents == 10
+
+    def test_pipeline_predicts_its_best_resolvable_candidate(
+        self, fixture_tree, resolver, gazetteer_ner, mock_provider
+    ):
+        from newsgeo.ranking import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS, predict_location
+
+        pipeline = Pipeline(
+            resolver, [gazetteer_ner], mock_provider, [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS]
+        )
+        for article in load_fixture_corpus(fixture_tree):
+            ranked = pipeline.rank(article)
+            assert [c.score for c in ranked] == sorted((c.score for c in ranked), reverse=True)
+            assert pipeline.predict(article) == predict_location(
+                ranked, article.language, resolver
+            )
+
+    def test_build_pipeline_follows_the_config(self, fixture_tree):
+        from newsgeo.config import load_config
+
+        config = load_config(fixture_tree["config"])
+        config.representation_modes = ["only_locations"]
+        config.chunking_mode = "truncate"
+        pipeline = config.build_pipeline()
+        assert pipeline.modes == ("only_locations",)
+        assert pipeline.chunking.mode == "truncate"
+        assert pipeline.embedder.name == "mock-16d"
+        assert [p.name for p in pipeline.providers] == ["gazetteer"]
+        assert pipeline.resolver.linker.policy == "cache-only"
 
     def test_person_first_article_agrees_across_baseline_variants(
         self, fixture_tree, resolver, gazetteer_ner

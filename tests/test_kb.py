@@ -50,6 +50,54 @@ class TestKbCache:
         assert len(reloaded) == 2
         assert reloaded.get("src", "k1") == 1
 
+    def test_torn_last_line_is_skipped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        KbCache(path).put("src", "k1", "Zürich")
+        whole = json.dumps({"source": "src", "key": "k2", "value": "Zürich"}, ensure_ascii=False)
+        torn = whole.encode("utf-8")[: whole.encode("utf-8").index("ü".encode("utf-8")) + 1]
+        with path.open("ab") as handle:
+            handle.write(torn)  # cut inside a two-byte character
+        cache = KbCache(path)
+        assert len(cache) == 1 and cache.get("src", "k1") == "Zürich"
+        assert f"{path}:2: skipping a torn last line" in caplog.text
+
+    def test_put_after_torn_line_replaces_the_fragment(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        KbCache(path).put("src", "k1", 1)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"source": "src", "key": "k2", "val')
+        KbCache(path).put("src", "k3", 3)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["key"] for line in lines] == ["k1", "k3"]
+        caplog.clear()
+        reopened = KbCache(path)
+        assert reopened.keys() == [("src", "k1"), ("src", "k3")]
+        assert "torn" not in caplog.text
+
+    def test_unterminated_last_record_is_kept_and_next_put_starts_a_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"source": "src", "key": "k1", "value": 1}), encoding="utf-8")
+        cache = KbCache(path)
+        assert cache.get("src", "k1") == 1
+        cache.put("src", "k2", 2)
+        assert KbCache(path).keys() == [("src", "k1"), ("src", "k2")]
+
+    @pytest.mark.parametrize(
+        "bad", ["{not json", '{"source": "src"}', "[1, 2]", '{"source": "src", "key": "k", "val'],
+    )
+    def test_bad_line_before_the_last_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps({"source": "src", "key": "k", "value": 1})
+        path.write_text("\n".join([good, "", bad, good]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}:3: bad cache record"):
+            KbCache(path)
+
+    def test_bad_terminated_last_line_is_not_torn(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("{not json\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}:1: bad cache record"):
+            KbCache(path)
+
     def test_export_is_sorted_and_deduplicated(self, tmp_path):
         cache = KbCache(tmp_path / "c.jsonl")
         cache.put("b", "z", 1)
@@ -222,6 +270,21 @@ class TestWikidataClient:
         client = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
         assert client.label("Q183", "de") == "Deutschland"
         assert client.label("Q183", "it") == "Germany"
+
+    def test_label_fetched_online_is_cached_as_labels(self, tmp_path):
+        url = "https://www.wikidata.org/wiki/Special:EntityData/Q99.json"
+        transport = FakeTransport(
+            {url: wikidata_payload("Q99", labels={"en": "Somewhere", "de": "Irgendwo"})}
+        )
+        cache = KbCache(tmp_path)
+        client = WikidataClient(cache, policy=ONLINE, transport=transport)
+        assert client.label("Q99", "de") == "Irgendwo"
+        assert cache.get("wikidata-label", "Q99") == {
+            "labels": {"en": "Somewhere", "de": "Irgendwo"}
+        }
+        offline = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
+        assert offline.label("Q99", "it") == "Somewhere"
+        assert len(transport.calls) == 1
 
     def test_label_falls_back_to_label_cache(self, tmp_path):
         cache = KbCache(tmp_path)

@@ -3,6 +3,7 @@
 import pytest
 
 from newsgeo.kb import CACHE_ONLY, ONLINE, KbCache, KbCacheMiss, forbidden_transport
+from newsgeo.kb import KbNotFound
 from newsgeo.linking import LinkResult, WikipediaLinker, normalized_match
 from newsgeo.locations import LocationTuple
 
@@ -75,6 +76,31 @@ class TestWikipediaLinker:
         cache.put("wplink", "fr:Paris", stored.to_json())
         linker = WikipediaLinker(cache, policy=CACHE_ONLY, transport=forbidden_transport)
         assert linker.link("Paris", "fr") == stored
+
+    def test_cached_absence_is_not_found(self, tmp_path):
+        cache = KbCache(tmp_path)
+        cache.put("wplink", "en:Atlantis", {"__missing__": True})
+        linker = WikipediaLinker(cache, policy=CACHE_ONLY, transport=forbidden_transport)
+        with pytest.raises(KbNotFound):
+            linker.link("Atlantis", "en")
+
+    def test_search_404_is_cached_as_absence(self, tmp_path):
+        import urllib.parse
+
+        search_url = (
+            "https://en.wikipedia.org/w/api.php"
+            "?action=query&list=search&srlimit=max&srnamespace=0&format=json"
+            f"&srsearch={urllib.parse.quote('Atlantis')}"
+        )
+        transport = FakeTransport({search_url: LookupError(search_url)})
+        cache = KbCache(tmp_path)
+        linker = WikipediaLinker(cache, policy=ONLINE, transport=transport)
+        with pytest.raises(KbNotFound):
+            linker.link("Atlantis", "en")
+        assert cache.get("wplink", "en:Atlantis") == {"__missing__": True}
+        with pytest.raises(KbNotFound):
+            linker.link("Atlantis", "en")
+        assert len(transport.calls) == 1
 
     def test_empty_surface_rejected(self, tmp_path):
         linker = WikipediaLinker(KbCache(tmp_path), transport=forbidden_transport)

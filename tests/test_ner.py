@@ -8,9 +8,7 @@ from newsgeo.ner import (
     NerSpan,
     ensemble_spans,
     is_location_label,
-    location_spans,
     normalize_label,
-    spans_to_mentions,
 )
 
 
@@ -110,24 +108,6 @@ class TestEnsemble:
         bad = ScriptedNer("bad", [NerSpan("Nope", 0, 4, "LOC", "bad")])
         with pytest.raises(ValueError):
             ensemble_spans(self.TEXT, "en", [bad])
-
-    def test_location_filter(self):
-        a = ScriptedNer(
-            "a",
-            [
-                NerSpan("Queen Elizabeth II", 0, 18, "PER", "a"),
-                NerSpan("Paris", 27, 32, "LOC", "a"),
-            ],
-        )
-        spans = location_spans(self.TEXT, "en", [a])
-        assert [s.surface for s in spans] == ["Paris"]
-
-    def test_spans_to_mentions(self):
-        spans = [NerSpan("Paris", 27, 32, "LOC", "a")]
-        mentions = spans_to_mentions(spans)
-        assert mentions[0].surface == "Paris"
-        assert (mentions[0].start, mentions[0].end) == (27, 32)
-        assert mentions[0].qid is None
 
     def test_fixture_gazetteer_on_fixture_article(self, gazetteer_ner, articles):
         """The checked-in gazetteer finds the seeded mentions of each article."""

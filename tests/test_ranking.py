@@ -22,7 +22,6 @@ from newsgeo.ranking import (
     predict_location,
     rank_candidates,
     ranking_record,
-    scale_embedding,
 )
 
 PARIS_SPAN = NerSpan("Paris", 27, 32, "LOC", "g")
@@ -294,10 +293,3 @@ class TestHelpers:
             ],
         }
 
-    def test_scale_embedding_validates_factor(self):
-        vector = np.array([1.0, 2.0])
-        assert np.array_equal(scale_embedding(vector, 2.0), [2.0, 4.0])
-        with pytest.raises(ValueError):
-            scale_embedding(vector, 0.0)
-        with pytest.raises(ValueError):
-            scale_embedding(vector, -1.0)
