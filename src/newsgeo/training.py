@@ -17,7 +17,7 @@ import logging
 import math
 import random
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -121,36 +121,58 @@ class LossConfig:
         return dataclasses.asdict(self)
 
 
-def _cosine_with_grads(
-    u: np.ndarray, v: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """cos(u, v) and its gradients w.r.t. u and v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+def _rows(*vectors: np.ndarray) -> list[np.ndarray]:
+    """Inputs as matching (B, n) float row matrices; a 1-D vector is one row."""
+    rows = [np.atleast_2d(np.asarray(v, dtype=float)) for v in vectors]
+    if rows[0].ndim != 2 or any(r.shape != rows[0].shape for r in rows):
+        raise ValueError("expected matching vectors or (B, n) batches")
+    return rows
+
+
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit length, and their norms."""
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
         raise ValueError("zero-norm vector in cosine loss")
-    c = float(np.dot(u, v) / (nu * nv))
-    grad_u = v / (nu * nv) - c * u / nu**2
-    grad_v = u / (nu * nv) - c * v / nv**2
-    return c, grad_u, grad_v
+    return x / norms[:, None], norms
+
+
+def _unit_grad(g: np.ndarray, xh: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Pull row gradients w.r.t. x/|x| back to x: (g - (g.x^) x^) / |x|."""
+    return (g - np.sum(g * xh, axis=1, keepdims=True) * xh) / norms[:, None]
+
+
+def _pairwise_grad(
+    u: np.ndarray, v: np.ndarray, y: Any, objective: Callable
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean of a per-row objective of c = cos(u, v), with its gradients.
+
+    ``objective(c, labels)`` returns the row losses and their derivatives
+    with respect to c.
+    """
+    rows_u, rows_v = _rows(u, v)
+    labels = np.asarray(y)
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"label must be 0 or 1, got {y!r}")
+    uh, nu = _unit_rows(rows_u)
+    vh, nv = _unit_rows(rows_v)
+    c = np.sum(uh * vh, axis=1)
+    losses, dl_dc = objective(c, np.broadcast_to(labels, c.shape))
+    dl_dc = dl_dc[:, None] / len(c)
+    grad_u = _unit_grad(dl_dc * vh, uh, nu)
+    grad_v = _unit_grad(dl_dc * uh, vh, nv)
+    return float(np.mean(losses)), grad_u.reshape(np.shape(u)), grad_v.reshape(np.shape(v))
 
 
 def loss_cosine(u: np.ndarray, v: np.ndarray, y: int) -> float:
     """Squared error between the label and the cosine: (y - cos(u, v))^2."""
-    _check_label(y)
-    c, _, _ = _cosine_with_grads(u, v)
-    return (y - c) ** 2
+    return loss_cosine_grad(u, v, y)[0]
 
 
 def loss_cosine_grad(
-    u: np.ndarray, v: np.ndarray, y: int
+    u: np.ndarray, v: np.ndarray, y: Any
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    _check_label(y)
-    c, cu, cv = _cosine_with_grads(u, v)
-    dc = -2.0 * (y - c)
-    return (y - c) ** 2, dc * cu, dc * cv
+    return _pairwise_grad(u, v, y, lambda c, labels: ((labels - c) ** 2, -2.0 * (labels - c)))
 
 
 def loss_contrastive(
@@ -165,40 +187,34 @@ def loss_contrastive(
     Positives pay d^2 / 2; negatives pay max(0, margin - d)^2 / 2. With
     ``literal_cosine`` the similarity itself plays the role of d.
     """
-    loss, _, _ = loss_contrastive_grad(u, v, y, margin, literal_cosine)
-    return loss
+    return loss_contrastive_grad(u, v, y, margin, literal_cosine)[0]
 
 
 def loss_contrastive_grad(
     u: np.ndarray,
     v: np.ndarray,
-    y: int,
+    y: Any,
     margin: float = 0.5,
     literal_cosine: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    _check_label(y)
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    c, cu, cv = _cosine_with_grads(u, v)
-    d = c if literal_cosine else 1.0 - c
     dd_dc = 1.0 if literal_cosine else -1.0
-    if y == 1:
-        loss = d * d / 2.0
-        dl_dd = d
-    else:
-        hinge = max(0.0, margin - d)
-        loss = hinge * hinge / 2.0
-        dl_dd = -hinge
-    factor = dl_dd * dd_dc
-    return loss, factor * cu, factor * cv
+
+    def objective(c, labels):
+        d = c if literal_cosine else 1.0 - c
+        # dl/dd is d for positives and minus the hinge for negatives.
+        dl_dd = np.where(labels == 1, d, -np.maximum(0.0, margin - d))
+        return dl_dd * dl_dd / 2.0, dl_dd * dd_dc
+
+    return _pairwise_grad(u, v, y, objective)
 
 
 def loss_triplet(
     u: np.ndarray, v_pos: np.ndarray, v_neg: np.ndarray, margin: float = 1.0
 ) -> float:
     """Euclidean triplet loss on L2-normalized embeddings."""
-    loss, _, _, _ = loss_triplet_grad(u, v_pos, v_neg, margin)
-    return loss
+    return loss_triplet_grad(u, v_pos, v_neg, margin)[0]
 
 
 def loss_triplet_grad(
@@ -206,34 +222,28 @@ def loss_triplet_grad(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    u = np.asarray(u, dtype=float)
-    v_pos = np.asarray(v_pos, dtype=float)
-    v_neg = np.asarray(v_neg, dtype=float)
-    uh, ju = _normalize_with_jacobian(u)
-    ph, jp = _normalize_with_jacobian(v_pos)
-    nh, jn = _normalize_with_jacobian(v_neg)
-    d_pos = float(np.linalg.norm(uh - ph))
-    d_neg = float(np.linalg.norm(uh - nh))
-    loss = max(0.0, d_pos - d_neg + margin)
-    zeros = np.zeros_like(u)
-    if loss == 0.0:
-        return 0.0, zeros, np.zeros_like(v_pos), np.zeros_like(v_neg)
-    # Subgradient 0 at coincident points, where the distance is not smooth.
-    g_pos = (uh - ph) / d_pos if d_pos > 0 else zeros
-    g_neg = (uh - nh) / d_neg if d_neg > 0 else zeros
-    grad_u = ju @ (g_pos - g_neg)
-    grad_pos = jp @ (-g_pos)
-    grad_neg = jn @ g_neg
-    return loss, grad_u, grad_pos, grad_neg
+    (uh, nu), (ph, npos), (nh, nneg) = (_unit_rows(r) for r in _rows(u, v_pos, v_neg))
+    to_pos, to_neg = uh - ph, uh - nh
+    d_pos = np.linalg.norm(to_pos, axis=1)
+    d_neg = np.linalg.norm(to_neg, axis=1)
+    hinge = np.maximum(0.0, d_pos - d_neg + margin)
 
+    def direction(diff, distance):
+        # Rows at a zero hinge, and coincident points (where the distance is
+        # not smooth), get the subgradient 0; the division skips them.
+        rows = ((hinge > 0.0) & (distance > 0.0))[:, None]
+        return np.divide(diff, distance[:, None] * len(hinge), out=np.zeros_like(diff), where=rows)
 
-def _normalize_with_jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        raise ValueError("cannot L2-normalize a zero vector")
-    xh = x / norm
-    jacobian = (np.eye(len(x)) - np.outer(xh, xh)) / norm
-    return xh, jacobian
+    g_pos, g_neg = direction(to_pos, d_pos), direction(to_neg, d_neg)
+    grad_u = _unit_grad(g_pos - g_neg, uh, nu)
+    grad_pos = _unit_grad(-g_pos, ph, npos)
+    grad_neg = _unit_grad(g_neg, nh, nneg)
+    return (
+        float(np.mean(hinge)),
+        grad_u.reshape(np.shape(u)),
+        grad_pos.reshape(np.shape(v_pos)),
+        grad_neg.reshape(np.shape(v_neg)),
+    )
 
 
 def loss_infonce(
@@ -244,44 +254,26 @@ def loss_infonce(
     Row i's positive is column i; every other column of the batch acts as a
     negative: mean_i -log(exp(s c_ii) / sum_j exp(s c_ij)).
     """
-    loss, _, _ = loss_infonce_grad(us, vs, scale)
-    return loss
+    return loss_infonce_grad(us, vs, scale)[0]
 
 
 def loss_infonce_grad(
     us: np.ndarray, vs: np.ndarray, scale: float = 1.0
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    if us.ndim != 2 or us.shape != vs.shape:
-        raise ValueError("expected matching (B, n) batches")
-    b = us.shape[0]
-    if b < 2:
-        raise ValueError("in-batch negatives need batch size >= 2")
+    rows_u, rows_v = _rows(us, vs)
+    b = len(rows_u)
+    if np.ndim(us) != 2 or b < 2:
+        raise ValueError("in-batch negatives need (B, n) batches with B >= 2")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    nu = np.linalg.norm(us, axis=1)
-    nv = np.linalg.norm(vs, axis=1)
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise ValueError("zero-norm vector in cosine loss")
-    uh = us / nu[:, None]
-    vh = vs / nv[:, None]
-    cos = uh @ vh.T
-    scores = scale * cos
+    uh, nu = _unit_rows(rows_u)
+    vh, nv = _unit_rows(rows_v)
+    scores = scale * (uh @ vh.T)
     row_max = scores.max(axis=1, keepdims=True)
     lse = row_max[:, 0] + np.log(np.exp(scores - row_max).sum(axis=1))
     loss = float(np.mean(lse - np.diag(scores)))
-    probs = np.exp(scores - lse[:, None])
-    g_scores = (probs - np.eye(b)) * (scale / b)
-    weighted = g_scores * cos
-    grad_u = (g_scores @ vh - weighted.sum(axis=1)[:, None] * uh) / nu[:, None]
-    grad_v = (g_scores.T @ uh - weighted.sum(axis=0)[:, None] * vh) / nv[:, None]
-    return loss, grad_u, grad_v
-
-
-def _check_label(y: int) -> None:
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
+    g_scores = (np.exp(scores - lse[:, None]) - np.eye(b)) * (scale / b)
+    return loss, _unit_grad(g_scores @ vh, uh, nu), _unit_grad(g_scores.T @ uh, vh, nv)
 
 
 def generate_pairs(
@@ -402,7 +394,9 @@ class LinearAdapter:
 
 
 def save_checkpoint(adapter: LinearAdapter, path: str | Path) -> None:
-    np.savez(Path(path), weights=adapter.weights)
+    """Write the weights as an .npz archive to exactly ``path``, whatever its suffix."""
+    with Path(path).open("wb") as handle:
+        np.savez(handle, weights=adapter.weights)
 
 
 def load_checkpoint(base: EmbeddingProvider, path: str | Path) -> LinearAdapter:
@@ -481,11 +475,12 @@ def train(
     train_id_set = set(train_ids)
     train_pairs = [p for p in pairs if p.article_id in train_id_set]
     validation_pairs = [p for p in pairs if p.article_id not in train_id_set]
-    features: dict[str, np.ndarray] = {}
-    train_items = _build_items(train_pairs, config.loss)
-    validation_items = _build_items(validation_pairs, config.loss)
-    if not train_items or not validation_items:
+    index: dict[str, int] = {}
+    train_rows, train_labels = _build_items(train_pairs, config.loss, index)
+    validation_rows, validation_labels = _build_items(validation_pairs, config.loss, index)
+    if not len(train_rows) or not len(validation_rows):
         raise ValueError(f"loss {config.loss} has no usable items on one split")
+    features = np.stack([embed_document(text, adapter.base, chunking) for text in index])
 
     rng = random.Random(config.seed)
     stopper = EarlyStopping(config.early_stop_patience)
@@ -494,16 +489,18 @@ def train(
     validation_losses: list[float] = []
     stopped_early = False
     for epoch in range(1, config.epochs + 1):
-        order = list(range(len(train_items)))
+        order = list(range(len(train_rows)))
         rng.shuffle(order)
         epoch_loss = 0.0
         epoch_items = 0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_items[i] for i in order[start : start + config.batch_size]]
+            batch = order[start : start + config.batch_size]
             if config.loss == INFONCE and len(batch) < 2:
                 logger.warning("skipping size-%d batch: in-batch negatives need >= 2", len(batch))
                 continue
-            loss, gradient = _batch_step(adapter, batch, config, chunking, features)
+            loss, gradient = _batch_step(
+                adapter.weights, features, train_rows[batch], train_labels[batch], config
+            )
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, batch starting at {start}"
@@ -511,8 +508,12 @@ def train(
             adapter.weights = adapter.weights - config.learning_rate * gradient
             epoch_loss += loss * len(batch)
             epoch_items += len(batch)
-        train_loss = epoch_loss / max(epoch_items, 1)
-        validation_loss = _split_loss(adapter, validation_items, config, chunking, features)
+        if epoch_items == 0:
+            raise ValueError(f"training split has no usable batches for {config.loss}")
+        train_loss = epoch_loss / epoch_items
+        validation_loss = _split_loss(
+            adapter.weights, features, validation_rows, validation_labels, config
+        )
         if not math.isfinite(validation_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         train_losses.append(train_loss)
@@ -542,107 +543,90 @@ def train(
     )
 
 
-def _build_items(pairs: Sequence[TrainingPair], loss: str) -> list[tuple]:
+def _build_items(
+    pairs: Sequence[TrainingPair], loss: str, index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
     """Arrange pairs into per-loss optimization items.
 
     Pairwise losses use every pair; the triplet loss zips each document's
     positives with its negatives; InfoNCE keeps positives only and finds its
-    negatives inside the batch.
+    negatives inside the batch. An item is a row of feature indices, one per
+    text column, numbered in first-seen order in ``index`` (which grows by
+    every new text); its label is that of its (document, first entity) pair.
     """
     if loss in (COSINE_MSE, CONTRASTIVE):
-        return [(p.document_text, p.entity_text, p.label) for p in pairs]
-    if loss == INFONCE:
-        return [(p.document_text, p.entity_text) for p in pairs if p.label == 1]
-    by_document: dict[str, tuple[list[str], list[str], str]] = {}
-    for pair in pairs:
-        positives, negatives, _ = by_document.setdefault(
-            pair.article_id, ([], [], pair.document_text)
-        )
-        (positives if pair.label == 1 else negatives).append(pair.entity_text)
-    triples = []
-    for positives, negatives, document in by_document.values():
-        for positive, negative in zip(positives, negatives):
-            triples.append((document, positive, negative))
-    return triples
-
-
-def _feature(
-    text: str,
-    adapter: LinearAdapter,
-    chunking: ChunkingConfig | None,
-    features: dict[str, np.ndarray],
-) -> np.ndarray:
-    if text not in features:
-        features[text] = embed_document(text, adapter.base, chunking)
-    return features[text]
+        items = [(p.document_text, p.entity_text, p.label) for p in pairs]
+    elif loss == INFONCE:
+        items = [(p.document_text, p.entity_text, 1) for p in pairs if p.label == 1]
+    else:
+        by_document: dict[str, tuple[list[str], list[str], str]] = {}
+        for pair in pairs:
+            positives, negatives, _ = by_document.setdefault(
+                pair.article_id, ([], [], pair.document_text)
+            )
+            (positives if pair.label == 1 else negatives).append(pair.entity_text)
+        items = [
+            (document, positive, negative, 1)
+            for positives, negatives, document in by_document.values()
+            for positive, negative in zip(positives, negatives)
+        ]
+    rows = [[index.setdefault(text, len(index)) for text in item[:-1]] for item in items]
+    columns = 3 if loss == TRIPLET else 2
+    return (
+        np.array(rows, dtype=np.intp).reshape(len(items), columns),
+        np.array([item[-1] for item in items], dtype=int),
+    )
 
 
 def _batch_step(
-    adapter: LinearAdapter,
-    batch: list[tuple],
+    weights: np.ndarray,
+    features: np.ndarray,
+    rows: np.ndarray,
+    labels: np.ndarray,
     config: LossConfig,
-    chunking: ChunkingConfig | None,
-    features: dict[str, np.ndarray],
-) -> tuple[float, np.ndarray]:
-    """Mean batch loss and its gradient w.r.t. the adapter weights.
+    gradient: bool = True,
+) -> tuple[float, np.ndarray | None]:
+    """Mean batch loss and, if ``gradient``, its gradient w.r.t. the weights.
 
-    With u = W x, the chain rule turns every per-embedding gradient g into a
-    rank-one weight update g x^T; the batch gradient is their mean.
+    Column k of ``rows`` picks the feature rows X_k of the batch's k-th
+    texts. With U_k = X_k W^T and G_k the loss gradient w.r.t. U_k, the
+    weight gradient is sum_k G_k^T X_k.
     """
-    w = adapter.weights
-    gradient = np.zeros_like(w)
-    if config.loss == INFONCE:
-        xs_doc = np.stack([_feature(doc, adapter, chunking, features) for doc, _ in batch])
-        xs_ent = np.stack([_feature(ent, adapter, chunking, features) for _, ent in batch])
-        us = xs_doc @ w.T
-        vs = xs_ent @ w.T
-        loss, grad_u, grad_v = loss_infonce_grad(us, vs, config.scale)
-        gradient = grad_u.T @ xs_doc + grad_v.T @ xs_ent
-        return loss, gradient
-    total = 0.0
+    xs = [features[column] for column in rows.T]
+    us = [x @ weights.T for x in xs]
     margin = config.resolved_margin
-    for item in batch:
-        if config.loss == TRIPLET:
-            document, positive, negative = item
-            x_doc = _feature(document, adapter, chunking, features)
-            x_pos = _feature(positive, adapter, chunking, features)
-            x_neg = _feature(negative, adapter, chunking, features)
-            loss, gu, gp, gn = loss_triplet_grad(w @ x_doc, w @ x_pos, w @ x_neg, margin)
-            gradient += np.outer(gu, x_doc) + np.outer(gp, x_pos) + np.outer(gn, x_neg)
-        else:
-            document, entity, label = item
-            x_doc = _feature(document, adapter, chunking, features)
-            x_ent = _feature(entity, adapter, chunking, features)
-            u, v = w @ x_doc, w @ x_ent
-            if config.loss == COSINE_MSE:
-                loss, gu, gv = loss_cosine_grad(u, v, label)
-            else:
-                loss, gu, gv = loss_contrastive_grad(
-                    u, v, label, margin, config.literal_cosine
-                )
-            gradient += np.outer(gu, x_doc) + np.outer(gv, x_ent)
-        total += loss
-    return total / len(batch), gradient / len(batch)
+    if config.loss == COSINE_MSE:
+        loss, *grads = loss_cosine_grad(*us, labels)
+    elif config.loss == CONTRASTIVE:
+        loss, *grads = loss_contrastive_grad(*us, labels, margin, config.literal_cosine)
+    elif config.loss == TRIPLET:
+        loss, *grads = loss_triplet_grad(*us, margin)
+    else:
+        loss, *grads = loss_infonce_grad(*us, config.scale)
+    if not gradient:
+        return loss, None
+    return loss, sum(g.T @ x for g, x in zip(grads, xs))
 
 
 def _split_loss(
-    adapter: LinearAdapter,
-    items: list[tuple],
+    weights: np.ndarray,
+    features: np.ndarray,
+    rows: np.ndarray,
+    labels: np.ndarray,
     config: LossConfig,
-    chunking: ChunkingConfig | None,
-    features: dict[str, np.ndarray],
 ) -> float:
-    """Loss over a held-out split, without updates."""
+    """Loss over a held-out split, without weight gradients or updates."""
     total = 0.0
     count = 0
-    for start in range(0, len(items), config.batch_size):
-        batch = items[start : start + config.batch_size]
-        if config.loss == INFONCE and len(batch) < 2:
-            logger.warning("skipping size-%d validation batch for in-batch negatives", len(batch))
+    for start in range(0, len(rows), config.batch_size):
+        batch = slice(start, start + config.batch_size)
+        size = len(rows[batch])
+        if config.loss == INFONCE and size < 2:
+            logger.warning("skipping size-%d validation batch for in-batch negatives", size)
             continue
-        loss, _ = _batch_step(adapter, batch, config, chunking, features)
-        total += loss * len(batch)
-        count += len(batch)
+        loss, _ = _batch_step(weights, features, rows[batch], labels[batch], config, False)
+        total += loss * size
+        count += size
     if count == 0:
         raise ValueError(f"validation split has no usable batches for {config.loss}")
     return total / count

@@ -4,12 +4,19 @@
 ``data/fixtures/config.json`` at a known-good commit. Rerunning the commands
 must reproduce them byte for byte, so a refactor that changes any score,
 prediction or formatting detail fails here instead of passing silently.
+
+It also holds the ``train --output`` report of every loss on the pairs that
+``generate-pairs`` builds from the same config. Training sums in an order
+that a refactor may change, so the reports are compared field by field: the
+loss trajectories to within 1e-12, everything else exactly.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from newsgeo.cli import main
@@ -40,3 +47,26 @@ def test_fixture_outputs_match_golden(case, tmp_path, capsys):
     assert main(argv) == 0
     for name in outputs.values():
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+TRAIN_TOLERANCE = 1e-12
+LOSS_FIELDS = ("train_losses", "validation_losses", "best_validation_loss")
+
+
+@pytest.mark.parametrize("loss", ["contrastive", "cosine_mse", "infonce", "triplet"])
+def test_fixture_training_matches_golden(loss, tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    report = tmp_path / f"train_{loss}.json"
+    assert main(["generate-pairs", "--config", str(CONFIG), "--output", str(pairs)]) == 0
+    argv = ["train", "--config", str(CONFIG), "--pairs", str(pairs), "--loss", loss]
+    argv += ["--epochs", "4", "--patience", "4", "--output", str(report)]
+    assert main(argv) == 0
+    ours = json.loads(report.read_text(encoding="utf-8"))
+    golden = json.loads((GOLDEN / report.name).read_text(encoding="utf-8"))
+    assert sorted(ours) == sorted(golden)
+    for field in LOSS_FIELDS:
+        assert np.shape(ours[field]) == np.shape(golden[field]), field
+        assert np.allclose(ours[field], golden[field], rtol=0.0, atol=TRAIN_TOLERANCE), field
+    assert {k: v for k, v in ours.items() if k not in LOSS_FIELDS} == {
+        k: v for k, v in golden.items() if k not in LOSS_FIELDS
+    }

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from newsgeo import training
 from newsgeo.corpus import Article, ParsedMention, split_train_validation
 from newsgeo.locations import LocationTuple
 from newsgeo.training import (
@@ -272,6 +273,149 @@ class TestGradients:
             assert gradient_agreement(gv, nv) <= self.TOLERANCE
 
 
+def batch_case(loss, n=5, b=4, seed=40):
+    """Features, item rows and mixed labels for one batch of ``loss``.
+
+    Triplet rows are arranged so that, at the weights of ``near_identity``,
+    row 0 is inactive (its positive lies near the anchor's ray, its negative
+    opposite) and row 1 has d_pos = 0 with an active hinge.
+    """
+    rng = np.random.default_rng(seed)
+    columns = 3 if loss == TRIPLET else 2
+    features = rng.standard_normal((b * columns, n))
+    rows = np.arange(b * columns).reshape(columns, b).T
+    labels = np.array([1, 0, 1, 0][:b])
+    if loss == TRIPLET:
+        anchor_0, positive_0, negative_0 = rows[0]
+        features[positive_0] = 2.0 * features[anchor_0] + 0.01 * rng.standard_normal(n)
+        features[negative_0] = -features[anchor_0]
+        anchor_1, _, negative_1 = rows[1]
+        rows[1, 1] = anchor_1  # the positive is the anchor's own text
+        features[negative_1] = features[anchor_1] + 0.3 * rng.standard_normal(n)
+    return features, rows, labels
+
+
+def near_identity(n=5, seed=41):
+    return np.eye(n) + 0.2 * np.random.default_rng(seed).standard_normal((n, n))
+
+
+def triplet_hinges(weights, features, rows):
+    units = features @ weights.T
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    anchor, positive, negative = (units[column] for column in rows.T)
+    d_pos = np.linalg.norm(anchor - positive, axis=1)
+    d_neg = np.linalg.norm(anchor - negative, axis=1)
+    return d_pos, d_pos - d_neg + 1.0
+
+
+class TestBatchedTraining:
+    """The batched loss path, through the adapter weights."""
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_weight_gradient_matches_central_differences(self, loss):
+        features, rows, labels = batch_case(loss)
+        weights = near_identity()
+        config = LossConfig(loss=loss, batch_size=4)
+        if loss == TRIPLET:
+            d_pos, hinge = triplet_hinges(weights, features, rows)
+            assert hinge[0] < -0.1 and d_pos[1] == 0.0 and hinge[1] > 0.1
+            assert np.all(np.abs(hinge) > 1e-3)
+        _, gradient = training._batch_step(weights, features, rows, labels, config)
+        numeric = central_difference(
+            lambda w: training._batch_step(w, features, rows, labels, config, False)[0],
+            weights,
+            1e-6,
+        )
+        assert gradient.shape == weights.shape
+        assert gradient_agreement(gradient, numeric) <= 1e-6
+
+    def test_triplet_rows_without_a_smooth_hinge_get_zero_gradients(self):
+        features, rows, _ = batch_case(TRIPLET)
+        us, ps, ns = (features[column] @ near_identity().T for column in rows.T)
+        _, gu, gp, gn = loss_triplet_grad(us, ps, ns)
+        assert not np.any(gu[0]) and not np.any(gp[0]) and not np.any(gn[0])
+        assert not np.any(gp[1]) and np.any(gu[1]) and np.any(gn[1])
+
+    @pytest.mark.parametrize(
+        "loss_grad, columns, extra",
+        [
+            (loss_cosine_grad, 2, ()),
+            (loss_contrastive_grad, 2, (0.5, False)),
+            (loss_contrastive_grad, 2, (1.5, True)),
+            (loss_triplet_grad, 3, (1.0,)),
+        ],
+    )
+    def test_batch_is_mean_of_single_rows(self, loss_grad, columns, extra):
+        rng = np.random.default_rng(42)
+        b, n = 6, 5
+        inputs = [rng.standard_normal((b, n)) for _ in range(columns)]
+        if columns == 3:
+            inputs[1][0] = 2.0 * inputs[0][0]  # d_pos = 0
+            inputs[1][1], inputs[2][1] = inputs[0][1], -inputs[0][1]  # inactive
+        labels = (np.array([1, 0, 1, 0, 0, 1]),) if columns == 2 else ()
+        loss, *grads = loss_grad(*inputs, *labels, *extra)
+        singles = [
+            loss_grad(*(x[i] for x in inputs), *(y[i] for y in labels), *extra)
+            for i in range(b)
+        ]
+        assert abs(loss - np.mean([single[0] for single in singles])) <= 1e-12
+        for k, grad in enumerate(grads):
+            assert grad.shape == (b, n)
+            expected = np.stack([single[k + 1] for single in singles]) / b
+            assert np.max(np.abs(grad - expected)) <= 1e-12
+
+    def test_batch_validation_matches_single_rows(self):
+        rows = np.ones((3, 4))
+        zero_row = rows.copy()
+        zero_row[1] = 0.0
+        with pytest.raises(ValueError):
+            loss_cosine_grad(rows, zero_row, np.ones(3))
+        with pytest.raises(ValueError):
+            loss_contrastive_grad(rows, rows, np.array([1, 2, 0]))
+        with pytest.raises(ValueError):
+            loss_contrastive_grad(rows, rows, np.ones(3), margin=-0.1)
+        with pytest.raises(ValueError):
+            loss_triplet_grad(rows, rows, zero_row)
+        with pytest.raises(ValueError):
+            loss_triplet_grad(rows, rows, rows, margin=-1.0)
+        with pytest.raises(ValueError):
+            loss_cosine_grad(rows, np.ones((3, 5)), 1)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_one_loss_grad_call_per_batch(self, loss, monkeypatch):
+        name = {
+            COSINE_MSE: "loss_cosine_grad",
+            CONTRASTIVE: "loss_contrastive_grad",
+            TRIPLET: "loss_triplet_grad",
+            INFONCE: "loss_infonce_grad",
+        }[loss]
+        calls = []
+        original = getattr(training, name)
+        monkeypatch.setattr(
+            training, name, lambda *a, **k: calls.append(len(a[0])) or original(*a, **k)
+        )
+        features, rows, labels = batch_case(loss)
+        training._batch_step(near_identity(), features, rows, labels, LossConfig(loss=loss))
+        assert calls == [4]
+
+        calls.clear()
+        provider, pairs = shared_axis_pairs(n_docs=10)
+        if loss == TRIPLET:
+            pairs += [
+                TrainingPair(p.article_id, p.document_text, f"ent {(i + 5) % 10}", 0)
+                for i, p in enumerate(pairs)
+            ]
+        config = LossConfig(loss=loss, batch_size=3, epochs=2, validation_fraction=0.3)
+        report = train(LinearAdapter(provider), pairs, config)
+        assert (report.train_pairs, report.validation_pairs) == (
+            (14, 6) if loss == TRIPLET else (7, 3)
+        )
+        # Per epoch: 7 training items in batches of 3, 3, 1 and 3 validation
+        # items in one batch; InfoNCE skips the size-1 batch.
+        epoch = [3, 3, 3] if loss == INFONCE else [3, 3, 1, 3]
+        assert calls == epoch * 2
+
+
 class TestLossConfig:
     def test_defaults_validate(self):
         LossConfig().validate()
@@ -522,6 +666,14 @@ class TestLinearAdapter:
         loaded = load_checkpoint(mock_provider, path)
         assert np.array_equal(loaded.weights, adapter.weights)
 
+    def test_checkpoint_written_to_exact_path(self, mock_provider, tmp_path):
+        adapter = LinearAdapter(mock_provider)
+        adapter.weights = adapter.weights * 3.0
+        path = tmp_path / "adapter.bin"
+        save_checkpoint(adapter, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adapter.bin"]
+        assert np.array_equal(load_checkpoint(mock_provider, path).weights, adapter.weights)
+
 
 class TestEarlyStopping:
     def test_patience_zero_stops_on_first_non_improvement(self):
@@ -662,6 +814,14 @@ class TestTrain:
     def test_empty_pairs_rejected(self, mock_provider):
         with pytest.raises(ValueError):
             train(LinearAdapter(mock_provider), [], self.config())
+
+    def test_infonce_without_a_training_batch_rejected(self):
+        """One training positive gives InfoNCE no batch of 2; nothing may train."""
+        provider, pairs = shared_axis_pairs(n_docs=6)
+        config = self.config(loss=INFONCE, batch_size=4, validation_fraction=0.8)
+        adapter = LinearAdapter(provider)
+        with pytest.raises(ValueError, match="training split has no usable batches"):
+            train(adapter, pairs, config)
 
     def test_single_document_rejected(self):
         provider, pairs = shared_axis_pairs(n_docs=1)
