@@ -30,7 +30,7 @@ from .corpus import (
     save_corpus,
 )
 from .evaluation import baseline_predictor, format_report_table, map_articles, run_experiment
-from .kb import KbCacheMiss
+from .kb import KbCacheCorrupt, KbCacheMiss
 from .locations import LocationTuple, Resolver
 from .ranking import ranking_record
 from .training import (
@@ -67,6 +67,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             [f"{exc.source}:{exc.key}"],
             hint="run with --network online to fill the cache, or warm it first",
         )
+    except KbCacheCorrupt as exc:
+        return _fail("valueerror", [str(exc)])
     except TrainingDiverged as exc:
         return _fail("training-diverged", [str(exc)])
     except FileNotFoundError as exc:

@@ -9,6 +9,8 @@ and records results (including confirmed absences) for later runs.
 Cache file format: one JSON object per line, ``{"source": s, "key": k,
 "value": v}``, append-only with the last write winning. The format is
 deliberately diff-friendly so recorded fixtures can live in version control.
+Loading indexes the keys; a value is decoded when it is read, and a corrupt
+one raises :class:`KbCacheCorrupt` naming its file and line at that point.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import re
 import threading
 import time
 import urllib.parse
+from json.decoder import scanstring
 from pathlib import Path
 from typing import Any, Callable
 
@@ -62,8 +65,21 @@ class KbRemoteError(KbError):
     """The remote endpoint kept failing after retries."""
 
 
+class KbCacheCorrupt(KbError, ValueError):
+    """A cache line is not a valid record; the message names file and line."""
+
+
 class KbCache:
     """Append-only JSON key-value store, keyed by (source, key).
+
+    Loading indexes the file: each (source, key) maps to the line number and
+    text of its last record, and a value is decoded only when `get` reads it,
+    so a command pays for the records it uses, not for the whole history. A
+    line in the exact form `put` writes has its source and key read from the
+    prefix; any other line is decoded in full at load, so a malformed one
+    fails there. A corrupt value behind a well-formed prefix is found when it
+    is first read: `get` raises :class:`KbCacheCorrupt` naming the file and
+    line.
 
     Concurrent reads are safe; writes are serialized through a single lock and
     flushed immediately so parallel workers sharing one cache never observe a
@@ -79,25 +95,27 @@ class KbCache:
             path = path / self.FILENAME
         self.path = path
         self._lock = threading.Lock()
-        self._entries: dict[tuple[str, str], Any] = {}
+        # (source, key) -> (line number or None for a `put` of this run, line)
+        self._entries: dict[tuple[str, str], tuple[int | None, str]] = {}
         # A crash in the middle of `put` leaves a torn last line without its
         # newline: it is skipped here and cut off by the next `put`.
         self._torn_at: int | None = None
         self._unterminated = False
         if path.exists():
             with path.open("rb") as handle:
-                for number, line in enumerate(handle, 1):
-                    if not line.strip():
+                for number, raw in enumerate(handle, 1):
+                    if not raw.strip():
                         continue
-                    self._unterminated = not line.endswith(b"\n")
+                    self._unterminated = not raw.endswith(b"\n")
                     try:
-                        record = json.loads(line.decode("utf-8"))
-                        self._entries[(record["source"], record["key"])] = record["value"]
+                        line = raw.decode("utf-8")
+                        self._entries[_put_form_key(line) or _decode(line)[0]] = (number, line)
                     except (ValueError, KeyError, TypeError) as exc:
                         if not self._unterminated:
-                            raise ValueError(f"{path}:{number}: bad cache record ({exc})") from exc
+                            message = f"{path}:{number}: bad cache record ({exc})"
+                            raise KbCacheCorrupt(message) from exc
                         logger.warning("%s:%d: skipping a torn last line", path, number)
-                        self._torn_at = handle.tell() - len(line)
+                        self._torn_at = handle.tell() - len(raw)
 
     def __contains__(self, source_key: tuple[str, str]) -> bool:
         return source_key in self._entries
@@ -106,14 +124,22 @@ class KbCache:
         return len(self._entries)
 
     def get(self, source: str, key: str) -> Any:
-        return self._entries[(source, key)]
+        """The value of (source, key), decoded afresh on every call."""
+        number, line = self._entries[(source, key)]
+        try:
+            found, value = _decode(line)
+            if found != (source, key):
+                raise ValueError(f"record is for {found[0]}:{found[1]}")
+            return value
+        except (ValueError, KeyError, TypeError) as exc:
+            raise KbCacheCorrupt(f"{self.path}:{number}: bad cache record ({exc})") from exc
 
     def put(self, source: str, key: str, value: Any) -> None:
         line = json.dumps(
             {"source": source, "key": key, "value": value}, ensure_ascii=False
         )
         with self._lock:
-            self._entries[(source, key)] = value
+            self._entries[(source, key)] = (None, line)
             with self.path.open("a", encoding="utf-8") as handle:
                 if self._torn_at is not None:
                     handle.truncate(self._torn_at)
@@ -131,16 +157,42 @@ class KbCache:
             for source, key in self.keys():
                 handle.write(
                     json.dumps(
-                        {
-                            "source": source,
-                            "key": key,
-                            "value": self._entries[(source, key)],
-                        },
+                        {"source": source, "key": key, "value": self.get(source, key)},
                         ensure_ascii=False,
                     )
                     + "\n"
                 )
         return len(self._entries)
+
+
+def _decode(line: str) -> tuple[tuple[str, str], Any]:
+    record = json.loads(line)
+    return (record["source"], record["key"]), record["value"]
+
+
+_PUT_SOURCE = '{"source": "'
+_PUT_KEY = ', "key": "'
+_PUT_VALUE = ', "value": '
+
+
+def _put_form_key(line: str) -> tuple[str, str] | None:
+    """(source, key) of a line in the exact form `put` writes, else None.
+
+    Only the two leading strings are decoded, with the JSON string scanner
+    itself, so escapes and non-ASCII text read exactly as `json.loads` gives
+    them; the value is left for `get`. A line without its newline, possibly
+    torn, is never in this form.
+    """
+    if not line.startswith(_PUT_SOURCE) or not line.endswith("}\n"):
+        return None
+    try:
+        source, end = scanstring(line, len(_PUT_SOURCE))
+        if not line.startswith(_PUT_KEY, end):
+            return None
+        key, end = scanstring(line, end + len(_PUT_KEY))
+    except ValueError:
+        return None
+    return (source, key) if line.startswith(_PUT_VALUE, end) else None
 
 
 class RateLimiter:

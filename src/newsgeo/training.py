@@ -493,11 +493,8 @@ def train(
         rng.shuffle(order)
         epoch_loss = 0.0
         epoch_items = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            if config.loss == INFONCE and len(batch) < 2:
-                logger.warning("skipping size-%d batch: in-batch negatives need >= 2", len(batch))
-                continue
+        for start, end in _batch_bounds(len(order), config):
+            batch = order[start:end]
             loss, gradient = _batch_step(
                 adapter.weights, features, train_rows[batch], train_labels[batch], config
             )
@@ -578,6 +575,18 @@ def _build_items(
     )
 
 
+def _batch_bounds(count: int, config: LossConfig) -> list[tuple[int, int]]:
+    """(start, end) of each batch over ``count`` items, in order.
+
+    InfoNCE takes its negatives from the batch, so a lone trailing item joins
+    the batch before it; a single item makes no batch at all.
+    """
+    starts = list(range(0, count, config.batch_size))
+    if config.loss == INFONCE and count % config.batch_size == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [count]))
+
+
 def _batch_step(
     weights: np.ndarray,
     features: np.ndarray,
@@ -618,15 +627,10 @@ def _split_loss(
     """Loss over a held-out split, without weight gradients or updates."""
     total = 0.0
     count = 0
-    for start in range(0, len(rows), config.batch_size):
-        batch = slice(start, start + config.batch_size)
-        size = len(rows[batch])
-        if config.loss == INFONCE and size < 2:
-            logger.warning("skipping size-%d validation batch for in-batch negatives", size)
-            continue
-        loss, _ = _batch_step(weights, features, rows[batch], labels[batch], config, False)
-        total += loss * size
-        count += size
+    for start, end in _batch_bounds(len(rows), config):
+        loss, _ = _batch_step(weights, features, rows[start:end], labels[start:end], config, False)
+        total += loss * (end - start)
+        count += end - start
     if count == 0:
         raise ValueError(f"validation split has no usable batches for {config.loss}")
     return total / count

@@ -366,3 +366,21 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "valueerror"
         assert error["details"][0].startswith(f"{cache}:2: bad cache record")
+
+    @pytest.mark.parametrize(
+        "command", [["rank"], ["evaluate", "--workers", "1"], ["evaluate", "--workers", "2"]]
+    )
+    def test_corrupt_value_read_fails_the_command(self, tmp_path, fixture_tree, command, capsys):
+        """A record whose value does not decode is found when read, not at load."""
+        cache = tmp_path / "kb_cache.jsonl"
+        lines = fixture_tree["cache"].read_text(encoding="utf-8").splitlines()
+        number = next(i for i, line in enumerate(lines, 1) if '"key": "Q142"' in line)
+        lines[number - 1] = '{"source": "wikidata", "key": "Q142", "value": {oops}'
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        output = tmp_path / "out.json"
+        argv = [*command, "--config", str(fixture_tree["config"]), "--cache", str(cache)]
+        assert main([*argv, "--output", str(output)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "valueerror"
+        assert error["details"][0].startswith(f"{cache}:{number}: bad cache record")
+        assert not output.exists()

@@ -1,7 +1,7 @@
 """Golden outputs of the bundled fixture world.
 
-``tests/golden/`` holds the files that ``rank`` and ``evaluate`` wrote on
-``data/fixtures/config.json`` at a known-good commit. Rerunning the commands
+``tests/golden/`` holds the files that ``rank``, ``evaluate`` and
+``cache-export`` wrote on ``data/fixtures/config.json`` at a known-good commit. Rerunning the commands
 must reproduce them byte for byte, so a refactor that changes any score,
 prediction or formatting detail fails here instead of passing silently.
 
@@ -35,6 +35,7 @@ CASES = {
         ["evaluate", "--baseline", "first-location-located"],
         {"--output": "evaluate_baseline.json"},
     ),
+    "cache-export": (["cache-export"], {"--output": "cache_export.jsonl"}),
 }
 
 

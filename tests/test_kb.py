@@ -9,7 +9,9 @@ from newsgeo.kb import (
     ONLINE,
     DbpediaClient,
     KbCache,
+    KbCacheCorrupt,
     KbCacheMiss,
+    KbError,
     KbNotFound,
     KbRemoteError,
     RateLimiter,
@@ -97,6 +99,72 @@ class TestKbCache:
         path.write_text("{not json\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"{path}:1: bad cache record"):
             KbCache(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # put's own form, with keys that need escapes or are not ASCII
+            json.dumps({"source": 's"q', "key": "back\\slash", "value": [1]}, ensure_ascii=False),
+            json.dumps({"source": "src", "key": 'Zürich, "key": "x', "value": 1}, ensure_ascii=False),
+            # other forms are decoded in full at load
+            json.dumps({"value": {"a": 1}, "key": "k", "source": "src"}),
+            json.dumps({"source": "src", "key": "k", "value": [1, "ü"]}, separators=(",", ":")),
+            json.dumps({"source": "sé", "key": "Zürich\n\t", "value": "日本"}, ensure_ascii=True),
+            json.dumps({"source": "src", "key": "k", "value": 2, "extra": 3}, ensure_ascii=False),
+        ],
+    )
+    def test_any_record_form_reads_back_as_json_loads(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        record = json.loads(line)
+        cache = KbCache(path)
+        assert cache.keys() == [(record["source"], record["key"])]
+        assert cache.get(record["source"], record["key"]) == record["value"]
+
+    @pytest.mark.parametrize("compact_last", [True, False])
+    def test_last_write_wins_across_record_forms(self, tmp_path, compact_last):
+        put_form = json.dumps({"source": "src", "key": "k", "value": "put"})
+        compact = json.dumps(
+            {"key": "k", "source": "src", "value": "compact"}, separators=(",", ":")
+        )
+        lines = [put_form, compact] if compact_last else [compact, put_form]
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert KbCache(path).get("src", "k") == ("compact" if compact_last else "put")
+
+    def test_put_form_lines_are_not_decoded_at_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        KbCache(path).put("src", "k1", {"a": 1})
+        KbCache(path).put("src", "k2", [2])
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        cache = KbCache(path)
+        assert decoded == []
+        assert cache.get("src", "k2") == [2]
+        assert len(decoded) == 1
+
+    def test_corrupt_value_fails_when_read(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = [json.dumps({"source": "src", "key": k, "value": 1}) for k in ("a", "b")]
+        corrupt = '{"source": "src", "key": "k", "value": {oops}'
+        path.write_text("\n".join([good[0], corrupt, good[1]]) + "\n", encoding="utf-8")
+        cache = KbCache(path)
+        assert ("src", "k") in cache and len(cache) == 3
+        with pytest.raises(KbCacheCorrupt, match=f"{path}:2: bad cache record"):
+            cache.get("src", "k")
+        assert issubclass(KbCacheCorrupt, ValueError) and issubclass(KbCacheCorrupt, KbError)
+        assert cache.get("src", "a") == 1 and cache.get("src", "b") == 1
+
+    def test_mutating_a_read_value_leaves_the_cache_unchanged(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        KbCache(path).put("src", "loaded", {"labels": ["a"]})
+        cache = KbCache(path)
+        cache.put("src", "put", {"labels": ["b"]})
+        for key in ("loaded", "put"):
+            cache.get("src", key)["labels"].append("mutated")
+        assert cache.get("src", "loaded") == {"labels": ["a"]}
+        assert cache.get("src", "put") == {"labels": ["b"]}
 
     def test_export_is_sorted_and_deduplicated(self, tmp_path):
         cache = KbCache(tmp_path / "c.jsonl")

@@ -411,8 +411,8 @@ class TestBatchedTraining:
             (14, 6) if loss == TRIPLET else (7, 3)
         )
         # Per epoch: 7 training items in batches of 3, 3, 1 and 3 validation
-        # items in one batch; InfoNCE skips the size-1 batch.
-        epoch = [3, 3, 3] if loss == INFONCE else [3, 3, 1, 3]
+        # items in one batch; InfoNCE folds the lone item into the batch before.
+        epoch = [3, 4, 3] if loss == INFONCE else [3, 3, 1, 3]
         assert calls == epoch * 2
 
 
@@ -822,6 +822,24 @@ class TestTrain:
         adapter = LinearAdapter(provider)
         with pytest.raises(ValueError, match="training split has no usable batches"):
             train(adapter, pairs, config)
+
+    def test_infonce_folds_a_lone_trailing_item_into_the_last_batch(self, monkeypatch):
+        """5 positives per split at batch_size=4: one batch of 5, none skipped."""
+        provider, pairs = shared_axis_pairs(n_docs=10)
+        config = self.config(loss=INFONCE, batch_size=4, epochs=1, validation_fraction=0.5)
+        calls = []
+        original = training.loss_infonce_grad
+
+        def counted(us, vs, scale):
+            result = original(us, vs, scale)
+            calls.append((len(us), result[0]))
+            return result
+
+        monkeypatch.setattr(training, "loss_infonce_grad", counted)
+        report = train(LinearAdapter(provider), pairs, config)
+        assert (report.train_pairs, report.validation_pairs) == (5, 5)
+        assert [size for size, _ in calls] == [5, 5]
+        assert report.validation_losses == [calls[1][1]]
 
     def test_single_document_rejected(self):
         provider, pairs = shared_axis_pairs(n_docs=1)
