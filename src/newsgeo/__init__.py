@@ -20,7 +20,6 @@ from .corpus import (
     load_corpus,
     load_gold,
     save_corpus,
-    save_gold,
     split_train_validation,
 )
 from .embedding import (

@@ -146,12 +146,6 @@ class GoldAnnotation:
         ann.validate()
         return ann
 
-    def to_json(self) -> dict[str, Any]:
-        return dict(
-            article_id=self.article_id,
-            locations=[loc.to_json() for loc in self.locations],
-        )
-
 
 @dataclasses.dataclass
 class LoadReport:
@@ -188,6 +182,9 @@ def load_corpus(path: str | Path, language: str) -> tuple[list[Article], LoadRep
             except json.JSONDecodeError as exc:
                 report.warn(f"line {lineno}: invalid JSON ({exc})")
                 continue
+            if not isinstance(record, dict):
+                report.warn(f"line {lineno}: not a JSON object ({type(record).__name__})")
+                continue
             if record.get("lang") not in (None, language):
                 report.warn(
                     f"line {lineno}: language {record.get('lang')!r} does not match file language {language!r}"
@@ -219,12 +216,6 @@ def load_gold(path: str | Path) -> dict[str, GoldAnnotation]:
             ann = GoldAnnotation.from_json(json.loads(line))
             gold[ann.article_id] = ann
     return gold
-
-
-def save_gold(annotations: Iterable[GoldAnnotation], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for ann in annotations:
-            handle.write(json.dumps(ann.to_json(), ensure_ascii=False) + "\n")
 
 
 @dataclasses.dataclass

@@ -354,6 +354,8 @@ class _CachedClient:
                 raise KbNotFound(url)
             except Exception as exc:
                 last_error = exc
+                if attempt == self.retries:
+                    break
                 delay = self.backoff * (2**attempt)
                 logger.warning("fetch failed (%s); retrying in %.1fs", exc, delay)
                 time.sleep(delay)

@@ -234,10 +234,7 @@ def baseline_first_location(
                 return location
             logger.warning("baseline: %r unresolvable; falling through", span.surface)
         elif include_located_non_locations:
-            try:
-                located = resolver.implicit_locate(span.surface, language)
-            except (KbNotFound, KbRemoteError):
-                located = None
+            located = resolver.implicit_locate(span.surface, language)
             if located is not None:
                 return located.location
     return None

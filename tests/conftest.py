@@ -2,23 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import random
+import shutil
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from newsgeo.corpus import load_corpus, load_gold
 from newsgeo.embedding import MockEmbedder
-from newsgeo.fixtures import (
-    build_fixture_cache,
-    fixture_articles,
-    fixture_gazetteer,
-    fixture_gold,
-    write_fixture_tree,
-)
 from newsgeo.kb import (
     CACHE_ONLY,
     DbpediaClient,
+    KbCache,
     KbNotFound,
     WikidataClient,
     WikidataItem,
@@ -28,15 +25,22 @@ from newsgeo.linking import WikipediaLinker
 from newsgeo.locations import CITY_CLASS_MARKERS, Resolver
 from newsgeo.ner import GazetteerNer
 
+# The committed fixture world. Tests read it in place and write only to copies.
+FIXTURES = Path(__file__).resolve().parents[1] / "data" / "fixtures"
+
 
 @pytest.fixture()
 def fixture_tree(tmp_path):
-    return write_fixture_tree(tmp_path / "fx")
+    """The committed fixture world copied into `tmp_path`, by role."""
+    copy = shutil.copytree(FIXTURES, tmp_path / "fx")
+    paths = {path.stem: path for path in copy.iterdir()}
+    paths["cache"] = paths.pop("kb_cache")
+    return paths
 
 
 @pytest.fixture()
 def kb_cache(tmp_path):
-    return build_fixture_cache(tmp_path / "kb_cache.jsonl")
+    return KbCache(shutil.copy(FIXTURES / "kb_cache.jsonl", tmp_path / "kb_cache.jsonl"))
 
 
 @pytest.fixture()
@@ -51,17 +55,22 @@ def resolver(kb_cache):
 
 @pytest.fixture()
 def articles():
-    return fixture_articles()
+    everything = []
+    for language in ("en", "fr", "de", "es", "it"):
+        loaded, report = load_corpus(FIXTURES / f"articles_{language}.jsonl", language)
+        assert report.skipped == 0, report.warnings
+        everything.extend(loaded)
+    return everything
 
 
 @pytest.fixture()
 def gold():
-    return {annotation.article_id: annotation for annotation in fixture_gold()}
+    return load_gold(FIXTURES / "gold.jsonl")
 
 
 @pytest.fixture()
 def gazetteer_ner():
-    return GazetteerNer(fixture_gazetteer())
+    return GazetteerNer(json.loads((FIXTURES / "gazetteer.json").read_text(encoding="utf-8")))
 
 
 @pytest.fixture()
@@ -176,17 +185,3 @@ def _oracle_is_city(item: WikidataItem) -> bool:
 @pytest.fixture()
 def admin_graph():
     return build_admin_graph()
-
-
-def load_fixture_corpus(paths) -> list:
-    """All fixture articles in the canonical (language-sorted) CLI order."""
-    everything = []
-    for language in ("de", "en", "es", "fr", "it"):
-        loaded, report = load_corpus(paths[f"articles_{language}"], language)
-        assert report.skipped == 0, report.warnings
-        everything.extend(loaded)
-    return everything
-
-
-def load_fixture_gold(paths) -> dict:
-    return load_gold(paths["gold"])

@@ -37,6 +37,16 @@ class TestIngest:
         assert f"loaded {len(clean_lines)} articles, skipped 2" in stdout
         assert read_lines(output) == clean_lines
 
+    def test_non_object_lines_are_skipped(self, tmp_path, fixture_tree, capsys):
+        clean_lines = read_lines(fixture_tree["articles_en"])
+        messy = tmp_path / "messy.jsonl"
+        messy.write_text("\n".join(["[1, 2]", *clean_lines, '"x"']) + "\n", encoding="utf-8")
+        output = tmp_path / "clean.jsonl"
+        code = main(["ingest", "--input", str(messy), "--language", "en", "--output", str(output)])
+        assert code == 0
+        assert f"loaded {len(clean_lines)} articles, skipped 2" in capsys.readouterr().out
+        assert read_lines(output) == clean_lines
+
     def test_idempotent_on_its_own_output(self, tmp_path, fixture_tree):
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"

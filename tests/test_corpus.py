@@ -14,7 +14,6 @@ from newsgeo.corpus import (
     load_corpus,
     load_gold,
     save_corpus,
-    save_gold,
     split_train_validation,
 )
 from newsgeo.locations import LocationTuple
@@ -101,14 +100,14 @@ class TestLoadCorpus:
         bad_span = make_article("a-3").to_json()
         bad_span["mentions"][0]["start"] = 0
         path.write_text(
-            "\n".join([good, "{not json", conflicting, json.dumps(bad_span), ""]),
+            "\n".join([good, "{not json", conflicting, json.dumps(bad_span), "[1, 2]", '"x"', ""]),
             encoding="utf-8",
         )
         loaded, report = load_corpus(path, "en")
         assert [a.id for a in loaded] == ["a-1"]
         assert report.loaded == 1
-        assert report.skipped == 3
-        assert len(report.warnings) == 3
+        assert report.skipped == 5
+        assert [w.split(":")[0] for w in report.warnings] == [f"line {n}" for n in range(2, 7)]
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -126,13 +125,18 @@ class TestLoadCorpus:
 class TestGold:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "gold.jsonl"
+        path.write_text(
+            '{"article_id": "a-1", "locations": [{"city": "Paris", "city_qid": "Q90",'
+            ' "country": "France", "country_qid": "Q142"}]}\n'
+            '{"article_id": "a-2", "locations": [{"country": "Canada", "country_qid": "Q16"}]}\n',
+            encoding="utf-8",
+        )
         annotations = [
             GoldAnnotation(
                 "a-1", (LocationTuple("France", "Q142", "Paris", "Q90"),)
             ),
             GoldAnnotation("a-2", (LocationTuple("Canada", "Q16"),)),
         ]
-        save_gold(annotations, path)
         gold = load_gold(path)
         assert gold["a-1"] == annotations[0]
         assert gold["a-2"] == annotations[1]

@@ -17,8 +17,6 @@ from newsgeo.evaluation import (
 from newsgeo.locations import LocationTuple
 from newsgeo.ner import GazetteerNer
 
-from conftest import load_fixture_corpus, load_fixture_gold
-
 PARIS = LocationTuple("France", "Q142", "Paris", "Q90")
 BERLIN = LocationTuple("Germany", "Q183", "Berlin", "Q64")
 FRANCE_ONLY = LocationTuple("France", "Q142")
@@ -215,11 +213,9 @@ class TestRunExperiment:
 class TestFixturePipeline:
     """End-to-end scoring of the offline mini-world."""
 
-    def test_baseline_country_macro(self, fixture_tree, resolver, gazetteer_ner):
-        corpus = load_fixture_corpus(fixture_tree)
-        gold = load_fixture_gold(fixture_tree)
+    def test_baseline_country_macro(self, articles, gold, resolver, gazetteer_ner):
         predictor = baseline_predictor(resolver, [gazetteer_ner])
-        report = run_experiment(corpus, gold, predictor, system="baseline")
+        report = run_experiment(articles, gold, predictor, system="baseline")
         # Every fixture title leads with the gold city, so the baseline is exact
         # at country level; es-002 has country-only gold, so city macro dips.
         assert report.country.macro == 1.0
@@ -233,32 +229,30 @@ class TestFixturePipeline:
         assert report.city.macro == 0.9
 
     def test_ranked_predictor_runs_deterministically(
-        self, fixture_tree, resolver, gazetteer_ner, mock_provider
+        self, articles, gold, resolver, gazetteer_ner, mock_provider
     ):
         from newsgeo.ranking import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS
 
-        corpus = load_fixture_corpus(fixture_tree)
-        gold = load_fixture_gold(fixture_tree)
         predictor = Pipeline(
             resolver,
             [gazetteer_ner],
             mock_provider,
             [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS],
         ).predict
-        first = run_experiment(corpus, gold, predictor, system="ranked", workers=1)
-        second = run_experiment(corpus, gold, predictor, system="ranked", workers=4)
+        first = run_experiment(articles, gold, predictor, system="ranked", workers=1)
+        second = run_experiment(articles, gold, predictor, system="ranked", workers=4)
         assert first.to_json() == second.to_json()
         assert first.country.documents == 10
 
     def test_pipeline_predicts_its_best_resolvable_candidate(
-        self, fixture_tree, resolver, gazetteer_ner, mock_provider
+        self, articles, resolver, gazetteer_ner, mock_provider
     ):
         from newsgeo.ranking import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS, predict_location
 
         pipeline = Pipeline(
             resolver, [gazetteer_ner], mock_provider, [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS]
         )
-        for article in load_fixture_corpus(fixture_tree):
+        for article in articles:
             ranked = pipeline.rank(article)
             assert [c.score for c in ranked] == sorted((c.score for c in ranked), reverse=True)
             assert pipeline.predict(article) == predict_location(
@@ -279,12 +273,11 @@ class TestFixturePipeline:
         assert pipeline.resolver.linker.policy == "cache-only"
 
     def test_person_first_article_agrees_across_baseline_variants(
-        self, fixture_tree, resolver, gazetteer_ner
+        self, articles, resolver, gazetteer_ner
     ):
         """en-002 opens with the Queen; her page location and the first explicit
         location mention both resolve to London, so the two variants agree."""
-        corpus = load_fixture_corpus(fixture_tree)
-        article = next(a for a in corpus if a.id == "en-002")
+        article = next(a for a in articles if a.id == "en-002")
         plain = baseline_predictor(resolver, [gazetteer_ner])
         flagged = baseline_predictor(
             resolver, [gazetteer_ner], include_located_non_locations=True

@@ -20,8 +20,17 @@ from newsgeo.kb import (
     forbidden_transport,
 )
 
+from conftest import FIXTURES
+
 
 class TestKbCache:
+    def test_fixture_put_leaves_the_committed_cache_alone(self, kb_cache):
+        committed = FIXTURES / "kb_cache.jsonl"
+        before = committed.read_bytes()
+        kb_cache.put("wikidata", "Q1", {"labels": {"en": "Universe"}})
+        assert kb_cache.path != committed
+        assert committed.read_bytes() == before
+
     def test_put_get_contains(self, tmp_path):
         cache = KbCache(tmp_path / "c.jsonl")
         cache.put("src", "k", {"a": 1})
@@ -314,6 +323,21 @@ class TestRetries:
         with pytest.raises(KbRemoteError):
             client.fetch("Q90")
         assert len(transport.calls) == 3  # initial attempt + 2 retries
+
+    def test_backs_off_only_between_attempts(self, tmp_path, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("newsgeo.kb.time.sleep", sleeps.append)
+        url = "https://www.wikidata.org/wiki/Special:EntityData/Q90.json"
+        client = WikidataClient(
+            KbCache(tmp_path),
+            policy=ONLINE,
+            transport=FakeTransport({url: ConnectionError("down")}),
+            rate_limiter=RateLimiter(per_second=float("inf")),
+            retries=3,
+        )
+        with pytest.raises(KbRemoteError):
+            client.fetch("Q90")
+        assert sleeps == [0.5, 1.0, 2.0]
 
 
 class TestWikidataClient:
