@@ -52,7 +52,6 @@ from .kb import (
     KbCache,
     KbCacheMiss,
     KbError,
-    KbNotFound,
     KbRemoteError,
     RateLimiter,
     WikidataClient,
@@ -65,7 +64,6 @@ from .locations import (
     LocatedEntity,
     LocationTuple,
     Resolver,
-    Unresolvable,
     render_location,
     resolve_city,
     resolve_country,
@@ -95,10 +93,6 @@ from .training import (
     TrainingReport,
     generate_pairs,
     load_pairs,
-    loss_contrastive,
-    loss_cosine,
-    loss_infonce,
-    loss_triplet,
     save_pairs,
     train,
 )

@@ -30,7 +30,7 @@ from .corpus import (
     save_corpus,
 )
 from .evaluation import baseline_predictor, format_report_table, map_articles, run_experiment
-from .kb import KbCacheCorrupt, KbCacheMiss
+from .kb import KbCacheCorrupt, KbCacheMiss, KbRemoteError
 from .locations import LocationTuple, Resolver
 from .ranking import ranking_record
 from .training import (
@@ -66,6 +66,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "cache-miss",
             [f"{exc.source}:{exc.key}"],
             hint="run with --network online to fill the cache, or warm it first",
+        )
+    except KbRemoteError as exc:
+        return _fail(
+            "remote-error",
+            [str(exc)],
+            hint="the knowledge base could not be reached; records fetched so far are cached",
         )
     except KbCacheCorrupt as exc:
         return _fail("valueerror", [str(exc)])

@@ -206,14 +206,26 @@ def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
 
 
 def load_gold(path: str | Path) -> dict[str, GoldAnnotation]:
-    """Read the gold file: `{"article_id": ..., "locations": [...]}` per line."""
+    """Read the gold file: `{"article_id": ..., "locations": [...]}` per line.
+
+    Gold is ground truth, so a bad line is not skipped: it raises ValueError
+    naming the file and line.
+    """
     gold: dict[str, GoldAnnotation] = {}
     with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            ann = GoldAnnotation.from_json(json.loads(line))
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"not a JSON object ({type(record).__name__})")
+                ann = GoldAnnotation.from_json(record)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             gold[ann.article_id] = ann
     return gold
 

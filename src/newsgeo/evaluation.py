@@ -17,7 +17,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from .corpus import Article, GoldAnnotation
 from .embedding import ChunkingConfig, EmbeddingProvider
-from .kb import KbCacheCorrupt
+from .kb import KbError
 from .linking import normalized_match
 from .locations import LocationTuple, Resolver
 from .ner import NerProvider, ensemble_spans
@@ -156,10 +156,10 @@ def run_experiment(
     """Predict every gold document and score both levels.
 
     A document whose prediction raises is recorded as a miss with the error in
-    its trace entry, except that a corrupt KB cache record aborts the run: a
-    broken cache is not a wrong prediction. Documents are processed by a
-    thread pool in corpus order, so reports are identical for any worker
-    count.
+    its trace entry, except that a KB failure (a cache miss, a remote error or
+    a corrupt cache record) aborts the run: an unreachable KB is not a wrong
+    prediction. Documents are processed by a thread pool in corpus order, so
+    reports are identical for any worker count.
     """
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
@@ -174,7 +174,7 @@ def run_experiment(
     def predict_one(article: Article) -> tuple[str, LocationTuple | None, str | None]:
         try:
             return article.id, predictor(article), None
-        except KbCacheCorrupt:
+        except KbError:
             raise
         except Exception as exc:  # hard per-document failure -> miss, not abort
             logger.exception("prediction failed for article %s", article.id)

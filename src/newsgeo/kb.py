@@ -6,6 +6,13 @@ call is ever issued and a miss raises :class:`KbCacheMiss` naming the missing
 key. The ``online-then-cache`` policy fetches through a rate-limited transport
 and records results (including confirmed absences) for later runs.
 
+A lookup ends in one of three ways. The KB answered, and the client returns
+the record. The entity has no record (a 404, or a payload that holds nothing
+for it): that confirmed absence is cached and returned as ``None`` (an empty
+:class:`~newsgeo.linking.LinkResult` for the linker). Or the KB could not be
+asked (:class:`KbCacheMiss`, :class:`KbRemoteError`): that raises and fails
+the command, so an unreachable KB is never scored as a wrong prediction.
+
 Cache file format: one JSON object per line, ``{"source": s, "key": k,
 "value": v}``, append-only with the last write winning. The format is
 deliberately diff-friendly so recorded fixtures can live in version control.
@@ -44,10 +51,6 @@ Transport = Callable[[str, dict[str, Any] | None], Any]
 
 class KbError(Exception):
     """Base class for knowledge-base access failures."""
-
-
-class KbNotFound(KbError):
-    """The entity or page does not exist (a confirmed, cacheable absence)."""
 
 
 class KbCacheMiss(KbError):
@@ -325,33 +328,32 @@ class _CachedClient:
     ) -> Any:
         """Cached record of (source, key), else `reduce` of the fetched `url`.
 
-        Honours the network policy; a confirmed absence is cached and raises
-        KbNotFound, on this call and every later one.
+        Honours the network policy. A 404, or a payload that `reduce` finds
+        nothing in (it returns None), is a confirmed absence: it is cached
+        and gives None, on this call and every later one.
         """
         if (source, key) in self.cache:
             value = self.cache.get(source, key)
-            if value == _MISSING:
-                raise KbNotFound(f"{source}:{key}")
-            return value
-        if self.policy == CACHE_ONLY:
+        elif self.policy == CACHE_ONLY:
             raise KbCacheMiss(source, key)
-        try:
+        else:
             payload = self._fetch_remote(url)
-        except KbNotFound:
-            self.cache.put(source, key, _MISSING)
-            raise KbNotFound(f"{source}:{key}")
-        value = reduce(payload)
-        self.cache.put(source, key, value)
-        return value
+            value = None if payload is None else reduce(payload)
+            if value is None:
+                value = _MISSING
+            self.cache.put(source, key, value)
+        return None if value == _MISSING else value
 
     def _fetch_remote(self, url: str) -> Any:
+        """The payload at `url`; None on a 404. Raises KbRemoteError when the
+        transport keeps failing after the retries."""
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             self.rate_limiter.wait()
             try:
                 return self.transport(url, None)
             except LookupError:
-                raise KbNotFound(url)
+                return None
             except Exception as exc:
                 last_error = exc
                 if attempt == self.retries:
@@ -372,34 +374,32 @@ class WikidataClient(_CachedClient):
         super().__init__(cache, **kw)
         self.base_url = base_url
 
-    def fetch(self, qid: str) -> WikidataItem:
-        """Return the entity with country / instance-of / located-in populated."""
+    def fetch(self, qid: str) -> WikidataItem | None:
+        """The entity with country / instance-of / located-in populated; None
+        when it does not exist."""
         if not _QID_RE.match(qid or ""):
             raise ValueError(f"malformed WikiData id {qid!r}")
         value = self._lookup(
-            self.SOURCE,
-            qid,
-            self.base_url.format(qid=qid),
-            lambda payload: self._parse_entity(qid, payload).to_json(),
+            self.SOURCE, qid, self.base_url.format(qid=qid), lambda p: self._parse_entity(qid, p)
         )
-        return WikidataItem.from_json(value)
+        return None if value is None else WikidataItem.from_json(value)
 
     def label(self, qid: str, language: str = "en") -> str | None:
-        """English (or requested-language) label of an entity, cache-backed."""
+        """English (or requested-language) label of an entity, cache-backed;
+        None when the entity does not exist or has no labels."""
         if (self.SOURCE, qid) in self.cache:
             value = self.cache.get(self.SOURCE, qid)
             if value != _MISSING:
                 return _pick_label(value["labels"], language)
         value = self._lookup(
-            self.LABEL_SOURCE,
-            qid,
-            self.base_url.format(qid=qid),
-            lambda payload: {"labels": _entity_labels(_entity_node(qid, payload))},
+            self.LABEL_SOURCE, qid, self.base_url.format(qid=qid), lambda p: _labels_record(qid, p)
         )
-        return _pick_label(value["labels"], language)
+        return None if value is None else _pick_label(value["labels"], language)
 
-    def _parse_entity(self, qid: str, payload: dict[str, Any]) -> WikidataItem:
+    def _parse_entity(self, qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
         entity = _entity_node(qid, payload)
+        if entity is None:
+            return None
         labels = _entity_labels(entity)
         claims = entity.get("claims", {})
         p17 = _claim_targets(claims.get("P17", []))
@@ -407,7 +407,7 @@ class WikidataClient(_CachedClient):
         p31 = []
         for target in _claim_targets(claims.get("P31", [])):
             p31.append((target, self.label(target) or ""))
-        return WikidataItem(qid=qid, labels=labels, p17=p17, p31=p31, p131=p131)
+        return WikidataItem(qid=qid, labels=labels, p17=p17, p31=p31, p131=p131).to_json()
 
 
 def _pick_label(labels: dict[str, str], language: str) -> str | None:
@@ -419,14 +419,17 @@ def _pick_label(labels: dict[str, str], language: str) -> str | None:
     return next(iter(labels.values()), None)
 
 
-def _entity_node(qid: str, payload: dict[str, Any]) -> dict[str, Any]:
+def _entity_node(qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
     entities = payload.get("entities", {})
     if qid in entities:
         return entities[qid]
-    if entities:
-        # Redirected entity: the payload is keyed by the canonical id.
-        return next(iter(entities.values()))
-    raise KbNotFound(qid)
+    # A redirected entity is keyed by its canonical id; no entity is an absence.
+    return next(iter(entities.values()), None)
+
+
+def _labels_record(qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
+    entity = _entity_node(qid, payload)
+    return None if entity is None else {"labels": _entity_labels(entity)}
 
 
 def _entity_labels(entity: dict[str, Any]) -> dict[str, str]:
@@ -451,33 +454,29 @@ class DbpediaClient(_CachedClient):
         super().__init__(cache, **kw)
         self.base_url = base_url
 
-    def fetch(self, title: str, language: str, english_fallback: bool = True) -> DbpediaRecord:
-        """Return the page record; falls back to the English edition on absence."""
+    def fetch(
+        self, title: str, language: str, english_fallback: bool = True
+    ) -> DbpediaRecord | None:
+        """The page record, else the English edition's; None when absent."""
         if not title:
             raise ValueError("empty DBpedia title")
-        try:
-            return self._fetch_edition(title, language)
-        except KbNotFound:
-            if english_fallback and language != "en":
-                return self._fetch_edition(title, "en")
-            raise
+        record = self._fetch_edition(title, language)
+        if record is None and english_fallback and language != "en":
+            record = self._fetch_edition(title, "en")
+        return record
 
-    def _fetch_edition(self, title: str, language: str) -> DbpediaRecord:
+    def _fetch_edition(self, title: str, language: str) -> DbpediaRecord | None:
         key = f"{language}:{title}"
         url = self.base_url.format(
             lang=language, title=urllib.parse.quote(title.replace(" ", "_"))
         )
-        value = self._lookup(
-            self.SOURCE,
-            key,
-            url,
-            lambda payload: _parse_dbpedia(title, language, payload).to_json(),
-        )
-        return DbpediaRecord.from_json(value)
+        value = self._lookup(self.SOURCE, key, url, lambda p: _parse_dbpedia(title, language, p))
+        return None if value is None else DbpediaRecord.from_json(value)
 
 
-def _parse_dbpedia(title: str, language: str, payload: dict[str, Any]) -> DbpediaRecord:
-    """Reduce the raw data-endpoint payload to a DbpediaRecord."""
+def _parse_dbpedia(title: str, language: str, payload: dict[str, Any]) -> dict[str, Any] | None:
+    """Reduce the raw data-endpoint payload to a DbpediaRecord's JSON; None
+    when it holds no node for the page."""
     suffix = "/resource/" + urllib.parse.quote(title.replace(" ", "_"))
     node = None
     for uri, predicates in payload.items():
@@ -485,7 +484,7 @@ def _parse_dbpedia(title: str, language: str, payload: dict[str, Any]) -> Dbpedi
             node = predicates
             break
     if node is None:
-        raise KbNotFound(f"dbpedia:{language}:{title}")
+        return None
     properties: dict[str, list[str]] = {}
     ontology_types: list[str] = []
     abstract_by_lang: dict[str, str] = {}
@@ -520,7 +519,7 @@ def _parse_dbpedia(title: str, language: str, payload: dict[str, Any]) -> Dbpedi
         properties=properties,
         ontology_types=ontology_types,
         abstract=abstract,
-    )
+    ).to_json()
 
 
 def _local_name(uri: str) -> str:

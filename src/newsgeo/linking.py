@@ -13,7 +13,7 @@ import dataclasses
 import urllib.parse
 from typing import TYPE_CHECKING, Any
 
-from .kb import KbCache, KbNotFound, _CachedClient
+from .kb import KbCache, _CachedClient
 
 if TYPE_CHECKING:
     from .locations import LocationTuple
@@ -70,7 +70,8 @@ class WikipediaLinker(_CachedClient):
         self.pageprops_url = pageprops_url
 
     def link(self, surface: str, language: str) -> LinkResult:
-        """Link `surface` to its first search hit; empty qid when nothing matches."""
+        """Link `surface` to its first search hit; the empty LinkResult (no
+        page, no qid) when nothing matches."""
         if not surface:
             raise ValueError("empty surface form")
         value = self._lookup(
@@ -79,6 +80,8 @@ class WikipediaLinker(_CachedClient):
             self.search_url.format(lang=language, query=urllib.parse.quote(surface)),
             lambda payload: self._first_hit(surface, language, payload).to_json(),
         )
+        if value is None:
+            return LinkResult(surface=surface, language=language)
         return LinkResult.from_json(value)
 
     def _first_hit(self, surface: str, language: str, payload: Any) -> LinkResult:
@@ -95,11 +98,10 @@ class WikipediaLinker(_CachedClient):
         )
 
     def _page_qid(self, title: str, language: str) -> str | None:
-        try:
-            payload = self._fetch_remote(
-                self.pageprops_url.format(lang=language, title=urllib.parse.quote(title))
-            )
-        except KbNotFound:
+        payload = self._fetch_remote(
+            self.pageprops_url.format(lang=language, title=urllib.parse.quote(title))
+        )
+        if payload is None:
             return None
         pages = payload.get("query", {}).get("pages", {})
         for page in pages.values():

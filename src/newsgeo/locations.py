@@ -18,7 +18,7 @@ import dataclasses
 import logging
 from typing import Any
 
-from .kb import _QID_RE, DbpediaClient, KbNotFound, KbRemoteError, WikidataClient, WikidataItem
+from .kb import _QID_RE, DbpediaClient, WikidataClient, WikidataItem
 from .linking import WikipediaLinker
 
 logger = logging.getLogger(__name__)
@@ -33,10 +33,6 @@ CITY_CLASS_MARKERS = ("city", "capital", "municipality", "town", "village", "com
 
 # Keywords scanned for in DBpedia property names, in priority order.
 PROPERTY_KEYWORDS = ("location", "city", "country", "place")
-
-
-class Unresolvable(Exception):
-    """A knowledge-base lookup failed for this input; skip it and move on."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,10 +112,7 @@ def resolve_country(
     if not item.p17:
         return None
     qid = item.p17[0]
-    try:
-        label = wikidata.label(qid)
-    except (KbNotFound, KbRemoteError):
-        label = None
+    label = wikidata.label(qid)
     if not label:
         logger.warning("no label for country %s (via %s)", qid, item.qid)
         return "", qid
@@ -152,10 +145,9 @@ def _resolve_city(
         if target in visited:
             continue
         visited.add(target)
-        try:
-            next_item = wikidata.fetch(target)
-        except (KbNotFound, KbRemoteError):
-            logger.warning("located-in target %s of %s unavailable", target, item.qid)
+        next_item = wikidata.fetch(target)
+        if next_item is None:
+            logger.warning("located-in target %s of %s does not exist", target, item.qid)
             continue
         found = _resolve_city(next_item, wikidata, depth_left - 1, visited)
         if found is not None:
@@ -191,39 +183,23 @@ class Resolver:
 
         A category counts as a location when its DBpedia page carries any of
         the population / place markers, or its WikiData item has a country or
-        located-in claim. Lookup failures raise Unresolvable so callers can
-        skip the category.
+        located-in claim. A category without a WikiData item is not one.
         """
-        try:
-            link = self.linker.link(category, language)
-        except (KbNotFound, KbRemoteError) as exc:
-            raise Unresolvable(f"category {category!r}: {exc}") from exc
+        link = self.linker.link(category, language)
         if not link.qid:
             return None
-        record = None
-        if link.page_title:
-            try:
-                record = self.dbpedia.fetch(link.page_title, language)
-            except (KbNotFound, KbRemoteError):
-                record = None
-        try:
-            item = self.wikidata.fetch(link.qid)
-        except (KbNotFound, KbRemoteError) as exc:
-            raise Unresolvable(f"category {category!r}: {exc}") from exc
-        if not self._has_location_markers(record, item):
+        record = self.dbpedia.fetch(link.page_title, language) if link.page_title else None
+        item = self.wikidata.fetch(link.qid)
+        if item is None or not self._has_location_markers(record, item):
             return None
         return self.locate_item(item)
 
     def classify_categories(self, categories: list[str], language: str) -> list[LocationTuple]:
-        """Classify every category, skipping failures; duplicates removed."""
+        """The locations the categories name, in order, duplicates removed."""
         found: list[LocationTuple] = []
         seen = set()
         for category in categories:
-            try:
-                location = self.classify_category(category, language)
-            except Unresolvable as exc:
-                logger.warning("skipping category: %s", exc)
-                continue
+            location = self.classify_category(category, language)
             if location is None:
                 continue
             key = (location.city_qid, location.country_qid, location.city, location.country)
@@ -249,10 +225,8 @@ class Resolver:
         country = resolve_country(item, self.wikidata)
         if country is None and city is not None:
             # The item has no country claim of its own; borrow the city's.
-            try:
-                country = resolve_country(self.wikidata.fetch(city[1]), self.wikidata)
-            except (KbNotFound, KbRemoteError):
-                country = None
+            city_item = self.wikidata.fetch(city[1])
+            country = resolve_country(city_item, self.wikidata) if city_item else None
         if country is None:
             return None
         country_label, country_qid = country
@@ -265,11 +239,8 @@ class Resolver:
 
     def locate_qid(self, qid: str) -> LocationTuple | None:
         """LocationTuple for a bare WikiData id; None when unlocatable."""
-        try:
-            item = self.wikidata.fetch(qid)
-        except (KbNotFound, KbRemoteError):
-            return None
-        return self.locate_item(item)
+        item = self.wikidata.fetch(qid)
+        return None if item is None else self.locate_item(item)
 
     def implicit_locate(self, surface: str, language: str) -> LocatedEntity | None:
         """Locate a non-location entity through its DBpedia page properties.
@@ -278,26 +249,15 @@ class Resolver:
         "country" and "place"; the first value of the best-matching property
         is linked back to WikiData and completed to a (city, country) tuple.
         """
-        try:
-            link = self.linker.link(surface, language)
-        except (KbNotFound, KbRemoteError) as exc:
-            logger.warning("linking failed for %r: %s", surface, exc)
-            return None
+        link = self.linker.link(surface, language)
         if not link.page_title:
             return None
-        try:
-            record = self.dbpedia.fetch(link.page_title, language)
-        except (KbNotFound, KbRemoteError):
-            return None
-        match = _best_geographic_property(record.properties)
+        record = self.dbpedia.fetch(link.page_title, language)
+        match = _best_geographic_property(record.properties) if record else None
         if match is None:
             return None
         property_name, anchor = match
-        try:
-            anchor_link = self.linker.link(anchor, language)
-        except (KbNotFound, KbRemoteError) as exc:
-            logger.warning("linking failed for %r: %s", anchor, exc)
-            return None
+        anchor_link = self.linker.link(anchor, language)
         if not anchor_link.qid:
             return None
         location = self.locate_qid(anchor_link.qid)

@@ -14,7 +14,6 @@ import logging
 from typing import Any, Sequence
 
 from .embedding import ChunkingConfig, EmbeddingProvider, cosine, embed_document
-from .kb import KbNotFound, KbRemoteError
 from .locations import LocationTuple, Resolver
 from .ner import NerSpan, is_location_label
 
@@ -106,14 +105,9 @@ def build_representation(
 
 
 def _page_abstract(surface: str, language: str, resolver: Resolver) -> str | None:
-    try:
-        link = resolver.linker.link(surface, language)
-        if not link.page_title:
-            return None
-        record = resolver.dbpedia.fetch(link.page_title, language)
-    except (KbNotFound, KbRemoteError):
-        return None
-    return record.abstract
+    link = resolver.linker.link(surface, language)
+    record = resolver.dbpedia.fetch(link.page_title, language) if link.page_title else None
+    return record.abstract if record else None
 
 
 def build_candidate_pool(
@@ -185,14 +179,8 @@ def resolve_location_span(
     span: NerSpan, language: str, resolver: Resolver
 ) -> LocationTuple | None:
     """Link a location surface and complete it to a (city, country) tuple."""
-    try:
-        link = resolver.linker.link(span.surface, language)
-    except (KbNotFound, KbRemoteError) as exc:
-        logger.warning("linking failed for %r: %s", span.surface, exc)
-        return None
-    if not link.qid:
-        return None
-    return resolver.locate_qid(link.qid)
+    link = resolver.linker.link(span.surface, language)
+    return resolver.locate_qid(link.qid) if link.qid else None
 
 
 def predict_location(

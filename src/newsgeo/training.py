@@ -164,30 +164,11 @@ def _pairwise_grad(
     return float(np.mean(losses)), grad_u.reshape(np.shape(u)), grad_v.reshape(np.shape(v))
 
 
-def loss_cosine(u: np.ndarray, v: np.ndarray, y: int) -> float:
-    """Squared error between the label and the cosine: (y - cos(u, v))^2."""
-    return loss_cosine_grad(u, v, y)[0]
-
-
 def loss_cosine_grad(
     u: np.ndarray, v: np.ndarray, y: Any
 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Squared error between the label and the cosine: (y - cos(u, v))^2."""
     return _pairwise_grad(u, v, y, lambda c, labels: ((labels - c) ** 2, -2.0 * (labels - c)))
-
-
-def loss_contrastive(
-    u: np.ndarray,
-    v: np.ndarray,
-    y: int,
-    margin: float = 0.5,
-    literal_cosine: bool = False,
-) -> float:
-    """Margin contrastive loss on cosine distance d = 1 - cos(u, v).
-
-    Positives pay d^2 / 2; negatives pay max(0, margin - d)^2 / 2. With
-    ``literal_cosine`` the similarity itself plays the role of d.
-    """
-    return loss_contrastive_grad(u, v, y, margin, literal_cosine)[0]
 
 
 def loss_contrastive_grad(
@@ -197,6 +178,11 @@ def loss_contrastive_grad(
     margin: float = 0.5,
     literal_cosine: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Margin contrastive loss on cosine distance d = 1 - cos(u, v).
+
+    Positives pay d^2 / 2; negatives pay max(0, margin - d)^2 / 2. With
+    ``literal_cosine`` the similarity itself plays the role of d.
+    """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     dd_dc = 1.0 if literal_cosine else -1.0
@@ -210,16 +196,10 @@ def loss_contrastive_grad(
     return _pairwise_grad(u, v, y, objective)
 
 
-def loss_triplet(
-    u: np.ndarray, v_pos: np.ndarray, v_neg: np.ndarray, margin: float = 1.0
-) -> float:
-    """Euclidean triplet loss on L2-normalized embeddings."""
-    return loss_triplet_grad(u, v_pos, v_neg, margin)[0]
-
-
 def loss_triplet_grad(
     u: np.ndarray, v_pos: np.ndarray, v_neg: np.ndarray, margin: float = 1.0
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Euclidean triplet loss on L2-normalized embeddings."""
     if margin < 0:
         raise ValueError("margin must be >= 0")
     (uh, nu), (ph, npos), (nh, nneg) = (_unit_rows(r) for r in _rows(u, v_pos, v_neg))
@@ -246,20 +226,14 @@ def loss_triplet_grad(
     )
 
 
-def loss_infonce(
+def loss_infonce_grad(
     us: np.ndarray, vs: np.ndarray, scale: float = 1.0
-) -> float:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """In-batch softmax cross entropy over scaled cosines.
 
     Row i's positive is column i; every other column of the batch acts as a
     negative: mean_i -log(exp(s c_ii) / sum_j exp(s c_ij)).
     """
-    return loss_infonce_grad(us, vs, scale)[0]
-
-
-def loss_infonce_grad(
-    us: np.ndarray, vs: np.ndarray, scale: float = 1.0
-) -> tuple[float, np.ndarray, np.ndarray]:
     rows_u, rows_v = _rows(us, vs)
     b = len(rows_u)
     if np.ndim(us) != 2 or b < 2:

@@ -16,7 +16,6 @@ from newsgeo.kb import (
     CACHE_ONLY,
     DbpediaClient,
     KbCache,
-    KbNotFound,
     WikidataClient,
     WikidataItem,
     forbidden_transport,
@@ -84,10 +83,8 @@ class DictKb:
     def __init__(self, items: dict[str, WikidataItem]):
         self.items = items
 
-    def fetch(self, qid: str) -> WikidataItem:
-        if qid not in self.items:
-            raise KbNotFound(qid)
-        return self.items[qid]
+    def fetch(self, qid: str) -> WikidataItem | None:
+        return self.items.get(qid)
 
     def label(self, qid: str, language: str = "en") -> str | None:
         item = self.items.get(qid)

@@ -3,6 +3,8 @@
 Everything here is deliberately written the slow, obvious way (pure-python
 loops, plain softmax, breadth-first search) so that agreement with the
 library's vectorized / recursive code is meaningful evidence, not a tautology.
+The `loss_*` functions are the library's side of that comparison: the scalar
+value of each batched `loss_*_grad`.
 """
 
 from __future__ import annotations
@@ -10,6 +12,29 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from newsgeo.training import (
+    loss_contrastive_grad,
+    loss_cosine_grad,
+    loss_infonce_grad,
+    loss_triplet_grad,
+)
+
+
+def loss_cosine(u, v, y: int) -> float:
+    return loss_cosine_grad(u, v, y)[0]
+
+
+def loss_contrastive(u, v, y: int, margin: float = 0.5, literal_cosine: bool = False) -> float:
+    return loss_contrastive_grad(u, v, y, margin, literal_cosine)[0]
+
+
+def loss_triplet(u, v_pos, v_neg, margin: float = 1.0) -> float:
+    return loss_triplet_grad(u, v_pos, v_neg, margin)[0]
+
+
+def loss_infonce(us, vs, scale: float = 1.0) -> float:
+    return loss_infonce_grad(us, vs, scale)[0]
 
 
 def oracle_cosine(u, v) -> float:

@@ -22,6 +22,10 @@ from conftest import DictKb, bfs_nearest_city, build_admin_graph
 from oracles import (
     central_difference,
     gradient_agreement,
+    loss_contrastive,
+    loss_cosine,
+    loss_infonce,
+    loss_triplet,
     oracle_loss_contrastive,
     oracle_loss_cosine,
     oracle_loss_infonce,
@@ -36,13 +40,9 @@ from newsgeo.locations import LocationTuple, resolve_city
 from newsgeo.ner import NerSpan
 from newsgeo.ranking import Candidate, rank_candidates
 from newsgeo.training import (
-    loss_contrastive,
     loss_contrastive_grad,
-    loss_cosine,
     loss_cosine_grad,
-    loss_infonce,
     loss_infonce_grad,
-    loss_triplet,
     loss_triplet_grad,
 )
 

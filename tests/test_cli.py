@@ -394,3 +394,70 @@ class TestFailureModes:
         assert error["error"] == "valueerror"
         assert error["details"][0].startswith(f"{cache}:{number}: bad cache record")
         assert not output.exists()
+
+    def test_bad_gold_line_names_file_and_line(self, tmp_path, fixture_tree, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(fixture_tree["gold"].read_text(encoding="utf-8") + "[1]\n", encoding="utf-8")
+        number = len(read_lines(gold))
+        output = tmp_path / "report.json"
+        argv = ["evaluate", "--config", str(fixture_tree["config"]), "--gold", str(gold)]
+        assert main([*argv, "--output", str(output)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {
+            "error": "valueerror",
+            "details": [f"{gold}:{number}: not a JSON object (list)"],
+        }
+        assert not output.exists()
+
+
+# Every command that reads the KB, with the output file flags it writes.
+KB_COMMANDS = {
+    "evaluate-1": ["evaluate", "--workers", "1", "--output", "{out}", "--trace", "{out}.trace"],
+    "evaluate-2": ["evaluate", "--workers", "2", "--output", "{out}", "--trace", "{out}.trace"],
+    "rank": ["rank", "--output", "{out}"],
+    "generate-pairs": ["generate-pairs", "--output", "{out}"],
+    "classify-categories": ["classify-categories", "--output", "{out}"],
+    "train": ["train", "--output", "{out}", "--checkpoint", "{out}.npz"],
+}
+
+
+class TestKbFailures:
+    """A KB that cannot be asked fails the command; it is never scored as a miss."""
+
+    def run(self, tmp_path, fixture_tree, command, cache, *flags):
+        out = tmp_path / "out"
+        argv = [arg.format(out=out) for arg in KB_COMMANDS[command]]
+        code = main([*argv, "--config", str(fixture_tree["config"]), "--cache", str(cache), *flags])
+        assert code == 1
+        assert not any(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", sorted(KB_COMMANDS))
+    def test_unreachable_kb_is_a_remote_error(
+        self, tmp_path, fixture_tree, command, monkeypatch, capsys
+    ):
+        def down(url, params=None):
+            raise ConnectionError("connection refused")
+
+        monkeypatch.setattr("newsgeo.kb.default_transport", down)
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        monkeypatch.setattr("newsgeo.kb.time.sleep", lambda seconds: None)
+        self.run(tmp_path, fixture_tree, command, tmp_path / "empty.jsonl", "--network", "online")
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "remote-error"
+        assert error["details"][0].startswith("https://")
+        assert error["details"][0].endswith(": connection refused")
+
+    @pytest.mark.parametrize("command", sorted(KB_COMMANDS))
+    def test_cache_without_link_records_is_a_cache_miss(
+        self, tmp_path, fixture_tree, command, capsys
+    ):
+        cache = tmp_path / "no_links.jsonl"
+        lines = read_lines(fixture_tree["cache"])
+        cache.write_text(
+            "".join(line + "\n" for line in lines if '"source": "wplink"' not in line),
+            encoding="utf-8",
+        )
+        self.run(tmp_path, fixture_tree, command, cache)
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "cache-miss"
+        assert error["details"][0].startswith("wplink:")

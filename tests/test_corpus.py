@@ -145,6 +145,24 @@ class TestGold:
         with pytest.raises(ValueError):
             GoldAnnotation("a-1", ()).validate()
 
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            ("[1]", "not a JSON object (list)"),
+            ('{"article_id": "a-2", "locations": []}', "gold row a-2 has no locations"),
+            ('{"article_id": "a-2"}', "missing field 'locations'"),
+            ("{not json", "Expecting property name"),
+        ],
+        ids=["list", "empty-locations", "no-locations-field", "bad-json"],
+    )
+    def test_bad_line_is_fatal_and_names_file_and_line(self, tmp_path, bad, problem):
+        path = tmp_path / "gold.jsonl"
+        good = '{"article_id": "a-1", "locations": [{"country": "Canada", "country_qid": "Q16"}]}'
+        path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc_info:
+            load_gold(path)
+        assert str(exc_info.value).startswith(f"{path}:3: {problem}")
+
 
 class TestStats:
     def test_counts_and_cross_language_dedup(self):

@@ -12,7 +12,6 @@ from newsgeo.kb import (
     KbCacheCorrupt,
     KbCacheMiss,
     KbError,
-    KbNotFound,
     KbRemoteError,
     RateLimiter,
     WikidataClient,
@@ -276,16 +275,13 @@ class TestPolicies:
         transport = FakeTransport({url: LookupError(url)})
         cache = KbCache(tmp_path)
         client = WikidataClient(cache, policy=ONLINE, transport=transport)
-        with pytest.raises(KbNotFound):
-            client.fetch("Q404")
+        assert client.fetch("Q404") is None
         assert len(transport.calls) == 1
         # Confirmed absence is in the cache: no second network call.
-        with pytest.raises(KbNotFound):
-            client.fetch("Q404")
+        assert client.fetch("Q404") is None
         assert len(transport.calls) == 1
         offline = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
-        with pytest.raises(KbNotFound):
-            offline.fetch("Q404")
+        assert offline.fetch("Q404") is None
 
     def test_unknown_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -354,6 +350,25 @@ class TestWikidataClient:
         )
         client = WikidataClient(KbCache(tmp_path), policy=ONLINE, transport=transport)
         assert client.fetch("Q1000").labels["en"] == "Paris"
+
+    def test_absent_instance_of_class_keeps_the_entity(self, tmp_path):
+        """A P31 class that answers 404 gets the label "", and the entity is cached."""
+        url = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"
+        transport = FakeTransport(
+            {
+                url.format(qid="Q90"): wikidata_payload(
+                    "Q90", labels={"en": "Paris"}, p31=["Q404", "Q515"]
+                ),
+                url.format(qid="Q404"): LookupError("Q404"),
+                url.format(qid="Q515"): wikidata_payload("Q515", labels={"en": "city"}),
+            }
+        )
+        cache = KbCache(tmp_path)
+        item = WikidataClient(cache, policy=ONLINE, transport=transport).fetch("Q90")
+        assert item.p31 == [("Q404", ""), ("Q515", "city")]
+        offline = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
+        assert offline.fetch("Q90") == item
+        assert offline.label("Q404") is None
 
     def test_label_prefers_requested_language_then_english(self, tmp_path):
         cache = KbCache(tmp_path)
@@ -451,8 +466,7 @@ class TestDbpediaClient:
         cache.put("dbpedia", "en:Thing", record)
         client = DbpediaClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
         assert client.fetch("Thing", "fr").properties["location"] == ["Paris"]
-        with pytest.raises(KbNotFound):
-            client.fetch("Thing", "fr", english_fallback=False)
+        assert client.fetch("Thing", "fr", english_fallback=False) is None
 
     def test_empty_title_rejected(self, tmp_path):
         client = DbpediaClient(KbCache(tmp_path), transport=forbidden_transport)
@@ -460,13 +474,17 @@ class TestDbpediaClient:
             client.fetch("", "en")
 
     def test_missing_resource_node_is_not_found(self, tmp_path):
+        """A payload without the page's node is an absence, cached like a 404."""
         url = "https://en.dbpedia.org/data/Ghost.json"
         transport = FakeTransport({url: {"http://other/node": {}}})
-        client = DbpediaClient(
-            KbCache(tmp_path), policy=ONLINE, transport=transport
-        )
-        with pytest.raises(KbNotFound):
-            client.fetch("Ghost", "en", english_fallback=False)
+        cache = KbCache(tmp_path)
+        client = DbpediaClient(cache, policy=ONLINE, transport=transport)
+        assert client.fetch("Ghost", "en") is None
+        assert client.fetch("Ghost", "en") is None
+        assert len(transport.calls) == 1
+        assert cache.get("dbpedia", "en:Ghost") == {"__missing__": True}
+        offline = DbpediaClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
+        assert offline.fetch("Ghost", "en") is None
 
 
 class TestRateLimiter:

@@ -3,7 +3,6 @@
 import pytest
 
 from newsgeo.kb import CACHE_ONLY, ONLINE, KbCache, KbCacheMiss, forbidden_transport
-from newsgeo.kb import KbNotFound
 from newsgeo.linking import LinkResult, WikipediaLinker, normalized_match
 from newsgeo.locations import LocationTuple
 
@@ -81,8 +80,7 @@ class TestWikipediaLinker:
         cache = KbCache(tmp_path)
         cache.put("wplink", "en:Atlantis", {"__missing__": True})
         linker = WikipediaLinker(cache, policy=CACHE_ONLY, transport=forbidden_transport)
-        with pytest.raises(KbNotFound):
-            linker.link("Atlantis", "en")
+        assert linker.link("Atlantis", "en") == LinkResult("Atlantis", "en")
 
     def test_search_404_is_cached_as_absence(self, tmp_path):
         import urllib.parse
@@ -95,11 +93,9 @@ class TestWikipediaLinker:
         transport = FakeTransport({search_url: LookupError(search_url)})
         cache = KbCache(tmp_path)
         linker = WikipediaLinker(cache, policy=ONLINE, transport=transport)
-        with pytest.raises(KbNotFound):
-            linker.link("Atlantis", "en")
+        assert linker.link("Atlantis", "en") == LinkResult("Atlantis", "en")
         assert cache.get("wplink", "en:Atlantis") == {"__missing__": True}
-        with pytest.raises(KbNotFound):
-            linker.link("Atlantis", "en")
+        assert linker.link("Atlantis", "en") == LinkResult("Atlantis", "en")
         assert len(transport.calls) == 1
 
     def test_empty_surface_rejected(self, tmp_path):

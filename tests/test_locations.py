@@ -9,7 +9,6 @@ from newsgeo.locations import (
     CITY_CLASS_MARKERS,
     PROPERTY_KEYWORDS,
     LocationTuple,
-    Unresolvable,
     _best_geographic_property,
     render_location,
     resolve_city,
@@ -268,8 +267,7 @@ class TestClassifyCategory:
         )
         kb_cache.put("dbpedia", "en:Ghostton", {"__missing__": True})
         kb_cache.put("wikidata", "Q9402", {"__missing__": True})
-        with pytest.raises(Unresolvable):
-            resolver.classify_category("Ghostton", "en")
+        assert resolver.classify_category("Ghostton", "en") is None
 
     def test_classify_categories_skips_failures_and_deduplicates(
         self, resolver, kb_cache

@@ -23,13 +23,9 @@ from newsgeo.training import (
     generate_pairs,
     load_checkpoint,
     load_pairs,
-    loss_contrastive,
     loss_contrastive_grad,
-    loss_cosine,
     loss_cosine_grad,
-    loss_infonce,
     loss_infonce_grad,
-    loss_triplet,
     loss_triplet_grad,
     save_checkpoint,
     save_pairs,
@@ -39,6 +35,10 @@ from newsgeo.training import (
 from oracles import (
     central_difference,
     gradient_agreement,
+    loss_contrastive,
+    loss_cosine,
+    loss_infonce,
+    loss_triplet,
     oracle_loss_contrastive,
     oracle_loss_cosine,
     oracle_loss_infonce,
