@@ -20,6 +20,7 @@ from .embedding import ChunkingConfig, EmbeddingProvider
 from .kb import KbError
 from .linking import normalized_match
 from .locations import LocationTuple, Resolver
+from .memo import Memo
 from .ner import NerProvider, ensemble_spans
 from .ranking import (
     RankedCandidate,
@@ -220,18 +221,26 @@ def map_articles(
 
 @dataclasses.dataclass(frozen=True)
 class Pipeline:
-    """The ranked system: recognize, represent, rank, resolve the top."""
+    """The ranked system: recognize, represent, rank, resolve the top.
+
+    A pipeline serves one command. It embeds each distinct text (document or
+    candidate) once and keeps the vector for its lifetime, beside the
+    resolver's memo of KB results: the distinct inputs of one command.
+    """
 
     resolver: Resolver
     providers: Sequence[NerProvider]
     embedder: EmbeddingProvider
     modes: Sequence[str]
     chunking: ChunkingConfig | None = None
+    _vectors: Memo = dataclasses.field(
+        default_factory=Memo, init=False, repr=False, compare=False
+    )
 
     def rank(self, article: Article) -> list[RankedCandidate]:
         spans = ensemble_spans(article.text, article.language, self.providers)
         pool = build_candidate_pool(spans, article.language, self.modes, self.resolver)
-        return rank_candidates(article.text, pool, self.embedder, self.chunking)
+        return rank_candidates(article.text, pool, self.embedder, self.chunking, self._vectors)
 
     def predict(self, article: Article) -> LocationTuple | None:
         return predict_location(self.rank(article), article.language, self.resolver)

@@ -33,6 +33,8 @@ from json.decoder import scanstring
 from pathlib import Path
 from typing import Any, Callable
 
+from .memo import Memo
+
 logger = logging.getLogger(__name__)
 
 ONLINE = "online-then-cache"
@@ -322,6 +324,10 @@ class _CachedClient:
         self.rate_limiter = rate_limiter or RateLimiter()
         self.retries = retries
         self.backoff = backoff
+        # Fetches of this run by (source, key). It holds only a marker, since
+        # the cache is the store; the second thread to miss a key waits for
+        # the first one's fetch and reads its record.
+        self._fetched = Memo()
 
     def _lookup(
         self, source: str, key: str, url: str, reduce: Callable[[Any], Any]
@@ -330,19 +336,27 @@ class _CachedClient:
 
         Honours the network policy. A 404, or a payload that `reduce` finds
         nothing in (it returns None), is a confirmed absence: it is cached
-        and gives None, on this call and every later one.
+        and gives None, on this call and every later one. Threads that miss
+        one key together fetch and write it once.
         """
-        if (source, key) in self.cache:
-            value = self.cache.get(source, key)
-        elif self.policy == CACHE_ONLY:
-            raise KbCacheMiss(source, key)
-        else:
-            payload = self._fetch_remote(url)
-            value = None if payload is None else reduce(payload)
-            if value is None:
-                value = _MISSING
-            self.cache.put(source, key, value)
+        if (source, key) not in self.cache:
+            if self.policy == CACHE_ONLY:
+                raise KbCacheMiss(source, key)
+            self._fetched.get(
+                (source, key), lambda: self._fetch_into_cache(source, key, url, reduce)
+            )
+        value = self.cache.get(source, key)
         return None if value == _MISSING else value
+
+    def _fetch_into_cache(
+        self, source: str, key: str, url: str, reduce: Callable[[Any], Any]
+    ) -> bool:
+        # Nested lookups go from `wikidata` to `wikidata-label` only, so no
+        # fetch waits on a key whose fetch waits on it.
+        payload = self._fetch_remote(url)
+        value = None if payload is None else reduce(payload)
+        self.cache.put(source, key, _MISSING if value is None else value)
+        return True
 
     def _fetch_remote(self, url: str) -> Any:
         """The payload at `url`; None on a 404. Raises KbRemoteError when the
@@ -389,8 +403,7 @@ class WikidataClient(_CachedClient):
         None when the entity does not exist or has no labels."""
         if (self.SOURCE, qid) in self.cache:
             value = self.cache.get(self.SOURCE, qid)
-            if value != _MISSING:
-                return _pick_label(value["labels"], language)
+            return None if value == _MISSING else _pick_label(value["labels"], language)
         value = self._lookup(
             self.LABEL_SOURCE, qid, self.base_url.format(qid=qid), lambda p: _labels_record(qid, p)
         )

@@ -19,7 +19,8 @@ import logging
 from typing import Any
 
 from .kb import _QID_RE, DbpediaClient, WikidataClient, WikidataItem
-from .linking import WikipediaLinker
+from .linking import LinkResult, WikipediaLinker
+from .memo import Memo
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +165,16 @@ def _is_city(item: WikidataItem) -> bool:
 
 
 class Resolver:
-    """Bundles the KB clients behind the location-resolution operations."""
+    """Bundles the KB clients behind the location-resolution operations.
+
+    `link`, `locate_qid`, `implicit_locate`, `page_abstract` and
+    `classify_category` are memoized by their arguments for the life of the
+    resolver, that is, one command: their results are frozen values (or
+    None), so every caller may share them. Records the clients return are
+    mutable and are never memoized, and neither is a `KbError`: a lookup
+    that raised asks the cache again on its next call. Worker threads share
+    the memo, and each key is computed once.
+    """
 
     def __init__(
         self,
@@ -177,6 +187,25 @@ class Resolver:
         self.dbpedia = dbpedia
         self.linker = linker
         self.max_depth = max_depth
+        # Memoized lookups only call ones listed before them here: link,
+        # locate_qid, then page_abstract, implicit_locate, classify_category.
+        self._memo = Memo()
+
+    def link(self, surface: str, language: str) -> LinkResult:
+        """The linker's result for `surface` in `language`."""
+        return self._memo.get(
+            ("link", surface, language), lambda: self.linker.link(surface, language)
+        )
+
+    def page_abstract(self, surface: str, language: str) -> str | None:
+        """Abstract of the DBpedia page `surface` links to; None without one."""
+
+        def compute() -> str | None:
+            link = self.link(surface, language)
+            record = self.dbpedia.fetch(link.page_title, language) if link.page_title else None
+            return record.abstract if record else None
+
+        return self._memo.get(("page_abstract", surface, language), compute)
 
     def classify_category(self, category: str, language: str) -> LocationTuple | None:
         """The category's (city, country) tuple when it names a location.
@@ -185,7 +214,13 @@ class Resolver:
         the population / place markers, or its WikiData item has a country or
         located-in claim. A category without a WikiData item is not one.
         """
-        link = self.linker.link(category, language)
+        return self._memo.get(
+            ("classify_category", category, language),
+            lambda: self._classify_category(category, language),
+        )
+
+    def _classify_category(self, category: str, language: str) -> LocationTuple | None:
+        link = self.link(category, language)
         if not link.qid:
             return None
         record = self.dbpedia.fetch(link.page_title, language) if link.page_title else None
@@ -239,8 +274,12 @@ class Resolver:
 
     def locate_qid(self, qid: str) -> LocationTuple | None:
         """LocationTuple for a bare WikiData id; None when unlocatable."""
-        item = self.wikidata.fetch(qid)
-        return None if item is None else self.locate_item(item)
+
+        def compute() -> LocationTuple | None:
+            item = self.wikidata.fetch(qid)
+            return None if item is None else self.locate_item(item)
+
+        return self._memo.get(("locate_qid", qid), compute)
 
     def implicit_locate(self, surface: str, language: str) -> LocatedEntity | None:
         """Locate a non-location entity through its DBpedia page properties.
@@ -249,7 +288,13 @@ class Resolver:
         "country" and "place"; the first value of the best-matching property
         is linked back to WikiData and completed to a (city, country) tuple.
         """
-        link = self.linker.link(surface, language)
+        return self._memo.get(
+            ("implicit_locate", surface, language),
+            lambda: self._implicit_locate(surface, language),
+        )
+
+    def _implicit_locate(self, surface: str, language: str) -> LocatedEntity | None:
+        link = self.link(surface, language)
         if not link.page_title:
             return None
         record = self.dbpedia.fetch(link.page_title, language)
@@ -257,7 +302,7 @@ class Resolver:
         if match is None:
             return None
         property_name, anchor = match
-        anchor_link = self.linker.link(anchor, language)
+        anchor_link = self.link(anchor, language)
         if not anchor_link.qid:
             return None
         location = self.locate_qid(anchor_link.qid)

@@ -1,0 +1,50 @@
+"""A memo that computes each key once, also when worker threads share it.
+
+A command's `Resolver` and `Pipeline` each own one, and the KB clients use
+one to fetch each missing key once. Once per key keeps a run's work, and so
+its counters, the same at any worker count.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Any, Callable, Hashable, TypeVar
+
+T = TypeVar("T")
+
+
+class Memo:
+    """Values by key, each computed once for the life of the memo.
+
+    A thread that asks for a key another thread is computing waits for that
+    computation and takes its value. A computation that raises stores
+    nothing: a waiting thread, or a later call, computes the key afresh. A
+    computation may ask the memo for other keys, as long as no chain of such
+    requests leads back to a key being computed.
+    """
+
+    def __init__(self) -> None:
+        self._values: dict[Hashable, Any] = {}
+        self._computing: dict[Hashable, threading.Event] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """The value of `key`, from `compute()` on the first call."""
+        while True:
+            with self._lock:
+                if key in self._values:
+                    return self._values[key]
+                other = self._computing.get(key)
+                if other is None:
+                    mine = self._computing[key] = threading.Event()
+                    break
+            other.wait()
+        try:
+            value = compute()
+            with self._lock:
+                self._values[key] = value
+            return value
+        finally:
+            with self._lock:
+                del self._computing[key]
+            mine.set()

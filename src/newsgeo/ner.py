@@ -72,13 +72,17 @@ class GazetteerNer:
     def __init__(self, entries: dict[str, str], name: str = "gazetteer"):
         self.name = name
         self._patterns = [
-            (re.compile(r"(?<!\w)" + re.escape(entry) + r"(?!\w)"), label)
+            (entry, re.compile(r"(?<!\w)" + re.escape(entry) + r"(?!\w)"), label)
             for entry, label in sorted(entries.items())
         ]
 
     def spans(self, text: str, language: str) -> list[NerSpan]:
         found = []
-        for pattern, label in self._patterns:
+        for entry, pattern, label in self._patterns:
+            # A whole-word match is a substring match: the cheap test skips
+            # the entries that cannot occur.
+            if entry not in text:
+                continue
             for match in pattern.finditer(text):
                 found.append(
                     NerSpan(

@@ -15,6 +15,7 @@ from typing import Any, Sequence
 
 from .embedding import ChunkingConfig, EmbeddingProvider, cosine, embed_document
 from .locations import LocationTuple, Resolver
+from .memo import Memo
 from .ner import NerSpan, is_location_label
 
 logger = logging.getLogger(__name__)
@@ -97,17 +98,11 @@ def build_representation(
                 location=located.location,
             )
         return Candidate(span=span, text=location_text, location=located.location)
-    abstract = _page_abstract(span.surface, language, resolver)
+    abstract = resolver.page_abstract(span.surface, language)
     if not abstract:
         logger.info("no abstract for %r; dropped from %s", span.surface, mode)
         return None
     return Candidate(span=span, text=abstract)
-
-
-def _page_abstract(surface: str, language: str, resolver: Resolver) -> str | None:
-    link = resolver.linker.link(surface, language)
-    record = resolver.dbpedia.fetch(link.page_title, language) if link.page_title else None
-    return record.abstract if record else None
 
 
 def build_candidate_pool(
@@ -142,19 +137,28 @@ def rank_candidates(
     candidates: Sequence[Candidate],
     provider: EmbeddingProvider,
     config: ChunkingConfig | None = None,
+    vectors: Memo | None = None,
 ) -> list[RankedCandidate]:
     """Score every candidate by cosine against the document embedding.
 
     Result is sorted by descending score, ties broken by earliest text offset.
     A zero-norm embedding cannot be scored; the candidate is kept with score
-    -1 and flagged instead of aborting the ranking.
+    -1 and flagged instead of aborting the ranking. `vectors` holds the
+    embedding of each text under this provider and config: a text it already
+    holds is not embedded again.
     """
     if not candidates:
         return []
-    document = embed_document(text, provider, config)
+    if vectors is None:
+        vectors = Memo()
+
+    def embed(piece: str):
+        return vectors.get(piece, lambda: embed_document(piece, provider, config))
+
+    document = embed(text)
     ranked = []
     for candidate in candidates:
-        vector = embed_document(candidate.text, provider, config)
+        vector = embed(candidate.text)
         try:
             score = cosine(document, vector)
             flagged = False
@@ -179,7 +183,7 @@ def resolve_location_span(
     span: NerSpan, language: str, resolver: Resolver
 ) -> LocationTuple | None:
     """Link a location surface and complete it to a (city, country) tuple."""
-    link = resolver.linker.link(span.surface, language)
+    link = resolver.link(span.surface, language)
     return resolver.locate_qid(link.qid) if link.qid else None
 
 

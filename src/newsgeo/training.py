@@ -267,7 +267,6 @@ def generate_pairs(
     unverifiable.
     """
     pairs: list[TrainingPair] = []
-    resolved_cache: dict[str, LocationTuple | None] = {}
     for article in corpus:
         locations = category_locations.get(article.id, [])
         if not locations:
@@ -286,9 +285,7 @@ def generate_pairs(
                 continue
             if mention.surface in positive_texts or mention.surface in negatives:
                 continue
-            if mention.qid not in resolved_cache:
-                resolved_cache[mention.qid] = resolver.locate_qid(mention.qid)
-            resolved = resolved_cache[mention.qid]
+            resolved = resolver.locate_qid(mention.qid)
             if resolved is None or _related(resolved, locations):
                 continue
             negatives.append(mention.surface)

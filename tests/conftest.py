@@ -42,14 +42,31 @@ def kb_cache(tmp_path):
     return KbCache(shutil.copy(FIXTURES / "kb_cache.jsonl", tmp_path / "kb_cache.jsonl"))
 
 
-@pytest.fixture()
-def resolver(kb_cache):
+def cache_only_resolver(cache: KbCache) -> Resolver:
     """Cache-only resolver whose transport fails loudly if ever touched."""
     return Resolver(
-        wikidata=WikidataClient(kb_cache, policy=CACHE_ONLY, transport=forbidden_transport),
-        dbpedia=DbpediaClient(kb_cache, policy=CACHE_ONLY, transport=forbidden_transport),
-        linker=WikipediaLinker(kb_cache, policy=CACHE_ONLY, transport=forbidden_transport),
+        wikidata=WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport),
+        dbpedia=DbpediaClient(cache, policy=CACHE_ONLY, transport=forbidden_transport),
+        linker=WikipediaLinker(cache, policy=CACHE_ONLY, transport=forbidden_transport),
     )
+
+
+@pytest.fixture()
+def resolver(kb_cache):
+    return cache_only_resolver(kb_cache)
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Record the arguments of every call of the method `owner.name`."""
+    calls: list[tuple] = []
+    original = getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 @pytest.fixture()

@@ -1,10 +1,13 @@
 """MP@1 scoring, experiment runs and report formatting."""
 
 import time
+from collections import Counter
 
 import pytest
 
 from newsgeo.corpus import Article, GoldAnnotation
+from newsgeo.embedding import MockEmbedder
+from newsgeo.config import load_config
 from newsgeo.evaluation import (
     EvalReport,
     Pipeline,
@@ -14,8 +17,11 @@ from newsgeo.evaluation import (
     precision_at_1,
     run_experiment,
 )
+from newsgeo.kb import KbCache
 from newsgeo.locations import LocationTuple
 from newsgeo.ner import GazetteerNer
+
+from conftest import count_calls
 
 PARIS = LocationTuple("France", "Q142", "Paris", "Q90")
 BERLIN = LocationTuple("Germany", "Q183", "Berlin", "Q64")
@@ -284,6 +290,47 @@ class TestFixturePipeline:
         )
         assert plain(article).city == "London"
         assert flagged(article) == plain(article)
+
+
+class TestPipelineMemo:
+    """A pipeline resolves and embeds each distinct input once."""
+
+    def test_a_second_predict_reads_no_cache_and_embeds_nothing(
+        self, fixture_tree, articles, monkeypatch
+    ):
+        pipeline = load_config(fixture_tree["config"]).build_pipeline()
+        gets = count_calls(monkeypatch, KbCache, "get")
+        embeds = count_calls(monkeypatch, MockEmbedder, "embed")
+        for article in articles:
+            first = pipeline.predict(article)
+            before = (len(gets), len(embeds))
+            assert pipeline.predict(article) == first
+            assert (len(gets), len(embeds)) == before
+
+    def test_a_new_pipeline_starts_with_an_empty_memo(
+        self, fixture_tree, articles, monkeypatch
+    ):
+        config = load_config(fixture_tree["config"])
+        gets = count_calls(monkeypatch, KbCache, "get")
+        embeds = count_calls(monkeypatch, MockEmbedder, "embed")
+        counts = []
+        for _ in range(2):
+            pipeline = config.build_pipeline()
+            start = (len(gets), len(embeds))
+            pipeline.predict(articles[0])
+            counts.append((len(gets) - start[0], len(embeds) - start[1]))
+        assert counts[0] == counts[1] and min(counts[0]) > 0
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_each_distinct_text_is_embedded_once(
+        self, fixture_tree, articles, monkeypatch, workers
+    ):
+        pipeline = load_config(fixture_tree["config"]).build_pipeline()
+        embeds = count_calls(monkeypatch, MockEmbedder, "embed")
+        map_articles(pipeline.rank, articles * 2, workers)
+        texts = Counter(text for (text,) in embeds)
+        assert {article.text for article in articles} <= set(texts)
+        assert set(texts.values()) == {1}
 
 
 class TestFormatting:

@@ -1,6 +1,8 @@
 """Cache, fetch policies, retry behaviour and payload parsing."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -393,11 +395,73 @@ class TestWikidataClient:
         assert offline.label("Q99", "it") == "Somewhere"
         assert len(transport.calls) == 1
 
+    def test_label_of_a_cached_absence_is_not_fetched_again(self, tmp_path):
+        url = "https://www.wikidata.org/wiki/Special:EntityData/Q404.json"
+        transport = FakeTransport({url: LookupError(url)})
+        cache = KbCache(tmp_path)
+        client = WikidataClient(cache, policy=ONLINE, transport=transport)
+        assert client.fetch("Q404") is None
+        assert client.label("Q404") is None
+        assert len(transport.calls) == 1
+        assert len(cache.path.read_text(encoding="utf-8").splitlines()) == 1
+
     def test_label_falls_back_to_label_cache(self, tmp_path):
         cache = KbCache(tmp_path)
         cache.put("wikidata-label", "Q99", {"labels": {"en": "Somewhere"}})
         client = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
         assert client.label("Q99") == "Somewhere"
+
+
+class TestConcurrentFetches:
+    def test_threads_missing_one_key_fetch_and_write_it_once(self, tmp_path, monkeypatch):
+        url = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"
+        qids = ("Q90", "Q64")
+        calls = []
+
+        def transport(url, params=None):
+            calls.append(url)
+            time.sleep(0.2)  # the other threads miss the key meanwhile
+            qid = url.rsplit("/", 1)[1].removesuffix(".json")
+            return wikidata_payload(qid, labels={"en": qid})
+
+        cache = KbCache(tmp_path)
+        puts = []
+        put = cache.put
+        monkeypatch.setattr(cache, "put", lambda *args: (puts.append(args[:2]), put(*args)))
+        client = WikidataClient(
+            cache, policy=ONLINE, transport=transport, rate_limiter=RateLimiter(1000.0)
+        )
+        start = threading.Barrier(4)
+        results = {qid: [] for qid in qids}
+
+        def worker(qid):
+            start.wait(timeout=5)
+            results[qid].append(client.fetch(qid))
+
+        threads = [threading.Thread(target=worker, args=(qid,)) for qid in qids * 2]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert sorted(calls) == sorted(url.format(qid=qid) for qid in qids)
+        assert sorted(puts) == sorted(("wikidata", qid) for qid in qids)
+        for qid in qids:
+            first, second = results[qid]
+            assert first == second and first.labels == {"en": qid}
+
+    def test_a_failed_fetch_is_tried_again(self, tmp_path):
+        url = "https://www.wikidata.org/wiki/Special:EntityData/Q90.json"
+        transport = FakeTransport(
+            {url: [RuntimeError("down"), wikidata_payload("Q90", labels={"en": "Paris"})]}
+        )
+        client = WikidataClient(
+            KbCache(tmp_path), policy=ONLINE, transport=transport, retries=0
+        )
+        with pytest.raises(KbRemoteError):
+            client.fetch("Q90")
+        assert client.fetch("Q90").labels == {"en": "Paris"}
+        assert len(transport.calls) == 2
 
 
 def dbpedia_payload(title, type_uris=(), properties=None, abstracts=None):

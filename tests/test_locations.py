@@ -15,7 +15,7 @@ from newsgeo.locations import (
     resolve_country,
 )
 
-from conftest import DictKb, bfs_nearest_city
+from conftest import DictKb, bfs_nearest_city, cache_only_resolver, count_calls
 
 
 class TestLocationTuple:
@@ -325,6 +325,39 @@ class TestImplicitLocate:
 
     def test_entity_without_geographic_properties(self, resolver):
         assert resolver.implicit_locate("Politics", "en") is None
+
+
+class TestResolverMemo:
+    LOOKUPS = [
+        ("link", ("Paris", "fr")),
+        ("locate_qid", ("Q90",)),
+        ("implicit_locate", ("Queen Elizabeth II", "en")),
+        ("page_abstract", ("Eiffel Tower", "en")),
+        ("classify_category", ("Paris", "en")),
+    ]
+
+    @pytest.mark.parametrize("name, args", LOOKUPS)
+    def test_a_repeated_lookup_reads_the_cache_once(self, resolver, monkeypatch, name, args):
+        gets = count_calls(monkeypatch, KbCache, "get")
+        first = getattr(resolver, name)(*args)
+        assert first is not None and gets
+        read = len(gets)
+        assert getattr(resolver, name)(*args) is first
+        assert len(gets) == read
+
+    @pytest.mark.parametrize("name, args", LOOKUPS)
+    def test_a_cache_miss_raises_again_until_the_cache_has_the_record(
+        self, tmp_path, kb_cache, name, args
+    ):
+        cache = KbCache(tmp_path / "empty.jsonl")
+        resolver = cache_only_resolver(cache)
+        for _ in range(2):
+            with pytest.raises(KbCacheMiss):
+                getattr(resolver, name)(*args)
+        for source, key in kb_cache.keys():
+            cache.put(source, key, kb_cache.get(source, key))
+        expected = getattr(cache_only_resolver(kb_cache), name)(*args)
+        assert getattr(resolver, name)(*args) == expected is not None
 
 
 class TestBestGeographicProperty:

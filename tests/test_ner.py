@@ -1,5 +1,8 @@
 """Gazetteer provider, ensembling and location filtering."""
 
+import json
+import re
+
 import pytest
 
 from newsgeo.ner import (
@@ -10,6 +13,8 @@ from newsgeo.ner import (
     is_location_label,
     normalize_label,
 )
+
+from conftest import FIXTURES
 
 
 class TestLabels:
@@ -62,10 +67,40 @@ class TestGazetteerNer:
         spans = ner.spans("Berlin before Aachen", "en")
         assert [s.surface for s in spans] == ["Berlin", "Aachen"]
 
+    @pytest.mark.parametrize(
+        "entries, text",
+        [
+            ({"Paris": "LOC"}, "Parisian cafés"),
+            ({"Paris": "LOC", "Parisian": "MISC"}, "A Parisian in Paris."),
+        ],
+    )
+    def test_spans_match_an_unfiltered_regex_scan(self, entries, text):
+        assert _spans(GazetteerNer(entries), text) == regex_scan(entries, text)
+
+    def test_spans_match_an_unfiltered_regex_scan_on_fixture_articles(
+        self, gazetteer_ner, articles
+    ):
+        entries = json.loads((FIXTURES / "gazetteer.json").read_text(encoding="utf-8"))
+        for article in articles:
+            assert _spans(gazetteer_ner, article.text) == regex_scan(entries, article.text)
+
     def test_unicode_boundaries(self):
         ner = GazetteerNer({"España": "LOC"})
         spans = ner.spans("Viva España!", "es")
         assert [(s.start, s.end) for s in spans] == [(5, 11)]
+
+
+def regex_scan(entries, text):
+    """Every whole-word match of every entry, with no pre-filter."""
+    found = []
+    for entry, label in entries.items():
+        for match in re.finditer(r"(?<!\w)" + re.escape(entry) + r"(?!\w)", text):
+            found.append((match.start(), match.end(), match.group(0), label))
+    return sorted(found)
+
+
+def _spans(ner, text):
+    return sorted((s.start, s.end, s.surface, s.label) for s in ner.spans(text, "xx"))
 
 
 class ScriptedNer:
