@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "generate-pairs", parents=[common], help="build contrastive training pairs"
     )
-    p.add_argument("--category-locations", help="JSONL from classify-categories (else computed)")
     p.add_argument("--output", required=True)
     p.set_defaults(handler=cmd_generate_pairs)
 
@@ -253,30 +252,16 @@ def cmd_classify_categories(args: argparse.Namespace, config: PipelineConfig) ->
     return 0
 
 
-def _corpus_pairs(
-    config: PipelineConfig, category_locations: str | None = None
-) -> list[TrainingPair]:
-    """Training pairs of the corpus, from a classify-categories file or computed."""
+def _corpus_pairs(config: PipelineConfig) -> list[TrainingPair]:
+    """Training pairs of the corpus, from its category locations."""
     articles = _load_all(config)
     resolver = config.build_resolver()
-    if category_locations:
-        locations: dict[str, list[LocationTuple]] = {}
-        with Path(category_locations).open(encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                locations[str(record["article_id"])] = [
-                    LocationTuple.from_json(loc) for loc in record["locations"]
-                ]
-    else:
-        locations = _category_locations(articles, resolver)
+    locations = _category_locations(articles, resolver)
     return generate_pairs(articles, locations, resolver, seed=config.seed)
 
 
 def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
-    pairs = _corpus_pairs(config, args.category_locations)
+    pairs = _corpus_pairs(config)
     save_pairs(pairs, args.output)
     positives = sum(1 for pair in pairs if pair.label == 1)
     print(

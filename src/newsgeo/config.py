@@ -65,8 +65,8 @@ class PipelineConfig:
     max_depth: int = 10
     loss: LossConfig = dataclasses.field(default_factory=LossConfig)
 
-    def problems(self) -> list[str]:
-        """Field-level validation messages; empty means the config is usable."""
+    def validate(self) -> None:
+        """Raise a :class:`ConfigError` with one message per unusable field."""
         found: list[str] = []
         for language, path in self.corpus.items():
             if not Path(path).exists():
@@ -99,16 +99,8 @@ class PipelineConfig:
             self.loss.validate()
         except ValueError as exc:
             found.append(f"loss: {exc}")
-        return found
-
-    def validate(self) -> None:
-        found = self.problems()
         if found:
             raise ConfigError(found)
-
-    @property
-    def network_policy(self) -> str:
-        return _NETWORK_ALIASES.get(self.network, self.network)
 
     def chunking(self) -> ChunkingConfig:
         return ChunkingConfig(mode=self.chunking_mode)
@@ -122,7 +114,7 @@ class PipelineConfig:
 
     def build_resolver(self, cache: KbCache | None = None) -> Resolver:
         cache = cache or self.build_cache()
-        policy = self.network_policy
+        policy = _NETWORK_ALIASES.get(self.network, self.network)
         return Resolver(
             wikidata=WikidataClient(cache, policy=policy),
             dbpedia=DbpediaClient(cache, policy=policy),
@@ -159,20 +151,55 @@ class PipelineConfig:
         return providers
 
     @staticmethod
-    def from_json(d: dict[str, Any]) -> "PipelineConfig":
-        known = {field.name for field in dataclasses.fields(PipelineConfig)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError([f"{name}: unknown configuration field" for name in unknown])
-        values = dict(d)
-        if "loss" in values and isinstance(values["loss"], dict):
-            values["loss"] = LossConfig(**values["loss"])
-        return PipelineConfig(**values)
+    def from_json(d: Any) -> "PipelineConfig":
+        """The config a parsed JSON file describes; a field that is unknown
+        or of the wrong JSON type is a :class:`ConfigError`."""
+        if type(d) is not dict:
+            raise ConfigError([f"config: expected a JSON object, got {json.dumps(d)}"])
+        loss = d.get("loss", {})
+        found = _field_problems(PipelineConfig, d, "")
+        if type(loss) is dict:
+            found += _field_problems(LossConfig, loss, "loss.")
+        if found:
+            raise ConfigError(found)
+        return PipelineConfig(**{**d, "loss": LossConfig(**loss)})
 
-    def to_json(self) -> dict[str, Any]:
-        d = dataclasses.asdict(self)
-        d["loss"] = self.loss.to_json()
-        return d
+
+def _strings(values: Any) -> bool:
+    return all(type(value) is str for value in values)
+
+
+# What JSON value each field annotation takes, and its check; `json.loads`
+# gives exact types, so a bool is never an int here.
+_JSON_TYPES = {
+    "str": ("a string", lambda v: type(v) is str),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "list[str]": ("a list of strings", lambda v: type(v) is list and _strings(v)),
+    "dict[str, str]": ("an object of strings", lambda v: type(v) is dict and _strings(v.values())),
+    "LossConfig": ("an object", lambda v: type(v) is dict),
+}
+
+
+def _field_problems(cls: type, values: dict[str, Any], prefix: str) -> list[str]:
+    """A message for each key of `values` that is not a field of the
+    dataclass `cls`, or whose value is not of the field's JSON type."""
+    fields = {field.name: field.type for field in dataclasses.fields(cls)}
+    found = []
+    for name, value in sorted(values.items()):
+        annotation = fields.get(name)
+        if annotation is None:
+            found.append(f"{prefix}{name}: unknown configuration field")
+            continue
+        if annotation.endswith(" | None"):
+            if value is None:
+                continue
+            annotation = annotation.removesuffix(" | None")
+        description, accepts = _JSON_TYPES[annotation]
+        if not accepts(value):
+            found.append(f"{prefix}{name}: expected {description}, got {json.dumps(value)}")
+    return found
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -117,8 +117,7 @@ class KbCache:
                         self._entries[_put_form_key(line) or _decode(line)[0]] = (number, line)
                     except (ValueError, KeyError, TypeError) as exc:
                         if not self._unterminated:
-                            message = f"{path}:{number}: bad cache record ({exc})"
-                            raise KbCacheCorrupt(message) from exc
+                            raise _corrupt(path, number, exc) from exc
                         logger.warning("%s:%d: skipping a torn last line", path, number)
                         self._torn_at = handle.tell() - len(raw)
 
@@ -128,16 +127,17 @@ class KbCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, source: str, key: str) -> Any:
-        """The value of (source, key), decoded afresh on every call."""
+    def get(self, source: str, key: str, decode: Callable[[Any], Any] = lambda v: v) -> Any:
+        """`decode` of the value of (source, key), read afresh on every call; a
+        value `decode` cannot take is a corrupt record, like one not in JSON."""
         number, line = self._entries[(source, key)]
         try:
             found, value = _decode(line)
             if found != (source, key):
                 raise ValueError(f"record is for {found[0]}:{found[1]}")
-            return value
-        except (ValueError, KeyError, TypeError) as exc:
-            raise KbCacheCorrupt(f"{self.path}:{number}: bad cache record ({exc})") from exc
+            return decode(value)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise _corrupt(self.path, number, exc) from exc
 
     def put(self, source: str, key: str, value: Any) -> None:
         line = json.dumps(
@@ -168,6 +168,11 @@ class KbCache:
                     + "\n"
                 )
         return len(self._entries)
+
+
+def _corrupt(path: Path, number: int | None, exc: Exception) -> KbCacheCorrupt:
+    detail = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return KbCacheCorrupt(f"{path}:{number}: bad cache record ({detail})")
 
 
 def _decode(line: str) -> tuple[tuple[str, str], Any]:
@@ -329,15 +334,15 @@ class _CachedClient:
         # the first one's fetch and reads its record.
         self._fetched = Memo()
 
-    def _lookup(
-        self, source: str, key: str, url: str, reduce: Callable[[Any], Any]
-    ) -> Any:
-        """Cached record of (source, key), else `reduce` of the fetched `url`.
+    def _lookup(self, source: str, key: str, url: str, reduce: Callable, decode: Callable) -> Any:
+        """`decode` of the record of (source, key); a missing one is first
+        `reduce`d from the payload at `url` and cached.
 
         Honours the network policy. A 404, or a payload that `reduce` finds
         nothing in (it returns None), is a confirmed absence: it is cached
-        and gives None, on this call and every later one. Threads that miss
-        one key together fetch and write it once.
+        and gives None, on this call and every later one. A record that
+        `decode` cannot take raises :class:`KbCacheCorrupt`. Threads that
+        miss one key together fetch and write it once.
         """
         if (source, key) not in self.cache:
             if self.policy == CACHE_ONLY:
@@ -345,8 +350,9 @@ class _CachedClient:
             self._fetched.get(
                 (source, key), lambda: self._fetch_into_cache(source, key, url, reduce)
             )
-        value = self.cache.get(source, key)
-        return None if value == _MISSING else value
+        return self.cache.get(
+            source, key, lambda value: None if value == _MISSING else decode(value)
+        )
 
     def _fetch_into_cache(
         self, source: str, key: str, url: str, reduce: Callable[[Any], Any]
@@ -384,30 +390,27 @@ class WikidataClient(_CachedClient):
     SOURCE = "wikidata"
     LABEL_SOURCE = "wikidata-label"
 
-    def __init__(self, cache: KbCache, *, base_url: str = WIKIDATA_ENTITY_URL, **kw):
-        super().__init__(cache, **kw)
-        self.base_url = base_url
-
     def fetch(self, qid: str) -> WikidataItem | None:
         """The entity with country / instance-of / located-in populated; None
         when it does not exist."""
         if not _QID_RE.match(qid or ""):
             raise ValueError(f"malformed WikiData id {qid!r}")
-        value = self._lookup(
-            self.SOURCE, qid, self.base_url.format(qid=qid), lambda p: self._parse_entity(qid, p)
+        url = WIKIDATA_ENTITY_URL.format(qid=qid)
+        return self._lookup(
+            self.SOURCE, qid, url, lambda p: self._parse_entity(qid, p), WikidataItem.from_json
         )
-        return None if value is None else WikidataItem.from_json(value)
 
     def label(self, qid: str, language: str = "en") -> str | None:
         """English (or requested-language) label of an entity, cache-backed;
-        None when the entity does not exist or has no labels."""
-        if (self.SOURCE, qid) in self.cache:
-            value = self.cache.get(self.SOURCE, qid)
-            return None if value == _MISSING else _pick_label(value["labels"], language)
-        value = self._lookup(
-            self.LABEL_SOURCE, qid, self.base_url.format(qid=qid), lambda p: _labels_record(qid, p)
+        None when the entity does not exist or has no labels. The labels come
+        from the entity's record when that is cached, else from a labels-only
+        record."""
+        source = self.SOURCE if (self.SOURCE, qid) in self.cache else self.LABEL_SOURCE
+        url = WIKIDATA_ENTITY_URL.format(qid=qid)
+        return self._lookup(
+            source, qid, url, lambda p: _labels_record(qid, p),
+            lambda value: _pick_label(value["labels"], language),
         )
-        return None if value is None else _pick_label(value["labels"], language)
 
     def _parse_entity(self, qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
         entity = _entity_node(qid, payload)
@@ -463,10 +466,6 @@ class DbpediaClient(_CachedClient):
 
     SOURCE = "dbpedia"
 
-    def __init__(self, cache: KbCache, *, base_url: str = DBPEDIA_DATA_URL, **kw):
-        super().__init__(cache, **kw)
-        self.base_url = base_url
-
     def fetch(
         self, title: str, language: str, english_fallback: bool = True
     ) -> DbpediaRecord | None:
@@ -479,12 +478,12 @@ class DbpediaClient(_CachedClient):
         return record
 
     def _fetch_edition(self, title: str, language: str) -> DbpediaRecord | None:
-        key = f"{language}:{title}"
-        url = self.base_url.format(
-            lang=language, title=urllib.parse.quote(title.replace(" ", "_"))
+        page = urllib.parse.quote(title.replace(" ", "_"))
+        url = DBPEDIA_DATA_URL.format(lang=language, title=page)
+        return self._lookup(
+            self.SOURCE, f"{language}:{title}", url,
+            lambda p: _parse_dbpedia(title, language, p), DbpediaRecord.from_json,
         )
-        value = self._lookup(self.SOURCE, key, url, lambda p: _parse_dbpedia(title, language, p))
-        return None if value is None else DbpediaRecord.from_json(value)
 
 
 def _parse_dbpedia(title: str, language: str, payload: dict[str, Any]) -> dict[str, Any] | None:

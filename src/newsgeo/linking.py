@@ -13,7 +13,7 @@ import dataclasses
 import urllib.parse
 from typing import TYPE_CHECKING, Any
 
-from .kb import KbCache, _CachedClient
+from .kb import _CachedClient
 
 if TYPE_CHECKING:
     from .locations import LocationTuple
@@ -57,32 +57,17 @@ class WikipediaLinker(_CachedClient):
 
     SOURCE = "wplink"
 
-    def __init__(
-        self,
-        cache: KbCache,
-        *,
-        search_url: str = SEARCH_URL,
-        pageprops_url: str = PAGEPROPS_URL,
-        **kw,
-    ):
-        super().__init__(cache, **kw)
-        self.search_url = search_url
-        self.pageprops_url = pageprops_url
-
     def link(self, surface: str, language: str) -> LinkResult:
         """Link `surface` to its first search hit; the empty LinkResult (no
         page, no qid) when nothing matches."""
         if not surface:
             raise ValueError("empty surface form")
-        value = self._lookup(
-            self.SOURCE,
-            f"{language}:{surface}",
-            self.search_url.format(lang=language, query=urllib.parse.quote(surface)),
-            lambda payload: self._first_hit(surface, language, payload).to_json(),
+        url = SEARCH_URL.format(lang=language, query=urllib.parse.quote(surface))
+        found = self._lookup(
+            self.SOURCE, f"{language}:{surface}", url,
+            lambda p: self._first_hit(surface, language, p).to_json(), LinkResult.from_json,
         )
-        if value is None:
-            return LinkResult(surface=surface, language=language)
-        return LinkResult.from_json(value)
+        return found or LinkResult(surface=surface, language=language)
 
     def _first_hit(self, surface: str, language: str, payload: Any) -> LinkResult:
         hits = payload.get("query", {}).get("search", [])
@@ -99,7 +84,7 @@ class WikipediaLinker(_CachedClient):
 
     def _page_qid(self, title: str, language: str) -> str | None:
         payload = self._fetch_remote(
-            self.pageprops_url.format(lang=language, title=urllib.parse.quote(title))
+            PAGEPROPS_URL.format(lang=language, title=urllib.parse.quote(title))
         )
         if payload is None:
             return None

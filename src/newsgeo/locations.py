@@ -15,8 +15,9 @@ Three capabilities live here:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
-from typing import Any
+from typing import Any, Callable
 
 from .kb import _QID_RE, DbpediaClient, WikidataClient, WikidataItem
 from .linking import LinkResult, WikipediaLinker
@@ -84,7 +85,6 @@ class LocatedEntity:
     surface: str
     location: LocationTuple
     via_property: str
-    source_qid: str | None = None
     anchor: str | None = None
 
     def location_text(self) -> str:
@@ -164,6 +164,17 @@ def _is_city(item: WikidataItem) -> bool:
     return False
 
 
+def _memoized(method: Callable) -> Callable:
+    """Keep a `Resolver` lookup's results in its memo, by name and arguments."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def lookup(self: Resolver, *args):
+        return self._memo.get((name, *args), lambda: method(self, *args))
+
+    return lookup
+
+
 class Resolver:
     """Bundles the KB clients behind the location-resolution operations.
 
@@ -191,22 +202,19 @@ class Resolver:
         # locate_qid, then page_abstract, implicit_locate, classify_category.
         self._memo = Memo()
 
+    @_memoized
     def link(self, surface: str, language: str) -> LinkResult:
         """The linker's result for `surface` in `language`."""
-        return self._memo.get(
-            ("link", surface, language), lambda: self.linker.link(surface, language)
-        )
+        return self.linker.link(surface, language)
 
+    @_memoized
     def page_abstract(self, surface: str, language: str) -> str | None:
         """Abstract of the DBpedia page `surface` links to; None without one."""
+        link = self.link(surface, language)
+        record = self.dbpedia.fetch(link.page_title, language) if link.page_title else None
+        return record.abstract if record else None
 
-        def compute() -> str | None:
-            link = self.link(surface, language)
-            record = self.dbpedia.fetch(link.page_title, language) if link.page_title else None
-            return record.abstract if record else None
-
-        return self._memo.get(("page_abstract", surface, language), compute)
-
+    @_memoized
     def classify_category(self, category: str, language: str) -> LocationTuple | None:
         """The category's (city, country) tuple when it names a location.
 
@@ -214,12 +222,6 @@ class Resolver:
         the population / place markers, or its WikiData item has a country or
         located-in claim. A category without a WikiData item is not one.
         """
-        return self._memo.get(
-            ("classify_category", category, language),
-            lambda: self._classify_category(category, language),
-        )
-
-    def _classify_category(self, category: str, language: str) -> LocationTuple | None:
         link = self.link(category, language)
         if not link.qid:
             return None
@@ -272,15 +274,13 @@ class Resolver:
             city_qid=city[1] if city else None,
         )
 
+    @_memoized
     def locate_qid(self, qid: str) -> LocationTuple | None:
         """LocationTuple for a bare WikiData id; None when unlocatable."""
+        item = self.wikidata.fetch(qid)
+        return None if item is None else self.locate_item(item)
 
-        def compute() -> LocationTuple | None:
-            item = self.wikidata.fetch(qid)
-            return None if item is None else self.locate_item(item)
-
-        return self._memo.get(("locate_qid", qid), compute)
-
+    @_memoized
     def implicit_locate(self, surface: str, language: str) -> LocatedEntity | None:
         """Locate a non-location entity through its DBpedia page properties.
 
@@ -288,12 +288,6 @@ class Resolver:
         "country" and "place"; the first value of the best-matching property
         is linked back to WikiData and completed to a (city, country) tuple.
         """
-        return self._memo.get(
-            ("implicit_locate", surface, language),
-            lambda: self._implicit_locate(surface, language),
-        )
-
-    def _implicit_locate(self, surface: str, language: str) -> LocatedEntity | None:
         link = self.link(surface, language)
         if not link.page_title:
             return None
@@ -312,7 +306,6 @@ class Resolver:
             surface=surface,
             location=location,
             via_property=property_name,
-            source_qid=link.qid,
             anchor=anchor,
         )
 

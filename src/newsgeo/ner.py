@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Any, Protocol, Sequence
+from typing import Protocol, Sequence
 
 # Entity classes that count as location mentions across the supported tagsets.
 LOCATION_LABELS = frozenset({"loc", "location", "geopolitical area", "gpe"})
@@ -40,19 +40,6 @@ class NerSpan:
             raise ValueError(f"span ({self.start}, {self.end}) out of bounds")
         if text[self.start : self.end] != self.surface:
             raise ValueError(f"span surface {self.surface!r} does not match text")
-
-    @staticmethod
-    def from_json(d: dict[str, Any]) -> "NerSpan":
-        return NerSpan(
-            surface=d["surface"],
-            start=d["start"],
-            end=d["end"],
-            label=d["label"],
-            provider=d["provider"],
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 class NerProvider(Protocol):

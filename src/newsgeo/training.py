@@ -111,15 +111,6 @@ class LossConfig:
             return self.margin
         return {CONTRASTIVE: 0.5, TRIPLET: 1.0}.get(self.loss, 0.0)
 
-    @staticmethod
-    def from_json(d: dict[str, Any]) -> "LossConfig":
-        config = LossConfig(**d)
-        config.validate()
-        return config
-
-    def to_json(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
 
 def _rows(*vectors: np.ndarray) -> list[np.ndarray]:
     """Inputs as matching (B, n) float row matrices; a 1-D vector is one row."""

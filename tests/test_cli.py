@@ -92,31 +92,18 @@ class TestClassifyCategories:
 
 
 class TestGeneratePairs:
-    def test_precomputed_category_locations_match_internal(self, tmp_path, fixture_tree, capsys):
-        config = str(fixture_tree["config"])
-        categories = tmp_path / "category_locations.jsonl"
-        internal = tmp_path / "pairs_internal.jsonl"
-        precomputed = tmp_path / "pairs_precomputed.jsonl"
-        assert main(["classify-categories", "--config", config, "--output", str(categories)]) == 0
-        assert main(["generate-pairs", "--config", config, "--output", str(internal)]) == 0
-        assert (
-            main(
-                [
-                    "generate-pairs",
-                    "--config",
-                    config,
-                    "--category-locations",
-                    str(categories),
-                    "--output",
-                    str(precomputed),
-                ]
-            )
-            == 0
-        )
-        assert internal.read_bytes() == precomputed.read_bytes()
-        stdout = capsys.readouterr().out
-        assert "(10 positive, 5 negative)" in stdout
-        assert len(read_lines(internal)) == 15
+    def test_pairs_from_computed_category_locations(self, tmp_path, fixture_tree, capsys):
+        output = tmp_path / "pairs.jsonl"
+        argv = ["generate-pairs", "--config", str(fixture_tree["config"])]
+        assert main([*argv, "--output", str(output)]) == 0
+        assert "(10 positive, 5 negative)" in capsys.readouterr().out
+        assert len(read_lines(output)) == 15
+
+    def test_category_locations_file_is_not_an_option(self, tmp_path, fixture_tree):
+        argv = ["generate-pairs", "--config", str(fixture_tree["config"])]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--category-locations", "c.jsonl", "--output", str(tmp_path / "p")])
+        assert excinfo.value.code == 2
 
 
 class TestRank:
@@ -394,6 +381,51 @@ class TestFailureModes:
         assert error["error"] == "valueerror"
         assert error["details"][0].startswith(f"{cache}:{number}: bad cache record")
         assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "source, key, value",
+        [
+            ("wikidata", "Q90", {"qid": "Q90"}),
+            ("dbpedia", "en:Eiffel Tower", {"title": "Eiffel Tower", "language": "en"}),
+            ("wplink", "en:Paris", {"surface": "Paris"}),
+        ],
+    )
+    def test_record_missing_a_field_fails_the_command(
+        self, tmp_path, fixture_tree, source, key, value, capsys
+    ):
+        """A record the client cannot read is corrupt, never a wrong prediction."""
+        cache = tmp_path / "kb_cache.jsonl"
+        lines = read_lines(fixture_tree["cache"])
+        wanted = f'{{"source": "{source}", "key": "{key}",'
+        number = next(i for i, line in enumerate(lines, 1) if line.startswith(wanted))
+        lines[number - 1] = json.dumps({"source": source, "key": key, "value": value})
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        output, trace = tmp_path / "report.json", tmp_path / "trace.jsonl"
+        argv = ["evaluate", "--config", str(fixture_tree["config"]), "--cache", str(cache)]
+        assert main([*argv, "--output", str(output), "--trace", str(trace)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "valueerror"
+        assert error["details"][0].startswith(f"{cache}:{number}: bad cache record (no field ")
+        assert not output.exists() and not trace.exists()
+
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [
+            ({"loss": {"nope": 1}}, "loss.nope: unknown configuration field"),
+            ({"workers": "2"}, 'workers: expected an integer, got "2"'),
+            (1, "config: expected a JSON object, got 1"),
+            ({"loss": {"batch_size": "4"}}, 'loss.batch_size: expected an integer, got "4"'),
+            ({"corpus": ["a"]}, 'corpus: expected an object of strings, got ["a"]'),
+        ],
+    )
+    def test_config_field_of_the_wrong_json_type(self, tmp_path, raw, problem, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        code = main(
+            ["cache-export", "--config", str(config), "--output", str(tmp_path / "out.jsonl")]
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "config", "details": [problem]}
 
     def test_bad_gold_line_names_file_and_line(self, tmp_path, fixture_tree, capsys):
         gold = tmp_path / "gold.jsonl"

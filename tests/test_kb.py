@@ -1,6 +1,7 @@
 """Cache, fetch policies, retry behaviour and payload parsing."""
 
 import json
+import re
 import threading
 import time
 
@@ -20,6 +21,7 @@ from newsgeo.kb import (
     WikidataItem,
     forbidden_transport,
 )
+from newsgeo.linking import WikipediaLinker
 
 from conftest import FIXTURES
 
@@ -285,6 +287,19 @@ class TestPolicies:
         offline = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
         assert offline.fetch("Q404") is None
 
+    @pytest.mark.parametrize(
+        "client, keyword",
+        [
+            (WikidataClient, "base_url"),
+            (DbpediaClient, "base_url"),
+            (WikipediaLinker, "search_url"),
+            (WikipediaLinker, "pageprops_url"),
+        ],
+    )
+    def test_endpoint_urls_are_not_options(self, tmp_path, client, keyword):
+        with pytest.raises(TypeError):
+            client(KbCache(tmp_path), **{keyword: "https://example.org/{qid}"})
+
     def test_unknown_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             WikidataClient(KbCache(tmp_path), policy="sometimes")
@@ -404,6 +419,17 @@ class TestWikidataClient:
         assert client.label("Q404") is None
         assert len(transport.calls) == 1
         assert len(cache.path.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_a_record_missing_a_field_is_corrupt(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record = {"source": "wikidata", "key": "Q90", "value": {"qid": "Q90"}}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        client = WikidataClient(KbCache(path), policy=CACHE_ONLY, transport=forbidden_transport)
+        message = re.escape(f"{path}:1: bad cache record (no field 'labels')")
+        with pytest.raises(KbCacheCorrupt, match=message):
+            client.fetch("Q90")
+        with pytest.raises(KbCacheCorrupt, match=message):
+            client.label("Q90")
 
     def test_label_falls_back_to_label_cache(self, tmp_path):
         cache = KbCache(tmp_path)

@@ -439,10 +439,6 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(validation_fraction=1.0).validate()
 
-    def test_round_trip(self):
-        config = LossConfig(loss=TRIPLET, margin=0.7, batch_size=64, epochs=5)
-        assert LossConfig.from_json(config.to_json()) == config
-
 
 class StubResolver:
     """locate_qid by table; the only resolver method pair generation uses."""
