@@ -89,12 +89,17 @@ class PipelineConfig:
             found.append("workers: must be >= 1")
         if self.max_depth < 1:
             found.append("max_depth: must be >= 1")
-        kind = self.embedder.split(":", 1)[0]
+        kind, _, argument = self.embedder.partition(":")
         if kind not in ("mock", "sentence-transformers"):
             found.append(f"embedder: unknown provider kind {kind!r}")
+        elif kind == "mock" and argument and not (argument.isdecimal() and int(argument) >= 2):
+            found.append(f"embedder: mock dimension must be an integer >= 2, got {argument!r}")
         for spec in self.ner_providers:
-            if spec.split(":", 1)[0] not in ("gazetteer", "spacy"):
+            kind, _, argument = spec.partition(":")
+            if kind not in ("gazetteer", "spacy"):
                 found.append(f"ner_providers: unknown provider kind {spec!r}")
+            elif kind == "gazetteer" and not Path(argument).is_file():
+                found.append(f"ner_providers: no such gazetteer file {argument!r}")
         try:
             self.loss.validate()
         except ValueError as exc:

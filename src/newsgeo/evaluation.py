@@ -158,9 +158,10 @@ def run_experiment(
 
     A document whose prediction raises is recorded as a miss with the error in
     its trace entry, except that a KB failure (a cache miss, a remote error or
-    a corrupt cache record) aborts the run: an unreachable KB is not a wrong
-    prediction. Documents are processed by a thread pool in corpus order, so
-    reports are identical for any worker count.
+    a corrupt cache record) or an `OSError` (a cache write that failed) aborts
+    the run: an unreachable KB is not a wrong prediction. Documents are
+    processed by a thread pool in corpus order, so reports are identical for
+    any worker count.
     """
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
@@ -175,7 +176,7 @@ def run_experiment(
     def predict_one(article: Article) -> tuple[str, LocationTuple | None, str | None]:
         try:
             return article.id, predictor(article), None
-        except KbError:
+        except (KbError, OSError):
             raise
         except Exception as exc:  # hard per-document failure -> miss, not abort
             logger.exception("prediction failed for article %s", article.id)

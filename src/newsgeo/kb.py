@@ -16,8 +16,9 @@ the command, so an unreachable KB is never scored as a wrong prediction.
 Cache file format: one JSON object per line, ``{"source": s, "key": k,
 "value": v}``, append-only with the last write winning. The format is
 deliberately diff-friendly so recorded fixtures can live in version control.
-Loading indexes the keys; a value is decoded when it is read, and a corrupt
-one raises :class:`KbCacheCorrupt` naming its file and line at that point.
+Loading indexes the offset of each key's last line; a value is decoded when
+it is read, and a corrupt one (invalid JSON or UTF-8) raises
+:class:`KbCacheCorrupt` naming its file and line at that point.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import re
 import threading
 import time
 import urllib.parse
-from json.decoder import scanstring
 from pathlib import Path
 from typing import Any, Callable
 
@@ -77,14 +77,15 @@ class KbCacheCorrupt(KbError, ValueError):
 class KbCache:
     """Append-only JSON key-value store, keyed by (source, key).
 
-    Loading indexes the file: each (source, key) maps to the line number and
-    text of its last record, and a value is decoded only when `get` reads it,
-    so a command pays for the records it uses, not for the whole history. A
-    line in the exact form `put` writes has its source and key read from the
-    prefix; any other line is decoded in full at load, so a malformed one
-    fails there. A corrupt value behind a well-formed prefix is found when it
-    is first read: `get` raises :class:`KbCacheCorrupt` naming the file and
-    line.
+    Loading reads the file once as bytes and indexes it in one regex pass:
+    each (source, key) maps to the offset of its last line, and a value is
+    decoded only when `get` reads it, so a command pays for the records it
+    uses, not for the whole history. A line in the form `put` writes, with a
+    source and key free of quotes, backslashes and control characters, has
+    them read from its prefix; any other line is decoded in full at load, so
+    a malformed one fails there. A corrupt value behind a well-formed prefix,
+    invalid UTF-8 included, is found when it is first read: `get` raises
+    :class:`KbCacheCorrupt` naming the file and line.
 
     Concurrent reads are safe; writes are serialized through a single lock and
     flushed immediately so parallel workers sharing one cache never observe a
@@ -96,30 +97,37 @@ class KbCache:
     def __init__(self, path: str | Path):
         path = Path(path)
         if path.suffix != ".jsonl":
-            path.mkdir(parents=True, exist_ok=True)
             path = path / self.FILENAME
         self.path = path
         self._lock = threading.Lock()
-        # (source, key) -> (line number or None for a `put` of this run, line)
-        self._entries: dict[tuple[str, str], tuple[int | None, str]] = {}
+        self._data = path.read_bytes() if path.exists() else b""
+        # (source, key) -> offset of its last line in `_data`, or its `put` line
+        self._entries: dict[tuple[str, str], int | str] = {}
+        sources: dict[bytes, str] = {}  # one str per distinct source
+        end = self._data.rfind(b"\n") + 1
+        offset = 0
+        try:
+            for match in _LINE.finditer(self._data, 0, end):
+                offset = match.start()
+                source, key = match.group(1, 2)
+                if source is None:
+                    self._entries[self._read(offset)[0]] = offset
+                else:
+                    if source not in sources:
+                        sources[source] = source.decode("utf-8")
+                    self._entries[(sources[source], key.decode("utf-8"))] = offset
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _corrupt(path, self._number(offset), exc) from exc
         # A crash in the middle of `put` leaves a torn last line without its
         # newline: it is skipped here and cut off by the next `put`.
         self._torn_at: int | None = None
-        self._unterminated = False
-        if path.exists():
-            with path.open("rb") as handle:
-                for number, raw in enumerate(handle, 1):
-                    if not raw.strip():
-                        continue
-                    self._unterminated = not raw.endswith(b"\n")
-                    try:
-                        line = raw.decode("utf-8")
-                        self._entries[_put_form_key(line) or _decode(line)[0]] = (number, line)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        if not self._unterminated:
-                            raise _corrupt(path, number, exc) from exc
-                        logger.warning("%s:%d: skipping a torn last line", path, number)
-                        self._torn_at = handle.tell() - len(raw)
+        self._unterminated = bool(self._data[end:].strip())
+        if self._unterminated:
+            try:
+                self._entries[self._read(end)[0]] = end
+            except (ValueError, KeyError, TypeError):
+                logger.warning("%s:%d: skipping a torn last line", path, self._number(end))
+                self._torn_at = end
 
     def __contains__(self, source_key: tuple[str, str]) -> bool:
         return source_key in self._entries
@@ -130,21 +138,22 @@ class KbCache:
     def get(self, source: str, key: str, decode: Callable[[Any], Any] = lambda v: v) -> Any:
         """`decode` of the value of (source, key), read afresh on every call; a
         value `decode` cannot take is a corrupt record, like one not in JSON."""
-        number, line = self._entries[(source, key)]
+        entry = self._entries[(source, key)]
         try:
-            found, value = _decode(line)
+            found, value = self._read(entry)
             if found != (source, key):
                 raise ValueError(f"record is for {found[0]}:{found[1]}")
             return decode(value)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise _corrupt(self.path, number, exc) from exc
+            raise _corrupt(self.path, self._number(entry), exc) from exc
 
     def put(self, source: str, key: str, value: Any) -> None:
         line = json.dumps(
             {"source": source, "key": key, "value": value}, ensure_ascii=False
         )
         with self._lock:
-            self._entries[(source, key)] = (None, line)
+            self._entries[(source, key)] = line
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as handle:
                 if self._torn_at is not None:
                     handle.truncate(self._torn_at)
@@ -169,40 +178,31 @@ class KbCache:
                 )
         return len(self._entries)
 
+    def _read(self, entry: int | str) -> tuple[tuple[str, str], Any]:
+        """(source, key) and value of the line at an offset of `_data`, or of a `put`."""
+        if isinstance(entry, int):
+            end = self._data.find(b"\n", entry)
+            entry = self._data[entry : None if end < 0 else end].decode("utf-8")
+        record = json.loads(entry)
+        return (record["source"], record["key"]), record["value"]
+
+    def _number(self, entry: int | str) -> int | None:
+        """The line number of an offset of `_data`; None for the line of a `put`."""
+        return self._data.count(b"\n", 0, entry) + 1 if isinstance(entry, int) else None
+
+
+# A line of `_data` that is not blank; one in the form `put` writes, with a
+# source and key that need no JSON unescaping, has them as groups 1 and 2.
+_LINE = re.compile(
+    rb'^(?:\{"source": "([^"\\\x00-\x1f]*)", "key": "([^"\\\x00-\x1f]*)", "value": [^\n]*\}\n'
+    rb"|[ \t\r\f\v]*\S[^\n]*)",
+    re.M,
+)
+
 
 def _corrupt(path: Path, number: int | None, exc: Exception) -> KbCacheCorrupt:
     detail = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
     return KbCacheCorrupt(f"{path}:{number}: bad cache record ({detail})")
-
-
-def _decode(line: str) -> tuple[tuple[str, str], Any]:
-    record = json.loads(line)
-    return (record["source"], record["key"]), record["value"]
-
-
-_PUT_SOURCE = '{"source": "'
-_PUT_KEY = ', "key": "'
-_PUT_VALUE = ', "value": '
-
-
-def _put_form_key(line: str) -> tuple[str, str] | None:
-    """(source, key) of a line in the exact form `put` writes, else None.
-
-    Only the two leading strings are decoded, with the JSON string scanner
-    itself, so escapes and non-ASCII text read exactly as `json.loads` gives
-    them; the value is left for `get`. A line without its newline, possibly
-    torn, is never in this form.
-    """
-    if not line.startswith(_PUT_SOURCE) or not line.endswith("}\n"):
-        return None
-    try:
-        source, end = scanstring(line, len(_PUT_SOURCE))
-        if not line.startswith(_PUT_KEY, end):
-            return None
-        key, end = scanstring(line, end + len(_PUT_KEY))
-    except ValueError:
-        return None
-    return (source, key) if line.startswith(_PUT_VALUE, end) else None
 
 
 class RateLimiter:

@@ -9,7 +9,10 @@ value of each batched `loss_*_grad`.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+from typing import Any
 
 import numpy as np
 
@@ -103,3 +106,65 @@ def gradient_agreement(analytic: np.ndarray, numeric: np.ndarray) -> float:
     numeric = np.asarray(numeric, dtype=float).reshape(-1)
     scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-8)
     return float(np.linalg.norm(analytic - numeric)) / scale
+
+
+# Stands for the value of a record whose line `json.loads` cannot read.
+CORRUPT = object()
+
+
+@dataclasses.dataclass
+class OracleKbCache:
+    """What a KB cache file holds: each (source, key) with the number of the
+    line that wrote it last and its value (or CORRUPT); the line of the first
+    record that cannot even be named, which fails the load; and the line of
+    a torn last line, which is skipped."""
+
+    records: dict[tuple[str, str], tuple[int, Any]]
+    load_error: int | None = None
+    torn: int | None = None
+
+
+def oracle_kb_cache(data: bytes) -> OracleKbCache:
+    """Read a KB cache file line by line with `json.loads`, the last write
+    winning.
+
+    A line that `json.loads` cannot read still names its record when
+    everything before its `, "value": ` is `put`'s own spelling of a source
+    and a key that need no escapes, and the line ends in `}`: reading that
+    record fails. Any other unreadable line fails the load, except a last
+    line without its newline, which is torn.
+    """
+    *lines, tail = data.split(b"\n")
+    found = OracleKbCache({})
+    for number, raw in enumerate([*lines, tail], 1):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw.decode("utf-8"))
+            found.records[(record["source"], record["key"])] = (number, record["value"])
+            continue
+        except (ValueError, KeyError, TypeError):
+            pass
+        if number > len(lines):
+            found.torn = number
+            return found
+        key = _put_spelled_key(raw)
+        if key is None:
+            found.load_error = number
+            return found
+        found.records[key] = (number, CORRUPT)
+    return found
+
+
+def _put_spelled_key(raw: bytes) -> tuple[str, str] | None:
+    head, separator, _ = raw.partition(b', "value": ')
+    if not separator or not raw.endswith(b"}") or b"\\" in head:
+        return None
+    try:
+        record = json.loads(head.decode("utf-8") + "}")
+    except ValueError:
+        return None
+    if list(record) != ["source", "key"] or not all(type(v) is str for v in record.values()):
+        return None
+    spelled = json.dumps(record, ensure_ascii=False)[:-1].encode("utf-8")
+    return (record["source"], record["key"]) if spelled == head else None

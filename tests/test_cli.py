@@ -178,6 +178,17 @@ class TestEvaluate:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_online_run_creates_the_cache_directory(self, tmp_path, fixture_tree, monkeypatch):
+        answer_every_lookup_as_absent(monkeypatch)
+        reports = []
+        for cache in (tmp_path / "kb_cache.jsonl", tmp_path / "new" / "dir" / "kb_cache.jsonl"):
+            report = tmp_path / "report.json"
+            argv = ["evaluate", "--config", str(fixture_tree["config"]), "--network", "online"]
+            assert main([*argv, "--cache", str(cache), "--output", str(report)]) == 0
+            reports.append(report.read_bytes())
+            assert cache.read_bytes() == (tmp_path / "kb_cache.jsonl").read_bytes()
+        assert reports[0] == reports[1]
+
     def test_gold_flag_overrides_config(self, tmp_path, fixture_tree, capsys):
         config = json.loads(fixture_tree["config"].read_text(encoding="utf-8"))
         del config["gold"]
@@ -427,6 +438,32 @@ class TestFailureModes:
         assert code == 1
         assert json.loads(capsys.readouterr().err) == {"error": "config", "details": [problem]}
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("embedder", "mock:abc", "embedder: mock dimension must be an integer >= 2, got 'abc'"),
+            ("embedder", "mock:1", "embedder: mock dimension must be an integer >= 2, got '1'"),
+            (
+                "ner_providers",
+                ["gazetteer:missing.json"],
+                "ner_providers: no such gazetteer file '{dir}/missing.json'",
+            ),
+        ],
+        ids=["mock-abc", "mock-1", "missing-gazetteer"],
+    )
+    def test_unusable_component_is_a_config_error(
+        self, tmp_path, fixture_tree, field, value, problem, capsys
+    ):
+        config = json.loads(fixture_tree["config"].read_text(encoding="utf-8"))
+        config[field] = value
+        path = fixture_tree["config"].parent / "config_bad.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        output = tmp_path / "report.json"
+        assert main(["evaluate", "--config", str(path), "--output", str(output)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "config", "details": [problem.format(dir=path.parent)]}
+        assert not output.exists()
+
     def test_bad_gold_line_names_file_and_line(self, tmp_path, fixture_tree, capsys):
         gold = tmp_path / "gold.jsonl"
         gold.write_text(fixture_tree["gold"].read_text(encoding="utf-8") + "[1]\n", encoding="utf-8")
@@ -451,6 +488,16 @@ KB_COMMANDS = {
     "classify-categories": ["classify-categories", "--output", "{out}"],
     "train": ["train", "--output", "{out}", "--checkpoint", "{out}.npz"],
 }
+
+
+def answer_every_lookup_as_absent(monkeypatch):
+    """Make the online KB answer 404 to every request, without waiting."""
+
+    def absent(url, params=None):
+        raise LookupError(url)
+
+    monkeypatch.setattr("newsgeo.kb.default_transport", absent)
+    monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
 
 
 class TestKbFailures:
@@ -493,3 +540,16 @@ class TestKbFailures:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "cache-miss"
         assert error["details"][0].startswith("wplink:")
+
+    @pytest.mark.parametrize("command", sorted(KB_COMMANDS))
+    def test_a_failed_cache_write_fails_the_command(
+        self, tmp_path, fixture_tree, command, monkeypatch, capsys
+    ):
+        answer_every_lookup_as_absent(monkeypatch)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("", encoding="utf-8")
+        self.run(tmp_path, fixture_tree, command, blocker / "kb_cache.jsonl", "--network", "online")
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "fileexistserror"
+        assert str(blocker) in error["details"][0]
+

@@ -1,6 +1,7 @@
 """Cache, fetch policies, retry behaviour and payload parsing."""
 
 import json
+import random
 import re
 import threading
 import time
@@ -24,6 +25,7 @@ from newsgeo.kb import (
 from newsgeo.linking import WikipediaLinker
 
 from conftest import FIXTURES
+from oracles import CORRUPT, oracle_kb_cache
 
 
 class TestKbCache:
@@ -168,6 +170,26 @@ class TestKbCache:
         assert issubclass(KbCacheCorrupt, ValueError) and issubclass(KbCacheCorrupt, KbError)
         assert cache.get("src", "a") == 1 and cache.get("src", "b") == 1
 
+    def test_invalid_utf8_fails_in_a_key_at_load_and_in_a_value_when_read(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps({"source": "src", "key": "a", "value": 1}).encode()
+        in_value = b'{"source": "src", "key": "k", "value": "\xff"}'
+        path.write_bytes(b"\n".join([good, in_value, good]) + b"\n")
+        cache = KbCache(path)
+        with pytest.raises(KbCacheCorrupt, match=f"{path}:2: bad cache record .*utf-8"):
+            cache.get("src", "k")
+        in_key = b'{"source": "src", "key": "\xffk", "value": 1}'
+        path.write_bytes(b"\n".join([good, good, in_key, good]) + b"\n")
+        with pytest.raises(KbCacheCorrupt, match=f"{path}:3: bad cache record .*utf-8"):
+            KbCache(path)
+
+    def test_put_creates_a_missing_directory(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "c.jsonl"
+        cache = KbCache(path)
+        assert not path.parent.exists()
+        cache.put("src", "k", 1)
+        assert KbCache(path).get("src", "k") == 1
+
     def test_mutating_a_read_value_leaves_the_cache_unchanged(self, tmp_path):
         path = tmp_path / "c.jsonl"
         KbCache(path).put("src", "loaded", {"labels": ["a"]})
@@ -189,6 +211,112 @@ class TestKbCache:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["source"], r["key"]) for r in records] == [("a", "y"), ("b", "z")]
         assert records[1]["value"] == 3
+
+
+SOURCES = ["wikidata", "dbpedia", "wplink", "sé", 's"q']
+KEYS = [
+    "Q1", "Q42", "fr:Île-de-France", "it:Roma", "Zürich", "en:Paris", "日本", "", "a b",
+    'a"b', "back\\slash", "tab\there", "\x01", "}\n{",
+]
+VALUES = [
+    1, None, "Zürich", {"__missing__": True}, {"labels": {"en": "x"}}, [1, "ü"], '}, "value": {',
+]
+FORMS = [
+    lambda r: json.dumps(r, ensure_ascii=False),  # put's own
+    lambda r: json.dumps(r),
+    lambda r: json.dumps(r, separators=(",", ":"), ensure_ascii=False),
+    lambda r: json.dumps(dict(reversed(r.items())), ensure_ascii=False),
+    lambda r: json.dumps({**r, "extra": 2}, ensure_ascii=False),
+    lambda r: "\t" + json.dumps(r, ensure_ascii=False),
+    lambda r: "\r " + json.dumps(r, ensure_ascii=False),
+]
+# What replaces the rendered value or key of a damaged line.
+BAD_VALUES = [b"{oops}", b"[1,", b"tru", b'"\xff"', b'"\xc3("', b'"\xed\xa0\x80"']
+BAD_KEYS = [b'\xffk', b'\xed\xa0\x80', b'\x01k']  # a surrogate is never UTF-8
+
+
+def generated_cache(seed: int) -> bytes:
+    """A seeded cache file mixing record forms, escaped, non-ASCII and control
+    character keys, blank lines, CRLF ends, rewrites of a key, invalid JSON
+    or UTF-8 in keys and values, and a tail that may be torn or unterminated."""
+    rng = random.Random(seed)
+    damage_rate = rng.choice([0.0, 0.05, 0.2])
+    any_damage = rng.random() < 0.3  # else only to values of lines in put's own form
+    out = []
+    for _ in range(rng.randint(1, 30)):
+        if rng.random() < 0.1:
+            out.append(rng.choice([b"", b" ", b"\t\r"]) + b"\n")
+            continue
+        record = dict(source=rng.choice(SOURCES), key=rng.choice(KEYS), value=rng.choice(VALUES))
+        form = FORMS[0] if rng.random() < 0.5 else rng.choice(FORMS)
+        damage = None
+        if rng.random() < damage_rate and (any_damage or form is FORMS[0]):
+            damage = rng.choice(["value", "key", "cut"]) if any_damage else "value"
+        if damage in ("value", "key"):
+            record[damage] = f"@{damage}@"
+        line = form(record).encode("utf-8")
+        if damage == "value":
+            line = line.replace(b'"@value@"', rng.choice(BAD_VALUES))
+        elif damage == "key":
+            line = line.replace(b"@key@", rng.choice(BAD_KEYS))
+        elif damage == "cut":  # torn by a crash, then written after
+            line = line[: rng.randrange(len(line))]
+        out.append(line + (b"\r\n" if rng.random() < 0.1 else b"\n"))
+    data = b"".join(out)
+    tail = rng.choice(["whole", "unterminated", "torn", "blank"])
+    if tail == "unterminated":
+        data = data[:-1]
+    elif tail == "torn":
+        data = data[: rng.randint(data.rfind(b"\n", 0, len(data) - 1) + 1, len(data) - 1)]
+    elif tail == "blank":
+        data += b"  "
+    return data
+
+
+SEEDS = range(120)
+
+
+class TestKbCacheAgainstOracle:
+    """`KbCache` reads generated files as `json.loads` on every line does."""
+
+    def check(self, path, caplog):
+        expected = oracle_kb_cache(path.read_bytes())
+        caplog.clear()
+        if expected.load_error is not None:
+            with pytest.raises(KbCacheCorrupt, match=re.escape(f"{path}:{expected.load_error}: ")):
+                KbCache(path)
+            return None
+        cache = KbCache(path)
+        assert cache.keys() == sorted(expected.records)
+        for (source, key), (number, value) in expected.records.items():
+            if value is CORRUPT:
+                with pytest.raises(KbCacheCorrupt, match=re.escape(f"{path}:{number}: ")):
+                    cache.get(source, key)
+            else:
+                assert cache.get(source, key) == value
+        if expected.torn is None:
+            assert "torn" not in caplog.text
+        else:
+            assert f"{path}:{expected.torn}: skipping a torn last line" in caplog.text
+        return cache
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_load_get_and_put_agree_with_the_oracle(self, tmp_path, seed, caplog):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(generated_cache(seed))
+        cache = self.check(path, caplog)
+        if cache is not None:
+            cache.put("sé", 'new "key"', {"v": seed})
+            assert self.check(path, caplog).get("sé", 'new "key"') == {"v": seed}
+
+    def test_the_generated_files_cover_every_case(self):
+        found = [oracle_kb_cache(generated_cache(seed)) for seed in SEEDS]
+        loaded = [cache for cache in found if cache.load_error is None]
+        assert len(loaded) >= len(SEEDS) / 2
+        assert len(loaded) < len(SEEDS)
+        assert sum(cache.torn is not None for cache in loaded) >= 10
+        assert sum(any(v is CORRUPT for _, v in cache.records.values()) for cache in loaded) >= 5
+        assert sum(len(cache.records) for cache in loaded) >= 500
 
 
 class FakeTransport:
