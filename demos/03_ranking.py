@@ -8,12 +8,10 @@ from their page and lets that rendered text compete in the ranking.
 
 from pathlib import Path
 
-from newsgeo.config import load_config
+from newsgeo.config import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS, load_config
 from newsgeo.corpus import load_corpus
 from newsgeo.ner import ensemble_spans
 from newsgeo.ranking import (
-    LOCATED_NON_LOCATIONS,
-    ONLY_LOCATIONS,
     build_candidate_pool,
     predict_location,
     rank_candidates,

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from newsgeo.config import load_config
 from newsgeo.corpus import load_corpus
-from newsgeo.training import LinearAdapter, generate_pairs, train
+from newsgeo.pairs import generate_pairs
+from newsgeo.training import LinearAdapter, train
 
 FIXTURES = Path(__file__).resolve().parents[1] / "data" / "fixtures"
 

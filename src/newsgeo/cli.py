@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .config import ConfigError, PipelineConfig, load_config
+from .config import LOSSES, ConfigError, PipelineConfig, load_config
 from .corpus import (
     Article,
     compute_stats,
@@ -29,20 +29,13 @@ from .corpus import (
     load_gold,
     save_corpus,
 )
-from .evaluation import baseline_predictor, format_report_table, map_articles, run_experiment
 from .kb import KbCacheCorrupt, KbCacheMiss, KbRemoteError
 from .locations import LocationTuple, Resolver
-from .ranking import ranking_record
-from .training import (
-    LinearAdapter,
-    TrainingDiverged,
-    TrainingPair,
-    generate_pairs,
-    load_pairs,
-    save_checkpoint,
-    save_pairs,
-    train,
-)
+from .pairs import TrainingPair, generate_pairs, load_pairs, save_pairs
+
+# The commands that embed import evaluation, ranking or training (and with
+# them numpy) when they run: each command starts in a fresh interpreter, and
+# the KB-only commands would otherwise spend most of their time importing.
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +68,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     except KbCacheCorrupt as exc:
         return _fail("valueerror", [str(exc)])
-    except TrainingDiverged as exc:
-        return _fail("training-diverged", [str(exc)])
     except FileNotFoundError as exc:
         return _fail("missing-file", [str(exc)])
     except (ValueError, OSError) as exc:
@@ -145,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="fine-tune the embedding adapter")
     p.add_argument("--pairs", help="pairs JSONL from generate-pairs (else computed)")
-    p.add_argument("--loss", choices=["cosine_mse", "contrastive", "triplet", "infonce"])
+    p.add_argument("--loss", choices=LOSSES)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--margin", type=float)
@@ -272,6 +263,9 @@ def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
+    from .evaluation import map_articles
+    from .ranking import ranking_record
+
     articles = _load_all(config)
     pipeline = config.build_pipeline()
     mode = "+".join(config.representation_modes)
@@ -288,6 +282,8 @@ def cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
+    from .evaluation import baseline_predictor, format_report_table, run_experiment
+
     if not config.gold:
         raise ConfigError(["gold: no gold file configured"])
     articles = _load_all(config)
@@ -315,9 +311,14 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
+    from .training import LinearAdapter, TrainingDiverged, save_checkpoint, train
+
     pairs = load_pairs(args.pairs) if args.pairs else _corpus_pairs(config)
     adapter = LinearAdapter(config.build_embedder())
-    report = train(adapter, pairs, config.loss, config.chunking())
+    try:
+        report = train(adapter, pairs, config.loss, config.chunking())
+    except TrainingDiverged as exc:
+        return _fail("training-diverged", [str(exc)])
     summary = report.to_json()
     print(
         f"trained loss={report.loss} batch={report.batch_size} "

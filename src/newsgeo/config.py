@@ -8,6 +8,12 @@ and NER providers likewise (``gazetteer:path/to/entries.json``,
 file's directory; the cache directory can also come from the
 ``NEWSGEO_CACHE_DIR`` environment variable. Precedence is flags > config file
 > defaults.
+
+This module also holds the settings types and the names a configuration
+chooses from: chunking modes, representation modes and training losses. It
+imports no numpy; the encoder and ranking modules load only when
+:meth:`PipelineConfig.build_embedder` or
+:meth:`PipelineConfig.build_pipeline` runs.
 """
 
 from __future__ import annotations
@@ -16,28 +22,49 @@ import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .embedding import (
-    AVERAGE,
-    TRUNCATE,
-    ChunkingConfig,
-    EmbeddingProvider,
-    MockEmbedder,
-    SentenceTransformerProvider,
-)
-from .evaluation import Pipeline
 from .kb import CACHE_ONLY, ONLINE, DbpediaClient, KbCache, WikidataClient
 from .linking import WikipediaLinker
 from .locations import Resolver
 from .ner import GazetteerNer, NerProvider, SpacyNer
-from .ranking import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS, REPRESENTATION_MODES
-from .training import LossConfig
+
+if TYPE_CHECKING:
+    from .embedding import EmbeddingProvider
+    from .evaluation import Pipeline
 
 CACHE_DIR_ENV = "NEWSGEO_CACHE_DIR"
 
 # "online" is accepted as shorthand for the full policy name.
 _NETWORK_ALIASES = {"online": ONLINE, ONLINE: ONLINE, CACHE_ONLY: CACHE_ONLY}
+
+# Chunking modes: embed the prefix that fits, or average over chunks.
+TRUNCATE = "truncate"
+AVERAGE = "average_subdivisions"
+
+# Representation modes: how a candidate entity is rendered to text.
+ONLY_LOCATIONS = "only_locations"
+NON_LOCATIONS = "non_locations"
+LOCATED_NON_LOCATIONS = "located_non_locations"
+NON_LOCATION_IN_LOCATION = "non_location_in_location"
+LOCATION_ABSTRACTS = "location_abstracts"
+NON_LOCATION_ABSTRACTS = "non_location_abstracts"
+
+REPRESENTATION_MODES = (
+    ONLY_LOCATIONS,
+    NON_LOCATIONS,
+    LOCATED_NON_LOCATIONS,
+    NON_LOCATION_IN_LOCATION,
+    LOCATION_ABSTRACTS,
+    NON_LOCATION_ABSTRACTS,
+)
+
+# Training objectives.
+COSINE_MSE = "cosine_mse"
+CONTRASTIVE = "contrastive"
+TRIPLET = "triplet"
+INFONCE = "infonce"
+LOSSES = (COSINE_MSE, CONTRASTIVE, TRIPLET, INFONCE)
 
 
 class ConfigError(ValueError):
@@ -46,6 +73,64 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = problems
         super().__init__("; ".join(problems))
+
+
+@dataclasses.dataclass(frozen=True)
+class ChunkingConfig:
+    """How documents longer than the encoder's limit are handled."""
+
+    mode: str = AVERAGE
+
+    def validate(self) -> None:
+        if self.mode not in (TRUNCATE, AVERAGE):
+            raise ValueError(f"unknown chunking mode {self.mode!r}")
+
+
+@dataclasses.dataclass
+class LossConfig:
+    """Objective and loop settings.
+
+    ``margin`` falls back to a per-loss default (0.5 contrastive, 1.0
+    triplet). ``literal_cosine`` restores the written form of the contrastive
+    objective, which uses cosine similarity where a distance belongs; the
+    default reads it as cosine distance so positives are pulled together.
+    """
+
+    loss: str = CONTRASTIVE
+    margin: float | None = None
+    batch_size: int = 128
+    epochs: int = 32
+    early_stop_patience: int = 3
+    literal_cosine: bool = False
+    scale: float = 1.0
+    learning_rate: float = 0.05
+    validation_fraction: float = 0.2
+    seed: int = 13
+
+    def validate(self) -> None:
+        if self.loss not in LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r} (choose from {LOSSES})")
+        if self.margin is not None and self.margin < 0:
+            raise ValueError("margin must be >= 0")
+        minimum = 2 if self.loss == INFONCE else 1
+        if self.batch_size < minimum:
+            raise ValueError(f"batch_size must be >= {minimum} for {self.loss}")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.early_stop_patience < 0:
+            raise ValueError("early_stop_patience must be >= 0")
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if not 0 < self.validation_fraction < 1:
+            raise ValueError("validation_fraction must be in (0, 1)")
+
+    @property
+    def resolved_margin(self) -> float:
+        if self.margin is not None:
+            return self.margin
+        return {CONTRASTIVE: 0.5, TRIPLET: 1.0}.get(self.loss, 0.0)
 
 
 @dataclasses.dataclass
@@ -128,6 +213,8 @@ class PipelineConfig:
         )
 
     def build_embedder(self) -> EmbeddingProvider:
+        from .embedding import MockEmbedder, SentenceTransformerProvider
+
         kind, _, argument = self.embedder.partition(":")
         if kind == "mock":
             dimension = int(argument) if argument else 16
@@ -136,6 +223,8 @@ class PipelineConfig:
 
     def build_pipeline(self) -> Pipeline:
         """The ranked system over this configuration's components."""
+        from .evaluation import Pipeline
+
         return Pipeline(
             resolver=self.build_resolver(),
             providers=self.build_ner_providers(),

@@ -9,7 +9,6 @@ back to the original text byte-for-byte, so nothing is silently dropped.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import logging
 import re
@@ -17,10 +16,9 @@ from typing import Protocol
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
+from .config import TRUNCATE, ChunkingConfig
 
-TRUNCATE = "truncate"
-AVERAGE = "average_subdivisions"
+logger = logging.getLogger(__name__)
 
 # Sentence boundary: sentence-final punctuation (plus closing quotes or
 # brackets) followed by whitespace, or a newline run. The cut is placed after
@@ -37,17 +35,6 @@ class EmbeddingProvider(Protocol):
     def token_count(self, text: str) -> int: ...
 
     def embed(self, text: str) -> np.ndarray: ...
-
-
-@dataclasses.dataclass(frozen=True)
-class ChunkingConfig:
-    """How documents longer than the encoder's limit are handled."""
-
-    mode: str = AVERAGE
-
-    def validate(self) -> None:
-        if self.mode not in (TRUNCATE, AVERAGE):
-            raise ValueError(f"unknown chunking mode {self.mode!r}")
 
 
 def split_sentences(text: str) -> list[str]:

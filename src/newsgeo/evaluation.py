@@ -15,8 +15,9 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
 
+from .config import ChunkingConfig
 from .corpus import Article, GoldAnnotation
-from .embedding import ChunkingConfig, EmbeddingProvider
+from .embedding import EmbeddingProvider
 from .kb import KbError
 from .linking import normalized_match
 from .locations import LocationTuple, Resolver

@@ -13,28 +13,21 @@ import dataclasses
 import logging
 from typing import Any, Sequence
 
-from .embedding import ChunkingConfig, EmbeddingProvider, cosine, embed_document
+from .config import (
+    LOCATED_NON_LOCATIONS,
+    LOCATION_ABSTRACTS,
+    NON_LOCATION_IN_LOCATION,
+    NON_LOCATIONS,
+    ONLY_LOCATIONS,
+    REPRESENTATION_MODES,
+    ChunkingConfig,
+)
+from .embedding import EmbeddingProvider, cosine, embed_document
 from .locations import LocationTuple, Resolver
 from .memo import Memo
 from .ner import NerSpan, is_location_label
 
 logger = logging.getLogger(__name__)
-
-ONLY_LOCATIONS = "only_locations"
-NON_LOCATIONS = "non_locations"
-LOCATED_NON_LOCATIONS = "located_non_locations"
-NON_LOCATION_IN_LOCATION = "non_location_in_location"
-LOCATION_ABSTRACTS = "location_abstracts"
-NON_LOCATION_ABSTRACTS = "non_location_abstracts"
-
-REPRESENTATION_MODES = (
-    ONLY_LOCATIONS,
-    NON_LOCATIONS,
-    LOCATED_NON_LOCATIONS,
-    NON_LOCATION_IN_LOCATION,
-    LOCATION_ABSTRACTS,
-    NON_LOCATION_ABSTRACTS,
-)
 
 _LOCATION_MODES = (ONLY_LOCATIONS, LOCATION_ABSTRACTS)
 

@@ -1,115 +1,33 @@
-"""Contrastive fine-tuning: pair generation, four objectives, training loop.
+"""Contrastive fine-tuning: four objectives and the training loop.
 
-Supervision is free: an article's category-derived locations are positives,
-and mentioned entities unrelated to every positive (sharing neither city nor
-country) are negatives. Four objectives are supported, all defined on cosine
-geometry: squared cosine error, margin contrastive, triplet, and InfoNCE with
-in-batch negatives. Gradients are analytic (numpy); the trainable model is a
-linear map applied on top of a frozen base encoder, which keeps the loop
-exact, fast and dependency-free while exposing the same provider interface.
+The pairs come from :mod:`newsgeo.pairs`. Four objectives are supported, all
+defined on cosine geometry: squared cosine error, margin contrastive,
+triplet, and InfoNCE with in-batch negatives. Gradients are analytic
+(numpy); the trainable model is a linear map applied on top of a frozen base
+encoder, which keeps the loop exact, fast and dependency-free while exposing
+the same provider interface.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import math
 import random
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from .corpus import Article, split_train_validation
-from .embedding import ChunkingConfig, EmbeddingProvider, embed_document
-from .locations import LocationTuple, Resolver, render_location
+from .config import CONTRASTIVE, COSINE_MSE, INFONCE, TRIPLET
+from .corpus import split_train_validation
+from .embedding import EmbeddingProvider, embed_document
+
+if TYPE_CHECKING:
+    from .config import ChunkingConfig, LossConfig
+    from .pairs import TrainingPair
 
 logger = logging.getLogger(__name__)
-
-COSINE_MSE = "cosine_mse"
-CONTRASTIVE = "contrastive"
-TRIPLET = "triplet"
-INFONCE = "infonce"
-LOSSES = (COSINE_MSE, CONTRASTIVE, TRIPLET, INFONCE)
-
-
-@dataclasses.dataclass(frozen=True)
-class TrainingPair:
-    article_id: str
-    document_text: str
-    entity_text: str
-    label: int
-
-    def validate(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        if not self.document_text or not self.entity_text:
-            raise ValueError("empty pair text")
-
-    @staticmethod
-    def from_json(d: dict[str, Any]) -> "TrainingPair":
-        return TrainingPair(
-            article_id=str(d["article_id"]),
-            document_text=d["doc"],
-            entity_text=d["entity"],
-            label=int(d["label"]),
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        return dict(
-            article_id=self.article_id,
-            doc=self.document_text,
-            entity=self.entity_text,
-            label=self.label,
-        )
-
-
-@dataclasses.dataclass
-class LossConfig:
-    """Objective and loop settings.
-
-    ``margin`` falls back to a per-loss default (0.5 contrastive, 1.0
-    triplet). ``literal_cosine`` restores the written form of the contrastive
-    objective, which uses cosine similarity where a distance belongs; the
-    default reads it as cosine distance so positives are pulled together.
-    """
-
-    loss: str = CONTRASTIVE
-    margin: float | None = None
-    batch_size: int = 128
-    epochs: int = 32
-    early_stop_patience: int = 3
-    literal_cosine: bool = False
-    scale: float = 1.0
-    learning_rate: float = 0.05
-    validation_fraction: float = 0.2
-    seed: int = 13
-
-    def validate(self) -> None:
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r} (choose from {LOSSES})")
-        if self.margin is not None and self.margin < 0:
-            raise ValueError("margin must be >= 0")
-        minimum = 2 if self.loss == INFONCE else 1
-        if self.batch_size < minimum:
-            raise ValueError(f"batch_size must be >= {minimum} for {self.loss}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.early_stop_patience < 0:
-            raise ValueError("early_stop_patience must be >= 0")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0 < self.validation_fraction < 1:
-            raise ValueError("validation_fraction must be in (0, 1)")
-
-    @property
-    def resolved_margin(self) -> float:
-        if self.margin is not None:
-            return self.margin
-        return {CONTRASTIVE: 0.5, TRIPLET: 1.0}.get(self.loss, 0.0)
 
 
 def _rows(*vectors: np.ndarray) -> list[np.ndarray]:
@@ -239,85 +157,6 @@ def loss_infonce_grad(
     loss = float(np.mean(lse - np.diag(scores)))
     g_scores = (np.exp(scores - lse[:, None]) - np.eye(b)) * (scale / b)
     return loss, _unit_grad(g_scores @ vh, uh, nu), _unit_grad(g_scores.T @ uh, vh, nv)
-
-
-def generate_pairs(
-    corpus: Sequence[Article],
-    category_locations: dict[str, list[LocationTuple]],
-    resolver: Resolver,
-    seed: int = 13,
-) -> list[TrainingPair]:
-    """Label (document, entity) pairs without manual annotation.
-
-    Positives: the rendered string of each category-derived location of the
-    document. Negatives: surface forms of mentioned entities that are
-    unrelated to every positive, i.e. the mention's id is not a positive's
-    city or country id and its own resolved tuple shares neither, capped at
-    the document's positive count by a seeded sample. Mentions that cannot be
-    resolved are never used as negatives, since their unrelatedness is
-    unverifiable.
-    """
-    pairs: list[TrainingPair] = []
-    for article in corpus:
-        locations = category_locations.get(article.id, [])
-        if not locations:
-            continue
-        positive_texts: list[str] = []
-        for location in locations:
-            text = render_location(location)
-            if text and text not in positive_texts:
-                positive_texts.append(text)
-        positive_qids = set()
-        for location in locations:
-            positive_qids.update(q for q in (location.city_qid, location.country_qid) if q)
-        negatives: list[str] = []
-        for mention in article.mentions:
-            if not mention.qid or mention.qid in positive_qids:
-                continue
-            if mention.surface in positive_texts or mention.surface in negatives:
-                continue
-            resolved = resolver.locate_qid(mention.qid)
-            if resolved is None or _related(resolved, locations):
-                continue
-            negatives.append(mention.surface)
-        if len(negatives) > len(positive_texts):
-            rng = random.Random(f"{seed}:{article.id}")
-            negatives = rng.sample(negatives, len(positive_texts))
-        for text in positive_texts:
-            pairs.append(TrainingPair(article.id, article.text, text, 1))
-        for text in negatives:
-            pairs.append(TrainingPair(article.id, article.text, text, 0))
-    return pairs
-
-
-def _related(candidate: LocationTuple, positives: Iterable[LocationTuple]) -> bool:
-    for positive in positives:
-        if candidate.city_qid is not None and candidate.city_qid == positive.city_qid:
-            return True
-        if (
-            candidate.country_qid is not None
-            and candidate.country_qid == positive.country_qid
-        ):
-            return True
-    return False
-
-
-def save_pairs(pairs: Iterable[TrainingPair], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for pair in pairs:
-            handle.write(json.dumps(pair.to_json(), ensure_ascii=False) + "\n")
-
-
-def load_pairs(path: str | Path) -> list[TrainingPair]:
-    pairs = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                pair = TrainingPair.from_json(json.loads(line))
-                pair.validate()
-                pairs.append(pair)
-    return pairs
 
 
 class LinearAdapter:

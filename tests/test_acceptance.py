@@ -33,8 +33,9 @@ from oracles import (
 )
 
 from newsgeo.cli import main
+from newsgeo.config import AVERAGE, ChunkingConfig
 from newsgeo.corpus import GoldAnnotation
-from newsgeo.embedding import AVERAGE, ChunkingConfig, MockEmbedder, chunk_document, embed_document
+from newsgeo.embedding import MockEmbedder, chunk_document, embed_document
 from newsgeo.evaluation import precision_at_1
 from newsgeo.locations import LocationTuple, resolve_city
 from newsgeo.ner import NerSpan

@@ -8,8 +8,13 @@ byte-for-byte rather than merely structurally.
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from newsgeo.cli import main
@@ -254,6 +259,22 @@ class TestTrain:
         assert code == 0
         assert "loss=cosine_mse" in capsys.readouterr().out
 
+    def test_diverged_training_is_a_structured_error(
+        self, tmp_path, fixture_tree, monkeypatch, capsys
+    ):
+        def non_finite(u, v, y, *args):
+            return math.nan, np.zeros_like(u), np.zeros_like(v)
+
+        monkeypatch.setattr("newsgeo.training.loss_contrastive_grad", non_finite)
+        output = tmp_path / "training.json"
+        argv = ["train", "--config", str(fixture_tree["config"]), "--output", str(output)]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "training-diverged",
+            "details": ["non-finite loss nan at epoch 1, batch starting at 0"],
+        }
+        assert not output.exists()
+
 
 class TestCacheExport:
     def test_sorted_snapshot_and_rerun_identical(self, tmp_path, fixture_tree, capsys):
@@ -478,6 +499,32 @@ class TestFailureModes:
         }
         assert not output.exists()
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ('{"article_id": "a", "doc": "d", "label": 1}', "missing field 'entity'"),
+            ("[1]", "not a JSON object (list)"),
+            ("{torn", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ('{"article_id": "a", "doc": "d", "entity": "e", "label": 2}', "label must be 0 or 1, got 2"),
+        ],
+        ids=["missing-field", "not-an-object", "invalid-json", "bad-label"],
+    )
+    def test_bad_pairs_line_names_file_and_line(self, tmp_path, fixture_tree, line, problem, capsys):
+        config = str(fixture_tree["config"])
+        pairs = tmp_path / "pairs.jsonl"
+        assert main(["generate-pairs", "--config", config, "--output", str(pairs)]) == 0
+        lines = read_lines(pairs)
+        lines.insert(3, line)
+        pairs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        output = tmp_path / "training.json"
+        assert main(["train", "--config", config, "--pairs", str(pairs), "--output", str(output)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "valueerror",
+            "details": [f"{pairs}:4: {problem}"],
+        }
+        assert not output.exists()
+
 
 # Every command that reads the KB, with the output file flags it writes.
 KB_COMMANDS = {
@@ -553,3 +600,47 @@ class TestKbFailures:
         assert error["error"] == "fileexistserror"
         assert str(blocker) in error["details"][0]
 
+
+# Run `newsgeo.cli.main` in a fresh interpreter and report, as the last line
+# of stdout, whether numpy was imported.
+IMPORT_PROBE = """
+import sys
+from newsgeo.cli import main
+code = main(sys.argv[1:])
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+class TestImports:
+    """Commands that only read the corpus and the KB never load numpy."""
+
+    @pytest.mark.parametrize(
+        "command, loads_numpy",
+        [
+            (["generate-pairs", "--output", "{out}"], False),
+            (["classify-categories", "--output", "{out}"], False),
+            (["cache-export", "--output", "{out}"], False),
+            (["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"], False),
+            (["rank", "--output", "{out}"], True),
+            (["evaluate", "--output", "{out}"], True),
+            (["train", "--epochs", "1", "--output", "{out}"], True),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_numpy_only_in_commands_that_embed(self, tmp_path, fixture_tree, command, loads_numpy):
+        paths = {"out": tmp_path / "out", "articles_en": fixture_tree["articles_en"]}
+        argv = [part.format(**paths) for part in command]
+        env = dict(os.environ)
+        root = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *argv, "--config", str(fixture_tree["config"])],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == str(loads_numpy)

@@ -6,10 +6,8 @@ import string
 import numpy as np
 import pytest
 
+from newsgeo.config import AVERAGE, TRUNCATE, ChunkingConfig
 from newsgeo.embedding import (
-    AVERAGE,
-    TRUNCATE,
-    ChunkingConfig,
     MockEmbedder,
     chunk_document,
     cosine,

@@ -237,7 +237,7 @@ class TestFixturePipeline:
     def test_ranked_predictor_runs_deterministically(
         self, articles, gold, resolver, gazetteer_ner, mock_provider
     ):
-        from newsgeo.ranking import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS
+        from newsgeo.config import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS
 
         predictor = Pipeline(
             resolver,
@@ -253,7 +253,8 @@ class TestFixturePipeline:
     def test_pipeline_predicts_its_best_resolvable_candidate(
         self, articles, resolver, gazetteer_ner, mock_provider
     ):
-        from newsgeo.ranking import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS, predict_location
+        from newsgeo.config import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS
+        from newsgeo.ranking import predict_location
 
         pipeline = Pipeline(
             resolver, [gazetteer_ner], mock_provider, [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS]

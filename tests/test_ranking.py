@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from newsgeo.embedding import MockEmbedder, cosine, embed_document
-from newsgeo.locations import LocationTuple
-from newsgeo.ner import NerSpan
-from newsgeo.ranking import (
+from newsgeo.config import (
     LOCATED_NON_LOCATIONS,
     LOCATION_ABSTRACTS,
     NON_LOCATION_ABSTRACTS,
@@ -14,6 +11,11 @@ from newsgeo.ranking import (
     NON_LOCATIONS,
     ONLY_LOCATIONS,
     REPRESENTATION_MODES,
+)
+from newsgeo.embedding import MockEmbedder, cosine, embed_document
+from newsgeo.locations import LocationTuple
+from newsgeo.ner import NerSpan
+from newsgeo.ranking import (
     Candidate,
     RankedCandidate,
     baseline_first_location,

@@ -8,27 +8,19 @@ import pytest
 
 from newsgeo import training
 from newsgeo.corpus import Article, ParsedMention, split_train_validation
+from newsgeo.config import CONTRASTIVE, COSINE_MSE, INFONCE, LOSSES, TRIPLET, LossConfig
 from newsgeo.locations import LocationTuple
+from newsgeo.pairs import TrainingPair, generate_pairs, load_pairs, save_pairs
 from newsgeo.training import (
-    CONTRASTIVE,
-    COSINE_MSE,
-    INFONCE,
-    LOSSES,
-    TRIPLET,
     EarlyStopping,
     LinearAdapter,
-    LossConfig,
     TrainingDiverged,
-    TrainingPair,
-    generate_pairs,
     load_checkpoint,
-    load_pairs,
     loss_contrastive_grad,
     loss_cosine_grad,
     loss_infonce_grad,
     loss_triplet_grad,
     save_checkpoint,
-    save_pairs,
     train,
 )
 
@@ -595,7 +587,11 @@ class TestGeneratePairs:
         with pytest.raises(ValueError):
             TrainingPair("a-1", "doc", "ent", 2).validate()
         with pytest.raises(ValueError):
+            TrainingPair("a-1", "doc", "ent", "1").validate()
+        with pytest.raises(ValueError):
             TrainingPair("a-1", "", "ent", 1).validate()
+        with pytest.raises(ValueError):
+            TrainingPair("a-1", "doc", 7, 1).validate()
 
 
 class TableProvider:
