@@ -42,8 +42,11 @@ def main() -> None:
         article.id: resolver.classify_categories(article.categories, article.language)
         for article in articles
     }
+    located = sum(1 for locations in category_locations.values() if locations)
+    found = sum(len(locations) for locations in category_locations.values())
     print()
-    print(format_stats_table(compute_stats(articles, category_locations)))
+    print(format_stats_table(compute_stats(articles)))
+    print(f"locations in categories: {found}, in {located} of {len(articles)} documents")
 
     ids = [article.id for article in articles]
     train_ids, validation_ids = split_train_validation(ids, 0.3, config.seed)

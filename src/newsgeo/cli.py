@@ -201,10 +201,17 @@ def _load_all(config: PipelineConfig) -> list[Article]:
     if not config.corpus:
         raise ConfigError(["corpus: no corpus files configured"])
     articles: list[Article] = []
+    sources: dict[str, str] = {}
     for language in sorted(config.corpus):
         loaded, report = load_corpus(config.corpus[language], language)
         if report.skipped:
             logger.warning("%s: skipped %d invalid records", report.path, report.skipped)
+        for article in loaded:
+            first = sources.get(article.id)
+            if first is not None:
+                files = first if first == report.path else f"{first} and {report.path}"
+                raise ValueError(f"duplicate article id {article.id!r} in {files}")
+            sources[article.id] = report.path
         articles.extend(loaded)
     return articles
 
@@ -223,7 +230,7 @@ def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
     save_corpus(articles, args.output)
     print(f"loaded {report.loaded} articles, skipped {report.skipped} -> {args.output}")
     if args.stats:
-        print(format_stats_table(compute_stats(articles, {})))
+        print(format_stats_table(compute_stats(articles)))
     return 0
 
 

@@ -91,9 +91,7 @@ class LossConfig:
     """Objective and loop settings.
 
     ``margin`` falls back to a per-loss default (0.5 contrastive, 1.0
-    triplet). ``literal_cosine`` restores the written form of the contrastive
-    objective, which uses cosine similarity where a distance belongs; the
-    default reads it as cosine distance so positives are pulled together.
+    triplet).
     """
 
     loss: str = CONTRASTIVE
@@ -101,8 +99,6 @@ class LossConfig:
     batch_size: int = 128
     epochs: int = 32
     early_stop_patience: int = 3
-    literal_cosine: bool = False
-    scale: float = 1.0
     learning_rate: float = 0.05
     validation_fraction: float = 0.2
     seed: int = 13
@@ -119,8 +115,6 @@ class LossConfig:
             raise ValueError("epochs must be >= 1")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be >= 0")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0 < self.validation_fraction < 1:
@@ -269,7 +263,6 @@ _JSON_TYPES = {
     "str": ("a string", lambda v: type(v) is str),
     "int": ("an integer", lambda v: type(v) is int),
     "float": ("a number", lambda v: type(v) in (int, float)),
-    "bool": ("true or false", lambda v: type(v) is bool),
     "list[str]": ("a list of strings", lambda v: type(v) is list and _strings(v)),
     "dict[str, str]": ("an object of strings", lambda v: type(v) is dict and _strings(v.values())),
     "LossConfig": ("an object", lambda v: type(v) is dict),

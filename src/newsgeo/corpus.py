@@ -84,6 +84,8 @@ class Article:
             raise ValueError("empty text")
         if not self.text.startswith(self.title):
             raise ValueError("title is not a prefix of text")
+        if type(self.categories) is not list or not all(type(c) is str for c in self.categories):
+            raise ValueError(f"categories must be a list of strings, got {self.categories!r}")
         for mention in self.mentions:
             mention.validate(self.text)
 
@@ -105,7 +107,7 @@ class Article:
             language=d.get("lang") or default_language or "",
             title=title,
             text=text,
-            categories=list(d.get("categories", [])),
+            categories=d.get("categories", []),
             mentions=mentions,
             source_url=d.get("url"),
         )
@@ -208,8 +210,8 @@ def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
 def load_gold(path: str | Path) -> dict[str, GoldAnnotation]:
     """Read the gold file: `{"article_id": ..., "locations": [...]}` per line.
 
-    Gold is ground truth, so a bad line is not skipped: it raises ValueError
-    naming the file and line.
+    Gold is ground truth, so a bad or repeated line is not skipped: it raises
+    ValueError naming the file and line.
     """
     gold: dict[str, GoldAnnotation] = {}
     with Path(path).open(encoding="utf-8") as handle:
@@ -226,6 +228,8 @@ def load_gold(path: str | Path) -> dict[str, GoldAnnotation]:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if ann.article_id in gold:
+                raise ValueError(f"{path}:{lineno}: duplicate article_id {ann.article_id!r}")
             gold[ann.article_id] = ann
     return gold
 
@@ -237,14 +241,6 @@ class LanguageStats:
     documents: int = 0
     mentions: int = 0
     unique_entity_ids: int = 0
-    locations_in_categories: int = 0
-    documents_with_locations: int = 0
-
-    @property
-    def documents_with_locations_pct(self) -> float:
-        if self.documents == 0:
-            return 0.0
-        return self.documents_with_locations / self.documents
 
 
 @dataclasses.dataclass
@@ -253,15 +249,11 @@ class CorpusStats:
     total: LanguageStats
 
 
-def compute_stats(
-    corpus: Sequence[Article],
-    category_locations: dict[str, list[LocationTuple]],
-) -> CorpusStats:
-    """Count documents, mentions, distinct entity ids and category locations.
+def compute_stats(corpus: Sequence[Article]) -> CorpusStats:
+    """Count documents, mentions and distinct entity ids per language.
 
-    `category_locations` maps article id to the locations recovered from its
-    categories. The totals row counts unique entity ids across all languages,
-    so it is generally smaller than the per-language sum.
+    The totals row counts unique entity ids across all languages, so it is
+    generally smaller than the per-language sum.
     """
     per_language: dict[str, LanguageStats] = {}
     qids_by_language: dict[str, set[str]] = {}
@@ -275,58 +267,26 @@ def compute_stats(
             if mention.qid:
                 qids.add(mention.qid)
                 all_qids.add(mention.qid)
-        locations = category_locations.get(article.id, [])
-        stats.locations_in_categories += len(locations)
-        if locations:
-            stats.documents_with_locations += 1
     for language, stats in per_language.items():
         stats.unique_entity_ids = len(qids_by_language[language])
     total = LanguageStats(
         documents=sum(s.documents for s in per_language.values()),
         mentions=sum(s.mentions for s in per_language.values()),
         unique_entity_ids=len(all_qids),
-        locations_in_categories=sum(
-            s.locations_in_categories for s in per_language.values()
-        ),
-        documents_with_locations=sum(
-            s.documents_with_locations for s in per_language.values()
-        ),
     )
     return CorpusStats(per_language=per_language, total=total)
 
 
 def format_stats_table(stats: CorpusStats) -> str:
     """Render corpus statistics as an aligned plain-text table."""
-    header = (
-        "Language",
-        "Documents",
-        "Mentions",
-        "Unique entity IDs",
-        "Locations in categories",
-        "Documents with locations",
-    )
-    rows = []
-    for language in sorted(stats.per_language):
-        s = stats.per_language[language]
-        rows.append(_stats_row(language, s))
-    rows.append(_stats_row("Total", stats.total))
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) for i in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def _stats_row(label: str, s: LanguageStats) -> tuple[str, ...]:
-    return (
-        label,
-        f"{s.documents:,}",
-        f"{s.mentions:,}",
-        f"{s.unique_entity_ids:,}",
-        f"{s.locations_in_categories:,}",
-        f"{s.documents_with_locations:,} ({s.documents_with_locations_pct:.2%})",
+    rows = [("Language", "Documents", "Mentions", "Unique entity IDs")]
+    labelled = [*sorted(stats.per_language.items()), ("Total", stats.total)]
+    for label, s in labelled:
+        rows.append((label, f"{s.documents:,}", f"{s.mentions:,}", f"{s.unique_entity_ids:,}"))
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
     )
 
 

@@ -47,8 +47,10 @@ class LocationTuple:
     city_qid: str | None = None
 
     def validate(self) -> None:
-        if not self.country:
-            raise ValueError("location tuple without a country")
+        if type(self.country) is not str or not self.country:
+            raise ValueError(f"country must be a non-empty string, got {self.country!r}")
+        if self.city is not None and type(self.city) is not str:
+            raise ValueError(f"city must be a string or null, got {self.city!r}")
         if self.city_qid and not self.city:
             raise ValueError("city_qid without a city name")
         for qid in (self.country_qid, self.city_qid):

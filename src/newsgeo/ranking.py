@@ -51,7 +51,6 @@ class RankedCandidate:
     text: str
     score: float
     location: LocationTuple | None = None
-    flagged: bool = False
 
     def to_json(self) -> dict[str, Any]:
         return dict(
@@ -136,7 +135,7 @@ def rank_candidates(
 
     Result is sorted by descending score, ties broken by earliest text offset.
     A zero-norm embedding cannot be scored; the candidate is kept with score
-    -1 and flagged instead of aborting the ranking. `vectors` holds the
+    -1 and a warning instead of aborting the ranking. `vectors` holds the
     embedding of each text under this provider and config: a text it already
     holds is not embedded again.
     """
@@ -154,18 +153,15 @@ def rank_candidates(
         vector = embed(candidate.text)
         try:
             score = cosine(document, vector)
-            flagged = False
         except ValueError:
             logger.warning("zero-norm embedding for %r; scored -1", candidate.text)
             score = -1.0
-            flagged = True
         ranked.append(
             RankedCandidate(
                 span=candidate.span,
                 text=candidate.text,
                 score=score,
                 location=candidate.location,
-                flagged=flagged,
             )
         )
     ranked.sort(key=lambda c: (-c.score, c.span.start, c.span.end, c.text))

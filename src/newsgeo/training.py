@@ -408,11 +408,11 @@ def _batch_step(
     if config.loss == COSINE_MSE:
         loss, *grads = loss_cosine_grad(*us, labels)
     elif config.loss == CONTRASTIVE:
-        loss, *grads = loss_contrastive_grad(*us, labels, margin, config.literal_cosine)
+        loss, *grads = loss_contrastive_grad(*us, labels, margin)
     elif config.loss == TRIPLET:
         loss, *grads = loss_triplet_grad(*us, margin)
     else:
-        loss, *grads = loss_infonce_grad(*us, config.scale)
+        loss, *grads = loss_infonce_grad(*us)
     if not gradient:
         return loss, None
     return loss, sum(g.T @ x for g, x in zip(grads, xs))

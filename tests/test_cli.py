@@ -75,9 +75,12 @@ class TestIngest:
             ]
         )
         assert code == 0
-        stdout = capsys.readouterr().out
-        assert "Documents" in stdout
-        assert "Total" in stdout
+        assert capsys.readouterr().out == (
+            f"loaded 2 articles, skipped 0 -> {output}\n"
+            "Language  Documents  Mentions  Unique entity IDs\n"
+            "en        2          7         6\n"
+            "Total     2          7         6\n"
+        )
 
 
 class TestClassifyCategories:
@@ -448,6 +451,8 @@ class TestFailureModes:
             (1, "config: expected a JSON object, got 1"),
             ({"loss": {"batch_size": "4"}}, 'loss.batch_size: expected an integer, got "4"'),
             ({"corpus": ["a"]}, 'corpus: expected an object of strings, got ["a"]'),
+            ({"loss": {"scale": 2.0}}, "loss.scale: unknown configuration field"),
+            ({"loss": {"literal_cosine": True}}, "loss.literal_cosine: unknown configuration field"),
         ],
     )
     def test_config_field_of_the_wrong_json_type(self, tmp_path, raw, problem, capsys):
@@ -496,6 +501,39 @@ class TestFailureModes:
         assert error == {
             "error": "valueerror",
             "details": [f"{gold}:{number}: not a JSON object (list)"],
+        }
+        assert not output.exists()
+
+    @pytest.mark.parametrize("source", ["articles_en", "articles_de"])
+    def test_duplicate_article_id_fails_the_command(self, tmp_path, fixture_tree, source, capsys):
+        """A repeated id would score one gold row twice and rank it twice."""
+        record = json.loads(read_lines(fixture_tree[source])[0])
+        del record["lang"]
+        corpus = fixture_tree["articles_en"]
+        with corpus.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        files = corpus if source == "articles_en" else f"{fixture_tree[source]} and {corpus}"
+        output, trace = tmp_path / "report.json", tmp_path / "trace.jsonl"
+        argv = ["evaluate", "--config", str(fixture_tree["config"])]
+        assert main([*argv, "--output", str(output), "--trace", str(trace)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "valueerror",
+            "details": [f"duplicate article id {record['id']!r} in {files}"],
+        }
+        assert not output.exists() and not trace.exists()
+
+    def test_duplicate_gold_row_names_file_and_line(self, tmp_path, fixture_tree, capsys):
+        gold = fixture_tree["gold"]
+        first = read_lines(gold)[0]
+        with gold.open("a", encoding="utf-8") as handle:
+            handle.write(first + "\n")
+        number = len(read_lines(gold))
+        output = tmp_path / "report.json"
+        assert main(["evaluate", "--config", str(fixture_tree["config"]), "--output", str(output)]) == 1
+        article_id = json.loads(first)["article_id"]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "valueerror",
+            "details": [f"{gold}:{number}: duplicate article_id {article_id!r}"],
         }
         assert not output.exists()
 

@@ -99,15 +99,15 @@ class TestLoadCorpus:
         conflicting = json.dumps({**make_article("a-2").to_json(), "lang": "fr"})
         bad_span = make_article("a-3").to_json()
         bad_span["mentions"][0]["start"] = 0
-        path.write_text(
-            "\n".join([good, "{not json", conflicting, json.dumps(bad_span), "[1, 2]", '"x"', ""]),
-            encoding="utf-8",
-        )
+        string_categories = json.dumps({**make_article("a-4").to_json(), "categories": "Paris"})
+        lines = [good, "{not json", conflicting, json.dumps(bad_span), "[1, 2]", '"x"']
+        path.write_text("\n".join([*lines, string_categories, ""]), encoding="utf-8")
         loaded, report = load_corpus(path, "en")
         assert [a.id for a in loaded] == ["a-1"]
         assert report.loaded == 1
-        assert report.skipped == 5
-        assert [w.split(":")[0] for w in report.warnings] == [f"line {n}" for n in range(2, 7)]
+        assert report.skipped == 6
+        assert [w.split(":")[0] for w in report.warnings] == [f"line {n}" for n in range(2, 8)]
+        assert report.warnings[-1] == "line 7: categories must be a list of strings, got 'Paris'"
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -152,8 +152,23 @@ class TestGold:
             ('{"article_id": "a-2", "locations": []}', "gold row a-2 has no locations"),
             ('{"article_id": "a-2"}', "missing field 'locations'"),
             ("{not json", "Expecting property name"),
+            (
+                '{"article_id": "a-2", "locations": [{"country": 5}]}',
+                "country must be a non-empty string, got 5",
+            ),
+            (
+                '{"article_id": "a-2", "locations": [{"country": "Peru", "city": ["Lima"]}]}',
+                "city must be a string or null, got ['Lima']",
+            ),
         ],
-        ids=["list", "empty-locations", "no-locations-field", "bad-json"],
+        ids=[
+            "list",
+            "empty-locations",
+            "no-locations-field",
+            "bad-json",
+            "country-not-a-string",
+            "city-not-a-string",
+        ],
     )
     def test_bad_line_is_fatal_and_names_file_and_line(self, tmp_path, bad, problem):
         path = tmp_path / "gold.jsonl"
@@ -179,8 +194,7 @@ class TestStats:
                 ParsedMention("Berlin", 9, 15, "Q64"),
             ],
         )
-        locations = {"en-1": [LocationTuple("France", "Q142", "Paris", "Q90")]}
-        stats = compute_stats([en_1, en_2, fr_article], locations)
+        stats = compute_stats([en_1, en_2, fr_article])
         assert stats.per_language["en"].documents == 2
         assert stats.per_language["en"].mentions == 2
         assert stats.per_language["en"].unique_entity_ids == 1
@@ -189,11 +203,9 @@ class TestStats:
         assert stats.total.mentions == 4
         # Q90 appears in both languages but counts once in the union.
         assert stats.total.unique_entity_ids == 2
-        assert stats.per_language["en"].documents_with_locations == 1
-        assert stats.total.locations_in_categories == 1
 
     def test_table_contains_total_row(self):
-        stats = compute_stats([make_article()], {})
+        stats = compute_stats([make_article()])
         table = format_stats_table(stats)
         assert "Language" in table.splitlines()[0]
         assert table.splitlines()[-1].startswith("Total")

@@ -187,8 +187,9 @@ class TestRankCandidates:
             ranked = rank_candidates("doc", candidates, provider)
         assert [c.text for c in ranked] == ["fine", "void"]
         assert ranked[1].score == -1.0
-        assert ranked[1].flagged
-        assert not ranked[0].flagged
+        assert [r.getMessage() for r in caplog.records] == [
+            "zero-norm embedding for 'void'; scored -1"
+        ]
 
     def test_permutation_of_pool_does_not_change_ranking(self, mock_provider):
         texts = ["Paris", "Berlin", "Madrid", "London"]

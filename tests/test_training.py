@@ -822,8 +822,8 @@ class TestTrain:
         calls = []
         original = training.loss_infonce_grad
 
-        def counted(us, vs, scale):
-            result = original(us, vs, scale)
+        def counted(us, vs):
+            result = original(us, vs)
             calls.append((len(us), result[0]))
             return result
 
