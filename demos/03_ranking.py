@@ -38,7 +38,7 @@ def main() -> None:
 
     for modes in ([ONLY_LOCATIONS], [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS]):
         pool = build_candidate_pool(spans, article.language, modes, resolver)
-        ranked = rank_candidates(article.text, pool, embedder, config.chunking())
+        ranked = rank_candidates(article.text, pool, embedder, config.chunking_mode)
         print()
         print(f"modes {'+'.join(modes)}: {len(pool)} candidates")
         for candidate in ranked:

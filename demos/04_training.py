@@ -37,7 +37,7 @@ def main() -> None:
         print(f"  {pair.article_id}: label {pair.label}  entity {pair.entity_text!r}")
 
     adapter = LinearAdapter(config.build_embedder())
-    report = train(adapter, pairs, config.loss, config.chunking())
+    report = train(adapter, pairs, config.loss, config.chunking_mode)
     print()
     print(f"loss {report.loss!r}, batch {report.batch_size}, learning rate {report.learning_rate}")
     print(f"ran {report.epochs_run}/{report.epochs_requested} epochs"

@@ -206,14 +206,19 @@ def _load_all(config: PipelineConfig) -> list[Article]:
         loaded, report = load_corpus(config.corpus[language], language)
         if report.skipped:
             logger.warning("%s: skipped %d invalid records", report.path, report.skipped)
-        for article in loaded:
-            first = sources.get(article.id)
-            if first is not None:
-                files = first if first == report.path else f"{first} and {report.path}"
-                raise ValueError(f"duplicate article id {article.id!r} in {files}")
-            sources[article.id] = report.path
+        _note_sources(loaded, report.path, sources)
         articles.extend(loaded)
     return articles
+
+
+def _note_sources(articles: Sequence[Article], path: str, sources: dict[str, str]) -> None:
+    """Record the file of each article id in `sources`; a repeated id is an error."""
+    for article in articles:
+        first = sources.get(article.id)
+        if first is not None:
+            files = first if first == path else f"{first} and {path}"
+            raise ValueError(f"duplicate article id {article.id!r} in {files}")
+        sources[article.id] = path
 
 
 def _category_locations(
@@ -227,6 +232,7 @@ def _category_locations(
 
 def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
     articles, report = load_corpus(args.input, args.language)
+    _note_sources(articles, report.path, {})
     save_corpus(articles, args.output)
     print(f"loaded {report.loaded} articles, skipped {report.skipped} -> {args.output}")
     if args.stats:
@@ -323,7 +329,7 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
     pairs = load_pairs(args.pairs) if args.pairs else _corpus_pairs(config)
     adapter = LinearAdapter(config.build_embedder())
     try:
-        report = train(adapter, pairs, config.loss, config.chunking())
+        report = train(adapter, pairs, config.loss, config.chunking_mode)
     except TrainingDiverged as exc:
         return _fail("training-diverged", [str(exc)])
     summary = report.to_json()

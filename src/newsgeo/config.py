@@ -9,9 +9,11 @@ file's directory; the cache directory can also come from the
 ``NEWSGEO_CACHE_DIR`` environment variable. Precedence is flags > config file
 > defaults.
 
-This module also holds the settings types and the names a configuration
-chooses from: chunking modes, representation modes and training losses. It
-imports no numpy; the encoder and ranking modules load only when
+This module also holds the training settings (:class:`LossConfig`) and the
+names a configuration chooses from: chunking modes, representation modes and
+training losses. The embedding, ranking and training functions take a
+chunking mode by its name, the string in ``chunking_mode``. It imports no
+numpy; the encoder and ranking modules load only when
 :meth:`PipelineConfig.build_embedder` or
 :meth:`PipelineConfig.build_pipeline` runs.
 """
@@ -73,17 +75,6 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = problems
         super().__init__("; ".join(problems))
-
-
-@dataclasses.dataclass(frozen=True)
-class ChunkingConfig:
-    """How documents longer than the encoder's limit are handled."""
-
-    mode: str = AVERAGE
-
-    def validate(self) -> None:
-        if self.mode not in (TRUNCATE, AVERAGE):
-            raise ValueError(f"unknown chunking mode {self.mode!r}")
 
 
 @dataclasses.dataclass
@@ -186,9 +177,6 @@ class PipelineConfig:
         if found:
             raise ConfigError(found)
 
-    def chunking(self) -> ChunkingConfig:
-        return ChunkingConfig(mode=self.chunking_mode)
-
     def cache_path(self) -> Path:
         path = self.cache or os.environ.get(CACHE_DIR_ENV) or "kb_cache"
         return Path(path)
@@ -224,7 +212,7 @@ class PipelineConfig:
             providers=self.build_ner_providers(),
             embedder=self.build_embedder(),
             modes=tuple(self.representation_modes),
-            chunking=self.chunking(),
+            chunking=self.chunking_mode,
         )
 
     def build_ner_providers(self) -> list[NerProvider]:
@@ -232,8 +220,7 @@ class PipelineConfig:
         for spec in self.ner_providers:
             kind, _, argument = spec.partition(":")
             if kind == "gazetteer":
-                entries = json.loads(Path(argument).read_text(encoding="utf-8"))
-                providers.append(GazetteerNer(entries))
+                providers.append(GazetteerNer(_gazetteer_entries(argument)))
             else:
                 providers.append(SpacyNer(argument or "en_core_web_sm"))
         return providers
@@ -251,6 +238,21 @@ class PipelineConfig:
         if found:
             raise ConfigError(found)
         return PipelineConfig(**{**d, "loss": LossConfig(**loss)})
+
+
+def _gazetteer_entries(path: str) -> dict[str, str]:
+    """The name -> label entries of a gazetteer file; a :class:`ConfigError`
+    unless it is a JSON object that maps non-empty strings to strings."""
+    problem = f"ner_providers: gazetteer file {path!r}"
+    try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{problem} is not valid JSON ({exc})"])
+    if type(entries) is not dict or not all(
+        name and type(label) is str for name, label in entries.items()
+    ):
+        raise ConfigError([f"{problem} must map non-empty strings to strings"])
+    return entries
 
 
 def _strings(values: Any) -> bool:

@@ -16,7 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .config import TRUNCATE, ChunkingConfig
+from .config import AVERAGE, TRUNCATE
 
 logger = logging.getLogger(__name__)
 
@@ -49,9 +49,7 @@ def split_sentences(text: str) -> list[str]:
     return pieces
 
 
-def chunk_document(
-    text: str, provider: EmbeddingProvider, config: ChunkingConfig | None = None
-) -> list[str]:
+def chunk_document(text: str, provider: EmbeddingProvider) -> list[str]:
     """Split `text` into chunks S_1..S_p, each within the provider's limit.
 
     Sentences are packed greedily: a sentence joins the current chunk unless
@@ -61,8 +59,6 @@ def chunk_document(
     """
     if not text:
         raise ValueError("cannot chunk empty text")
-    config = config or ChunkingConfig()
-    config.validate()
     m = provider.max_tokens
     if provider.token_count(text) <= m:
         return [text]
@@ -129,18 +125,18 @@ def truncate_text(text: str, provider: EmbeddingProvider) -> str:
 
 
 def embed_document(
-    text: str, provider: EmbeddingProvider, config: ChunkingConfig | None = None
+    text: str, provider: EmbeddingProvider, chunking: str = AVERAGE
 ) -> np.ndarray:
-    """Embed a document of any length.
+    """Embed a document of any length under a chunking mode.
 
     truncate mode embeds the first ``max_tokens`` tokens; average mode embeds
     every chunk and returns their arithmetic mean, E = (1/p) sum_i f(S_i).
     """
-    config = config or ChunkingConfig()
-    config.validate()
-    if config.mode == TRUNCATE:
+    if chunking == TRUNCATE:
         return np.asarray(provider.embed(truncate_text(text, provider)), dtype=float)
-    chunks = chunk_document(text, provider, config)
+    if chunking != AVERAGE:
+        raise ValueError(f"unknown chunking mode {chunking!r}")
+    chunks = chunk_document(text, provider)
     vectors = np.stack([np.asarray(provider.embed(chunk), dtype=float) for chunk in chunks])
     return vectors.mean(axis=0)
 

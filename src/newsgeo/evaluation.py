@@ -15,7 +15,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
 
-from .config import ChunkingConfig
+from .config import AVERAGE
 from .corpus import Article, GoldAnnotation
 from .embedding import EmbeddingProvider
 from .kb import KbError
@@ -24,7 +24,7 @@ from .locations import LocationTuple, Resolver
 from .memo import Memo
 from .ner import NerProvider, ensemble_spans
 from .ranking import (
-    RankedCandidate,
+    Candidate,
     baseline_first_location,
     build_candidate_pool,
     predict_location,
@@ -234,12 +234,12 @@ class Pipeline:
     providers: Sequence[NerProvider]
     embedder: EmbeddingProvider
     modes: Sequence[str]
-    chunking: ChunkingConfig | None = None
+    chunking: str = AVERAGE
     _vectors: Memo = dataclasses.field(
         default_factory=Memo, init=False, repr=False, compare=False
     )
 
-    def rank(self, article: Article) -> list[RankedCandidate]:
+    def rank(self, article: Article) -> list[Candidate]:
         spans = ensemble_spans(article.text, article.language, self.providers)
         pool = build_candidate_pool(spans, article.language, self.modes, self.resolver)
         return rank_candidates(article.text, pool, self.embedder, self.chunking, self._vectors)

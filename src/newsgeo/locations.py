@@ -109,13 +109,15 @@ def resolve_country(
 ) -> tuple[str, str] | None:
     """First country claim of the item as (label, qid); None without one.
 
-    A country whose label cannot be resolved is returned with an empty label
-    and flagged, rather than dropped.
+    The label comes from the country's full record, which a located-in walk
+    that reaches the country reads too. A country whose label cannot be
+    resolved is returned with an empty label and flagged, rather than dropped.
     """
     if not item.p17:
         return None
     qid = item.p17[0]
-    label = wikidata.label(qid)
+    country = wikidata.fetch(qid)
+    label = country.label() if country else None
     if not label:
         logger.warning("no label for country %s (via %s)", qid, item.qid)
         return "", qid

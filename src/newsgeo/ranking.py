@@ -14,13 +14,13 @@ import logging
 from typing import Any, Sequence
 
 from .config import (
+    AVERAGE,
     LOCATED_NON_LOCATIONS,
     LOCATION_ABSTRACTS,
     NON_LOCATION_IN_LOCATION,
     NON_LOCATIONS,
     ONLY_LOCATIONS,
     REPRESENTATION_MODES,
-    ChunkingConfig,
 )
 from .embedding import EmbeddingProvider, cosine, embed_document
 from .locations import LocationTuple, Resolver
@@ -38,19 +38,13 @@ class Candidate:
 
     ``location`` is already populated for modes that resolve during rendering;
     for plain location surfaces it stays None until prediction time.
+    ``score`` is None until :func:`rank_candidates` scores the candidate.
     """
 
     span: NerSpan
     text: str
     location: LocationTuple | None = None
-
-
-@dataclasses.dataclass
-class RankedCandidate:
-    span: NerSpan
-    text: str
-    score: float
-    location: LocationTuple | None = None
+    score: float | None = None
 
     def to_json(self) -> dict[str, Any]:
         return dict(
@@ -128,15 +122,16 @@ def rank_candidates(
     text: str,
     candidates: Sequence[Candidate],
     provider: EmbeddingProvider,
-    config: ChunkingConfig | None = None,
+    chunking: str = AVERAGE,
     vectors: Memo | None = None,
-) -> list[RankedCandidate]:
-    """Score every candidate by cosine against the document embedding.
+) -> list[Candidate]:
+    """Scored copies of the candidates, by cosine against the document
+    embedding under the `chunking` mode.
 
     Result is sorted by descending score, ties broken by earliest text offset.
     A zero-norm embedding cannot be scored; the candidate is kept with score
     -1 and a warning instead of aborting the ranking. `vectors` holds the
-    embedding of each text under this provider and config: a text it already
+    embedding of each text under this provider and mode: a text it already
     holds is not embedded again.
     """
     if not candidates:
@@ -145,7 +140,7 @@ def rank_candidates(
         vectors = Memo()
 
     def embed(piece: str):
-        return vectors.get(piece, lambda: embed_document(piece, provider, config))
+        return vectors.get(piece, lambda: embed_document(piece, provider, chunking))
 
     document = embed(text)
     ranked = []
@@ -156,14 +151,7 @@ def rank_candidates(
         except ValueError:
             logger.warning("zero-norm embedding for %r; scored -1", candidate.text)
             score = -1.0
-        ranked.append(
-            RankedCandidate(
-                span=candidate.span,
-                text=candidate.text,
-                score=score,
-                location=candidate.location,
-            )
-        )
+        ranked.append(Candidate(candidate.span, candidate.text, candidate.location, score))
     ranked.sort(key=lambda c: (-c.score, c.span.start, c.span.end, c.text))
     return ranked
 
@@ -177,7 +165,7 @@ def resolve_location_span(
 
 
 def predict_location(
-    ranked: Sequence[RankedCandidate],
+    ranked: Sequence[Candidate],
     language: str,
     resolver: Resolver,
 ) -> LocationTuple | None:
@@ -222,7 +210,7 @@ def baseline_first_location(
 
 
 def ranking_record(
-    article_id: str, mode: str, ranked: Sequence[RankedCandidate]
+    article_id: str, mode: str, ranked: Sequence[Candidate]
 ) -> dict[str, Any]:
     """One persistable JSONL record of a ranking run."""
     return dict(

@@ -19,12 +19,12 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from .config import CONTRASTIVE, COSINE_MSE, INFONCE, TRIPLET
+from .config import AVERAGE, CONTRASTIVE, COSINE_MSE, INFONCE, TRIPLET
 from .corpus import split_train_validation
 from .embedding import EmbeddingProvider, embed_document
 
 if TYPE_CHECKING:
-    from .config import ChunkingConfig, LossConfig
+    from .config import LossConfig
     from .pairs import TrainingPair
 
 logger = logging.getLogger(__name__)
@@ -254,7 +254,7 @@ def train(
     adapter: LinearAdapter,
     pairs: Sequence[TrainingPair],
     config: LossConfig,
-    chunking: ChunkingConfig | None = None,
+    chunking: str = AVERAGE,
 ) -> TrainingReport:
     """Fine-tune the adapter on generated pairs.
 

@@ -33,7 +33,7 @@ from oracles import (
 )
 
 from newsgeo.cli import main
-from newsgeo.config import AVERAGE, ChunkingConfig
+from newsgeo.config import AVERAGE
 from newsgeo.corpus import GoldAnnotation
 from newsgeo.embedding import MockEmbedder, chunk_document, embed_document
 from newsgeo.evaluation import precision_at_1
@@ -165,7 +165,7 @@ class TestEmbeddingMeanProperty:
     def test_average_mode_equals_external_chunk_mean(self):
         with criterion("document embedding == mean of chunk embeddings (tol 1e-9, p=1 exact)"):
             provider = MockEmbedder(dimension=12, seed=3, max_tokens=8)
-            config = ChunkingConfig(mode=AVERAGE)
+            config = AVERAGE
             rng = random.Random(77)
             vocabulary = ["north", "harbour", "council", "river", "press", "vote", "storm"]
             worst = 0.0
@@ -175,7 +175,7 @@ class TestEmbeddingMeanProperty:
                     words = rng.choices(vocabulary, k=rng.randint(3, 6))
                     sentences.append(" ".join(words) + ". ")
                 text = "".join(sentences).rstrip()
-                chunks = chunk_document(text, provider, config)
+                chunks = chunk_document(text, provider)
                 assert len(chunks) >= 2
                 external = np.mean([provider.embed(chunk) for chunk in chunks], axis=0)
                 worst = max(worst, float(np.max(np.abs(embed_document(text, provider, config) - external))))

@@ -52,6 +52,20 @@ class TestIngest:
         assert f"loaded {len(clean_lines)} articles, skipped 2" in capsys.readouterr().out
         assert read_lines(output) == clean_lines
 
+    def test_repeated_article_id_fails_without_output(self, tmp_path, fixture_tree, capsys):
+        lines = read_lines(fixture_tree["articles_en"])
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        output = tmp_path / "clean.jsonl"
+        code = main(["ingest", "--input", str(repeated), "--language", "en", "--output", str(output)])
+        assert code == 1
+        article_id = json.loads(lines[0])["id"]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "valueerror",
+            "details": [f"duplicate article id {article_id!r} in {repeated}"],
+        }
+        assert not output.exists()
+
     def test_idempotent_on_its_own_output(self, tmp_path, fixture_tree):
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
@@ -488,6 +502,35 @@ class TestFailureModes:
         assert main(["evaluate", "--config", str(path), "--output", str(output)]) == 1
         error = json.loads(capsys.readouterr().err)
         assert error == {"error": "config", "details": [problem.format(dir=path.parent)]}
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ('["Paris"]', "must map non-empty strings to strings"),
+            ('{"Paris": 5}', "must map non-empty strings to strings"),
+            ('{"": "LOC"}', "must map non-empty strings to strings"),
+            (
+                "{torn",
+                "is not valid JSON (Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1))",
+            ),
+        ],
+        ids=["list", "non-string-label", "empty-name", "invalid-json"],
+    )
+    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    def test_malformed_gazetteer_is_a_config_error(
+        self, tmp_path, fixture_tree, command, content, problem, capsys
+    ):
+        gazetteer = fixture_tree["gazetteer"]
+        gazetteer.write_text(content, encoding="utf-8")
+        output = tmp_path / "out.json"
+        argv = [command, "--config", str(fixture_tree["config"]), "--output", str(output)]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config",
+            "details": [f"ner_providers: gazetteer file {str(gazetteer)!r} {problem}"],
+        }
         assert not output.exists()
 
     def test_bad_gold_line_names_file_and_line(self, tmp_path, fixture_tree, capsys):

@@ -6,7 +6,7 @@ import string
 import numpy as np
 import pytest
 
-from newsgeo.config import AVERAGE, TRUNCATE, ChunkingConfig
+from newsgeo.config import AVERAGE, TRUNCATE
 from newsgeo.embedding import (
     MockEmbedder,
     chunk_document,
@@ -96,7 +96,7 @@ class TestChunkDocument:
 
     def test_unknown_mode_rejected(self, mock_provider):
         with pytest.raises(ValueError):
-            embed_document("x", mock_provider, ChunkingConfig(mode="middle-out"))
+            embed_document("x", mock_provider, "middle-out")
 
 
 class TestTruncateText:
@@ -109,7 +109,7 @@ class TestTruncateText:
 
     def test_truncate_embedding_ignores_the_tail(self):
         provider = MockEmbedder(dimension=8, seed=1, max_tokens=50)
-        config = ChunkingConfig(mode=TRUNCATE)
+        config = TRUNCATE
         head = " ".join(f"tok{i}" for i in range(50))
         one = embed_document(head + " tail tail tail", provider, config)
         two = embed_document(head + " completely different ending", provider, config)
@@ -121,7 +121,7 @@ class TestEmbedDocument:
     def test_single_chunk_equals_provider_embedding(self, mock_provider):
         text = "One short sentence."
         for mode in (TRUNCATE, AVERAGE):
-            out = embed_document(text, mock_provider, ChunkingConfig(mode=mode))
+            out = embed_document(text, mock_provider, mode)
             assert np.array_equal(out, mock_provider.embed(text))
 
     def test_average_of_scripted_chunks(self):
@@ -139,7 +139,7 @@ class TestEmbedDocument:
                 return np.array([1.0, 0.0]) if "alpha" in text else np.array([0.0, 1.0])
 
         provider = TwoChunkProvider()
-        out = embed_document("alpha\nbeta", provider, ChunkingConfig(mode=AVERAGE))
+        out = embed_document("alpha\nbeta", provider, AVERAGE)
         assert np.allclose(out, [0.5, 0.5])
 
     def test_average_equals_external_mean(self):
@@ -149,7 +149,7 @@ class TestEmbedDocument:
             text = random_text(rng, n_sentences=rng.randint(2, 10))
             chunks = chunk_document(text, provider)
             expected = sum(provider.embed(c) for c in chunks) / len(chunks)
-            out = embed_document(text, provider, ChunkingConfig(mode=AVERAGE))
+            out = embed_document(text, provider, AVERAGE)
             assert np.max(np.abs(out - expected)) <= 1e-12
 
 

@@ -274,7 +274,7 @@ class TestFixturePipeline:
         config.chunking_mode = "truncate"
         pipeline = config.build_pipeline()
         assert pipeline.modes == ("only_locations",)
-        assert pipeline.chunking.mode == "truncate"
+        assert pipeline.chunking == "truncate"
         assert pipeline.embedder.name == "mock-16d"
         assert [p.name for p in pipeline.providers] == ["gazetteer"]
         assert pipeline.resolver.linker.policy == "cache-only"

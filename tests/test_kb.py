@@ -23,6 +23,7 @@ from newsgeo.kb import (
     forbidden_transport,
 )
 from newsgeo.linking import WikipediaLinker
+from newsgeo.locations import LocationTuple, Resolver
 
 from conftest import FIXTURES
 from oracles import CORRUPT, oracle_kb_cache
@@ -547,6 +548,37 @@ class TestWikidataClient:
         assert client.label("Q404") is None
         assert len(transport.calls) == 1
         assert len(cache.path.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_country_is_fetched_once_on_a_cold_run(self, tmp_path):
+        """Q90 names its country, and Q1's located-in walk reaches it."""
+        url = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"
+        transport = FakeTransport(
+            {
+                url.format(qid="Q90"): wikidata_payload(
+                    "Q90", labels={"en": "Paris"}, p17=["Q142"], p31=["Q515"]
+                ),
+                url.format(qid="Q1"): wikidata_payload(
+                    "Q1", labels={"en": "Region"}, p17=["Q142"], p31=["Q2"], p131=["Q142"]
+                ),
+                url.format(qid="Q142"): wikidata_payload(
+                    "Q142", labels={"en": "France"}, p31=["Q6256"]
+                ),
+                url.format(qid="Q515"): wikidata_payload("Q515", labels={"en": "city"}),
+                url.format(qid="Q2"): wikidata_payload("Q2", labels={"en": "region"}),
+                url.format(qid="Q6256"): wikidata_payload("Q6256", labels={"en": "country"}),
+            }
+        )
+        cache = KbCache(tmp_path)
+        resolver = Resolver(
+            wikidata=WikidataClient(
+                cache, policy=ONLINE, transport=transport, rate_limiter=RateLimiter(1000.0)
+            ),
+            dbpedia=DbpediaClient(cache, transport=forbidden_transport),
+            linker=WikipediaLinker(cache, transport=forbidden_transport),
+        )
+        assert resolver.locate_qid("Q90") == LocationTuple("France", "Q142", "Paris", "Q90")
+        assert resolver.locate_qid("Q1") == LocationTuple("France", "Q142")
+        assert transport.calls.count(url.format(qid="Q142")) == 1
 
     def test_a_record_missing_a_field_is_corrupt(self, tmp_path):
         path = tmp_path / "c.jsonl"

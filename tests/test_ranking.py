@@ -17,7 +17,6 @@ from newsgeo.locations import LocationTuple
 from newsgeo.ner import NerSpan
 from newsgeo.ranking import (
     Candidate,
-    RankedCandidate,
     baseline_first_location,
     build_candidate_pool,
     build_representation,
@@ -208,11 +207,11 @@ class TestPredictLocation:
 
     def test_carried_location_wins(self, resolver):
         carried = LocationTuple("France", "Q142", "Paris", "Q90")
-        ranked = [RankedCandidate(PARIS_SPAN, "anything", 0.9, location=carried)]
+        ranked = [Candidate(PARIS_SPAN, "anything", location=carried, score=0.9)]
         assert predict_location(ranked, "en", resolver) == carried
 
     def test_top_surface_resolved(self, resolver):
-        ranked = [RankedCandidate(PARIS_SPAN, "Paris", 0.9)]
+        ranked = [Candidate(PARIS_SPAN, "Paris", score=0.9)]
         location = predict_location(ranked, "en", resolver)
         assert location == LocationTuple("France", "Q142", "Paris", "Q90")
 
@@ -224,8 +223,8 @@ class TestPredictLocation:
         )
         nowhere = NerSpan("Nowhereville", 0, 12, "LOC", "g")
         ranked = [
-            RankedCandidate(nowhere, "Nowhereville", 0.99),
-            RankedCandidate(NerSpan("Berlin", 20, 26, "LOC", "g"), "Berlin", 0.5),
+            Candidate(nowhere, "Nowhereville", score=0.99),
+            Candidate(NerSpan("Berlin", 20, 26, "LOC", "g"), "Berlin", score=0.5),
         ]
         location = predict_location(ranked, "en", resolver)
         assert location == LocationTuple("Germany", "Q183", "Berlin", "Q64")
@@ -275,10 +274,10 @@ class TestBaseline:
 class TestHelpers:
     def test_ranking_record_shape(self):
         ranked = [
-            RankedCandidate(
+            Candidate(
                 PARIS_SPAN,
                 "Paris",
-                0.75,
+                score=0.75,
                 location=LocationTuple("France", "Q142", "Paris", "Q90"),
             )
         ]

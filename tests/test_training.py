@@ -8,7 +8,17 @@ import pytest
 
 from newsgeo import training
 from newsgeo.corpus import Article, ParsedMention, split_train_validation
-from newsgeo.config import CONTRASTIVE, COSINE_MSE, INFONCE, LOSSES, TRIPLET, LossConfig
+from newsgeo.config import (
+    AVERAGE,
+    CONTRASTIVE,
+    COSINE_MSE,
+    INFONCE,
+    LOSSES,
+    TRIPLET,
+    TRUNCATE,
+    LossConfig,
+)
+from newsgeo.embedding import MockEmbedder
 from newsgeo.locations import LocationTuple
 from newsgeo.pairs import TrainingPair, generate_pairs, load_pairs, save_pairs
 from newsgeo.training import (
@@ -795,6 +805,19 @@ class TestTrain:
         adapter = LinearAdapter(provider)
         report = train(adapter, pairs, self.config(loss=COSINE_MSE, epochs=2))
         assert report.epochs_run == 2
+
+    def test_features_are_embedded_in_the_given_chunking_mode(self):
+        """Past the 4-token limit, truncating and averaging give other features."""
+        provider = MockEmbedder(dimension=8, seed=5, max_tokens=4)
+        text = "Story {0} opens here. It runs {0} times. Then it ends."
+        pairs = [TrainingPair(f"d{i}", text.format(i), f"place {i}", 1) for i in range(6)]
+
+        def first_loss(*chunking):
+            adapter = LinearAdapter(provider)
+            return train(adapter, pairs, self.config(epochs=1), *chunking).train_losses[0]
+
+        assert first_loss(TRUNCATE) != first_loss(AVERAGE)
+        assert first_loss() == first_loss(AVERAGE)
 
     def test_non_finite_feature_diverges(self):
         provider, pairs = shared_axis_pairs()
