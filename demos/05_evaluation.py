@@ -2,9 +2,11 @@
 
 Precision@1 counts a document as a hit when the predicted tuple matches any
 of its gold locations; per-language scores are macro-averaged so small
-language editions count as much as large ones. The first-location baseline
-takes the earliest resolvable mention; the ranked system embeds, scores and
-resolves the best candidate.
+language editions count as much as large ones. All three systems choose from
+the same candidates: the first-location baselines take the earliest one that
+resolves, in text order (the located variant also counts entities whose KB
+page names a location); the ranked system embeds, scores and resolves the
+best one.
 
 The config ships the deterministic mock embedder, whose similarities are
 reproducible but carry no meaning, so the ranked rows demonstrate the
@@ -15,7 +17,7 @@ real similarities.
 
 from pathlib import Path
 
-from newsgeo.config import load_config
+from newsgeo.config import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS, load_config
 from newsgeo.corpus import load_corpus, load_gold
 from newsgeo.evaluation import baseline_predictor, format_report_table, run_experiment
 
@@ -34,8 +36,11 @@ def main() -> None:
     print(f"{len(articles)} articles, {len(gold)} gold annotations")
 
     systems = [
-        ("baseline-first-location", baseline_predictor(resolver, providers)),
-        ("baseline-first-location-located", baseline_predictor(resolver, providers, True)),
+        ("baseline-first-location", baseline_predictor(resolver, providers, (ONLY_LOCATIONS,))),
+        (
+            "baseline-first-location-located",
+            baseline_predictor(resolver, providers, (ONLY_LOCATIONS, LOCATED_NON_LOCATIONS)),
+        ),
         ("ranked-" + "+".join(config.representation_modes), config.build_pipeline().predict),
     ]
     reports = [

@@ -20,7 +20,14 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .config import LOSSES, ConfigError, PipelineConfig, load_config
+from .config import (
+    LOCATED_NON_LOCATIONS,
+    LOSSES,
+    ONLY_LOCATIONS,
+    ConfigError,
+    PipelineConfig,
+    load_config,
+)
 from .corpus import (
     Article,
     compute_stats,
@@ -39,9 +46,10 @@ from .pairs import TrainingPair, generate_pairs, load_pairs, save_pairs
 
 logger = logging.getLogger(__name__)
 
+# The representation modes whose candidates each baseline reads in text order.
 _BASELINES = {
-    "first-location": False,
-    "first-location-located": True,
+    "first-location": (ONLY_LOCATIONS,),
+    "first-location-located": (ONLY_LOCATIONS, LOCATED_NON_LOCATIONS),
 }
 
 

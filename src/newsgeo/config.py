@@ -201,7 +201,10 @@ class PipelineConfig:
         if kind == "mock":
             dimension = int(argument) if argument else 16
             return MockEmbedder(dimension=dimension, seed=self.seed)
-        return SentenceTransformerProvider(argument or "paraphrase-multilingual-mpnet-base-v2")
+        try:
+            return SentenceTransformerProvider(argument or "paraphrase-multilingual-mpnet-base-v2")
+        except ImportError as exc:
+            raise ConfigError([f"embedder: {exc}"]) from exc
 
     def build_pipeline(self) -> Pipeline:
         """The ranked system over this configuration's components."""
@@ -222,7 +225,10 @@ class PipelineConfig:
             if kind == "gazetteer":
                 providers.append(GazetteerNer(_gazetteer_entries(argument)))
             else:
-                providers.append(SpacyNer(argument or "en_core_web_sm"))
+                try:
+                    providers.append(SpacyNer(argument or "en_core_web_sm"))
+                except ImportError as exc:
+                    raise ConfigError([f"ner_providers: {exc}"]) from exc
         return providers
 
     @staticmethod

@@ -19,7 +19,7 @@ import json
 import logging
 import random
 from pathlib import Path
-from typing import Any, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .kb import _QID_RE
 from .locations import LocationTuple
@@ -52,9 +52,10 @@ class ParsedMention:
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "ParsedMention":
-        return ParsedMention(
-            surface=d["surface"], start=d["start"], end=d["end"], qid=d.get("qid")
-        )
+        start, end = d["start"], d["end"]
+        if type(start) is not int or type(end) is not int:
+            raise ValueError(f"mention offsets must be integers, got ({start!r}, {end!r})")
+        return ParsedMention(surface=d["surface"], start=start, end=end, qid=d.get("qid"))
 
     def to_json(self) -> dict[str, Any]:
         return dict(surface=self.surface, start=self.start, end=self.end, qid=self.qid)
@@ -91,8 +92,12 @@ class Article:
 
     @staticmethod
     def from_json(d: dict[str, Any], default_language: str | None = None) -> "Article":
-        title = d["title"]
-        text = d["text"]
+        title, text, url = d["title"], d["text"], d.get("url")
+        for name, value in (("title", title), ("text", text)):
+            if type(value) is not str:
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if url is not None and type(url) is not str:
+            raise ValueError(f"url must be a string or null, got {url!r}")
         mentions = [ParsedMention.from_json(m) for m in d.get("mentions", [])]
         if not text.startswith(title):
             # Parser emitted the body alone; prepend the title and shift spans.
@@ -109,7 +114,7 @@ class Article:
             text=text,
             categories=d.get("categories", []),
             mentions=mentions,
-            source_url=d.get("url"),
+            source_url=url,
         )
         article.validate()
         return article
@@ -207,13 +212,14 @@ def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
             handle.write(json.dumps(article.to_json(), ensure_ascii=False) + "\n")
 
 
-def load_gold(path: str | Path) -> dict[str, GoldAnnotation]:
-    """Read the gold file: `{"article_id": ..., "locations": [...]}` per line.
+def read_strict_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> list[T]:
+    """`parse` of each JSON object in a JSONL file, in file order.
 
-    Gold is ground truth, so a bad or repeated line is not skipped: it raises
-    ValueError naming the file and line.
+    For files that must be clean: blank lines are skipped, but a line that is
+    not a JSON object, or that `parse` rejects with KeyError, TypeError or
+    ValueError, raises ValueError naming the file and line.
     """
-    gold: dict[str, GoldAnnotation] = {}
+    parsed = []
     with Path(path).open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -223,14 +229,29 @@ def load_gold(path: str | Path) -> dict[str, GoldAnnotation]:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"not a JSON object ({type(record).__name__})")
-                ann = GoldAnnotation.from_json(record)
+                parsed.append(parse(record))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if ann.article_id in gold:
-                raise ValueError(f"{path}:{lineno}: duplicate article_id {ann.article_id!r}")
-            gold[ann.article_id] = ann
+    return parsed
+
+
+def load_gold(path: str | Path) -> dict[str, GoldAnnotation]:
+    """Read the gold file: `{"article_id": ..., "locations": [...]}` per line.
+
+    Gold is ground truth, so a bad or repeated line is not skipped: it raises
+    ValueError naming the file and line.
+    """
+    gold: dict[str, GoldAnnotation] = {}
+
+    def add(record: dict[str, Any]) -> None:
+        ann = GoldAnnotation.from_json(record)
+        if ann.article_id in gold:
+            raise ValueError(f"duplicate article_id {ann.article_id!r}")
+        gold[ann.article_id] = ann
+
+    read_strict_jsonl(path, add)
     return gold
 
 

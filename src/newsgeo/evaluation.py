@@ -25,8 +25,8 @@ from .memo import Memo
 from .ner import NerProvider, ensemble_spans
 from .ranking import (
     Candidate,
-    baseline_first_location,
     build_candidate_pool,
+    candidates,
     predict_location,
     rank_candidates,
 )
@@ -249,17 +249,15 @@ class Pipeline:
 
 
 def baseline_predictor(
-    resolver: Resolver,
-    providers: Sequence[NerProvider],
-    include_located_non_locations: bool = False,
+    resolver: Resolver, providers: Sequence[NerProvider], modes: Sequence[str]
 ) -> Predictor:
-    """First-mention baseline predictor."""
+    """First-mention baseline: the first candidate under `modes`, in text
+    order, that resolves to a location."""
 
     def predict(article: Article) -> LocationTuple | None:
         spans = ensemble_spans(article.text, article.language, providers)
-        return baseline_first_location(
-            spans, article.language, resolver, include_located_non_locations
-        )
+        pool = candidates(spans, article.language, modes, resolver)
+        return predict_location(pool, article.language, resolver)
 
     return predict
 

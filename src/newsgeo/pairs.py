@@ -14,7 +14,7 @@ import random
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .corpus import Article
+from .corpus import Article, read_strict_jsonl
 from .locations import LocationTuple, Resolver, render_location
 
 
@@ -122,21 +122,10 @@ def load_pairs(path: str | Path) -> list[TrainingPair]:
 
     A bad line is not skipped: it raises ValueError naming the file and line.
     """
-    pairs = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError(f"not a JSON object ({type(record).__name__})")
-                pair = TrainingPair.from_json(record)
-                pair.validate()
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            pairs.append(pair)
-    return pairs
+
+    def parse(record: dict[str, Any]) -> TrainingPair:
+        pair = TrainingPair.from_json(record)
+        pair.validate()
+        return pair
+
+    return read_strict_jsonl(path, parse)

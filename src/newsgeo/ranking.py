@@ -4,14 +4,16 @@ Candidates are entity mentions rendered to text under one of six
 representation modes; document and candidate go through the same embedding
 provider (a Siamese arrangement) and are compared by cosine. The top-ranked
 candidate that resolves to a (city, country) tuple becomes the document's
-predicted location. Two first-mention baselines are included for comparison.
+predicted location. The first-mention baselines resolve the same candidates
+in text order instead of by score: :func:`candidates` yields them lazily, and
+:func:`predict_location` stops at the first that resolves.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .config import (
     AVERAGE,
@@ -91,31 +93,40 @@ def build_representation(
     return Candidate(span=span, text=abstract)
 
 
+def candidates(
+    spans: Sequence[NerSpan],
+    language: str,
+    modes: Sequence[str],
+    resolver: Resolver,
+) -> Iterator[Candidate]:
+    """Representations of the spans in text order, each span under every mode.
+
+    A generator: a span is rendered, and its KB records read, only when the
+    consumer asks for it, so a first-mention baseline stops at the first
+    candidate that resolves. Identical (offset, text) pairs collapse to the
+    first one produced, so union pools do not double-score.
+    """
+    seen: set[tuple[int, int, str]] = set()
+    for span in sorted(spans, key=lambda s: (s.start, s.end)):
+        for mode in modes:
+            candidate = build_representation(span, language, mode, resolver)
+            if candidate is None:
+                continue
+            key = (span.start, span.end, candidate.text)
+            if key not in seen:
+                seen.add(key)
+                yield candidate
+
+
 def build_candidate_pool(
     spans: Sequence[NerSpan],
     language: str,
     modes: Sequence[str],
     resolver: Resolver,
 ) -> list[Candidate]:
-    """Representations of every span under every mode, in text order.
-
-    Identical (offset, text) pairs produced by two modes collapse to one
-    candidate so union pools do not double-score.
-    """
-    pool: list[Candidate] = []
-    seen: set[tuple[int, int, str]] = set()
-    for mode in modes:
-        for span in spans:
-            candidate = build_representation(span, language, mode, resolver)
-            if candidate is None:
-                continue
-            key = (span.start, span.end, candidate.text)
-            if key in seen:
-                continue
-            seen.add(key)
-            pool.append(candidate)
-    pool.sort(key=lambda c: (c.span.start, c.span.end, c.text))
-    return pool
+    """Every candidate of the spans, sorted by offset and then text."""
+    pool = candidates(spans, language, modes, resolver)
+    return sorted(pool, key=lambda c: (c.span.start, c.span.end, c.text))
 
 
 def rank_candidates(
@@ -165,11 +176,11 @@ def resolve_location_span(
 
 
 def predict_location(
-    ranked: Sequence[Candidate],
+    ranked: Iterable[Candidate],
     language: str,
     resolver: Resolver,
 ) -> LocationTuple | None:
-    """Location tuple of the best-ranked resolvable candidate.
+    """Location tuple of the first resolvable candidate, in `ranked` order.
 
     Candidates that carry a tuple from rendering are used as-is; plain
     location surfaces are resolved here. An unresolvable candidate falls
@@ -182,30 +193,6 @@ def predict_location(
         if location is not None:
             return location
         logger.warning("top candidate %r unresolvable; falling through", candidate.text)
-    return None
-
-
-def baseline_first_location(
-    spans: Sequence[NerSpan],
-    language: str,
-    resolver: Resolver,
-    include_located_non_locations: bool = False,
-) -> LocationTuple | None:
-    """First-mention baseline: earliest resolvable location wins.
-
-    With the flag set, a non-location entity whose page reveals a location
-    also qualifies, still in text-offset order.
-    """
-    for span in sorted(spans, key=lambda s: (s.start, s.end)):
-        if is_location_label(span.label):
-            location = resolve_location_span(span, language, resolver)
-            if location is not None:
-                return location
-            logger.warning("baseline: %r unresolvable; falling through", span.surface)
-        elif include_located_non_locations:
-            located = resolver.implicit_locate(span.surface, language)
-            if located is not None:
-                return located.location
     return None
 
 

@@ -187,12 +187,6 @@ class LinearAdapter:
     def embed(self, text: str) -> np.ndarray:
         return self.weights @ np.asarray(self.base.embed(text), dtype=float)
 
-    def checkpoint(self) -> np.ndarray:
-        return self.weights.copy()
-
-    def restore(self, weights: np.ndarray) -> None:
-        self.weights = np.asarray(weights, dtype=float).copy()
-
 
 def save_checkpoint(adapter: LinearAdapter, path: str | Path) -> None:
     """Write the weights as an .npz archive to exactly ``path``, whatever its suffix."""
@@ -203,28 +197,6 @@ def save_checkpoint(adapter: LinearAdapter, path: str | Path) -> None:
 def load_checkpoint(base: EmbeddingProvider, path: str | Path) -> LinearAdapter:
     with np.load(Path(path)) as data:
         return LinearAdapter(base, weights=data["weights"])
-
-
-class EarlyStopping:
-    """Stops when the monitored value has not improved for > patience epochs."""
-
-    def __init__(self, patience: int):
-        if patience < 0:
-            raise ValueError("patience must be >= 0")
-        self.patience = patience
-        self.best = math.inf
-        self.best_epoch = 0
-        self.epochs_since_best = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        """Record an epoch's value; True means training should stop."""
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.epochs_since_best = 0
-            return False
-        self.epochs_since_best += 1
-        return self.epochs_since_best > self.patience
 
 
 class TrainingDiverged(RuntimeError):
@@ -260,9 +232,9 @@ def train(
 
     Pairs are split into train/validation by document, so both sides of a
     document's pairs land together. After every epoch the validation loss is
-    measured; the best epoch's weights are kept and restored at the end, and
-    training stops early once the loss has not improved for more than
-    ``early_stop_patience`` epochs.
+    measured. Only a strictly lower loss is an improvement; the best epoch's
+    weights are kept and restored at the end, and training stops early once
+    more than ``early_stop_patience`` epochs have passed since the best.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -284,8 +256,9 @@ def train(
     features = np.stack([embed_document(text, adapter.base, chunking) for text in index])
 
     rng = random.Random(config.seed)
-    stopper = EarlyStopping(config.early_stop_patience)
-    best_weights = adapter.checkpoint()
+    # Each step replaces adapter.weights and never writes into it, so the
+    # best weights are kept by reference.
+    best_epoch, best_loss, best_weights = 0, math.inf, adapter.weights
     train_losses: list[float] = []
     validation_losses: list[float] = []
     stopped_early = False
@@ -319,19 +292,19 @@ def train(
         logger.info(
             "epoch %d: train %.6f, validation %.6f", epoch, train_loss, validation_loss
         )
-        if validation_loss < stopper.best:
-            best_weights = adapter.checkpoint()
-        if stopper.update(epoch, validation_loss):
+        if validation_loss < best_loss:
+            best_epoch, best_loss, best_weights = epoch, validation_loss, adapter.weights
+        elif epoch - best_epoch > config.early_stop_patience:
             stopped_early = True
             break
-    adapter.restore(best_weights)
+    adapter.weights = best_weights
     return TrainingReport(
         loss=config.loss,
         batch_size=config.batch_size,
         epochs_requested=config.epochs,
         epochs_run=len(train_losses),
-        best_epoch=stopper.best_epoch,
-        best_validation_loss=stopper.best,
+        best_epoch=best_epoch,
+        best_validation_loss=best_loss,
         train_losses=train_losses,
         validation_losses=validation_losses,
         stopped_early=stopped_early,

@@ -19,6 +19,22 @@ import pytest
 
 from newsgeo.cli import main
 
+# Config field, value and reported problem of a component whose optional
+# dependency is missing, by the module it needs.
+OPTIONAL_COMPONENTS = {
+    "sentence_transformers": (
+        "embedder",
+        "sentence-transformers:x",
+        "embedder: sentence-transformers is not installed; use the mock provider "
+        "or install the extra dependency",
+    ),
+    "spacy": (
+        "ner_providers",
+        ["spacy:en_core_web_sm"],
+        "ner_providers: spaCy is not installed; install it or use another provider",
+    ),
+}
+
 
 def read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
@@ -502,6 +518,30 @@ class TestFailureModes:
         assert main(["evaluate", "--config", str(path), "--output", str(output)]) == 1
         error = json.loads(capsys.readouterr().err)
         assert error == {"error": "config", "details": [problem.format(dir=path.parent)]}
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "command, module",
+        [
+            ("rank", "sentence_transformers"),
+            ("evaluate", "sentence_transformers"),
+            ("train", "sentence_transformers"),
+            ("rank", "spacy"),
+            ("evaluate", "spacy"),
+        ],
+    )
+    def test_missing_optional_dependency_is_a_config_error(
+        self, tmp_path, fixture_tree, monkeypatch, command, module, capsys
+    ):
+        field, value, problem = OPTIONAL_COMPONENTS[module]
+        monkeypatch.setitem(sys.modules, module, None)
+        config = json.loads(fixture_tree["config"].read_text(encoding="utf-8"))
+        config[field] = value
+        path = fixture_tree["config"].parent / "config_optional.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        output = tmp_path / "out.json"
+        assert main([command, "--config", str(path), "--output", str(output)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "config", "details": [problem]}
         assert not output.exists()
 
     @pytest.mark.parametrize(

@@ -109,6 +109,32 @@ class TestLoadCorpus:
         assert [w.split(":")[0] for w in report.warnings] == [f"line {n}" for n in range(2, 8)]
         assert report.warnings[-1] == "line 7: categories must be a list of strings, got 'Paris'"
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("text", 5, "text must be a string, got 5"),
+            ("text", ["Paris"], "text must be a string, got ['Paris']"),
+            ("text", None, "text must be a string, got None"),
+            ("title", 5, "title must be a string, got 5"),
+            ("url", 5, "url must be a string or null, got 5"),
+            ("start", 2.0, "mention offsets must be integers, got (2.0, 5)"),
+            ("start", True, "mention offsets must be integers, got (True, 5)"),
+        ],
+        ids=["text-int", "text-list", "text-null", "title-int", "url-int", "start-float", "start-bool"],
+    )
+    def test_field_of_the_wrong_type_skipped_with_warning(self, tmp_path, field, value, problem):
+        record = {"id": "x1", "title": "T", "text": "Paris", "categories": [], "url": None}
+        record["mentions"] = [{"surface": "Paris", "start": 0, "end": 5}]
+        if field == "start":
+            record["mentions"][0]["start"] = value
+        else:
+            record[field] = value
+        path = tmp_path / "articles.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        loaded, report = load_corpus(path, "en")
+        assert loaded == []
+        assert report.warnings == [f"line 1: {problem}"]
+
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "absent.jsonl", "en")

@@ -7,7 +7,7 @@ import pytest
 
 from newsgeo.corpus import Article, GoldAnnotation
 from newsgeo.embedding import MockEmbedder
-from newsgeo.config import load_config
+from newsgeo.config import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS, load_config
 from newsgeo.evaluation import (
     EvalReport,
     Pipeline,
@@ -220,7 +220,7 @@ class TestFixturePipeline:
     """End-to-end scoring of the offline mini-world."""
 
     def test_baseline_country_macro(self, articles, gold, resolver, gazetteer_ner):
-        predictor = baseline_predictor(resolver, [gazetteer_ner])
+        predictor = baseline_predictor(resolver, [gazetteer_ner], (ONLY_LOCATIONS,))
         report = run_experiment(articles, gold, predictor, system="baseline")
         # Every fixture title leads with the gold city, so the baseline is exact
         # at country level; es-002 has country-only gold, so city macro dips.
@@ -234,11 +234,22 @@ class TestFixturePipeline:
         }
         assert report.city.macro == 0.9
 
+    @pytest.mark.parametrize(
+        "modes, gets",
+        [((ONLY_LOCATIONS,), 20), ((ONLY_LOCATIONS, LOCATED_NON_LOCATIONS), 26)],
+    )
+    def test_baselines_read_only_the_records_up_to_their_prediction(
+        self, articles, gold, resolver, gazetteer_ner, monkeypatch, modes, gets
+    ):
+        """A baseline stops at its first resolvable candidate: rendering every
+        candidate first would read more KB records."""
+        calls = count_calls(monkeypatch, KbCache, "get")
+        run_experiment(articles, gold, baseline_predictor(resolver, [gazetteer_ner], modes))
+        assert len(calls) == gets
+
     def test_ranked_predictor_runs_deterministically(
         self, articles, gold, resolver, gazetteer_ner, mock_provider
     ):
-        from newsgeo.config import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS
-
         predictor = Pipeline(
             resolver,
             [gazetteer_ner],
@@ -253,7 +264,6 @@ class TestFixturePipeline:
     def test_pipeline_predicts_its_best_resolvable_candidate(
         self, articles, resolver, gazetteer_ner, mock_provider
     ):
-        from newsgeo.config import LOCATED_NON_LOCATIONS, ONLY_LOCATIONS
         from newsgeo.ranking import predict_location
 
         pipeline = Pipeline(
@@ -285,12 +295,12 @@ class TestFixturePipeline:
         """en-002 opens with the Queen; her page location and the first explicit
         location mention both resolve to London, so the two variants agree."""
         article = next(a for a in articles if a.id == "en-002")
-        plain = baseline_predictor(resolver, [gazetteer_ner])
-        flagged = baseline_predictor(
-            resolver, [gazetteer_ner], include_located_non_locations=True
+        plain = baseline_predictor(resolver, [gazetteer_ner], (ONLY_LOCATIONS,))
+        located = baseline_predictor(
+            resolver, [gazetteer_ner], (ONLY_LOCATIONS, LOCATED_NON_LOCATIONS)
         )
         assert plain(article).city == "London"
-        assert flagged(article) == plain(article)
+        assert located(article) == plain(article)
 
 
 class TestPipelineMemo:

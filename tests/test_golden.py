@@ -35,6 +35,10 @@ CASES = {
         ["evaluate", "--baseline", "first-location-located"],
         {"--output": "evaluate_baseline.json"},
     ),
+    "baseline-first": (
+        ["evaluate", "--baseline", "first-location"],
+        {"--output": "evaluate_baseline_first.json"},
+    ),
     "cache-export": (["cache-export"], {"--output": "cache_export.jsonl"}),
 }
 

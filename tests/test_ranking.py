@@ -1,4 +1,4 @@
-"""Candidate rendering, cosine ranking and the first-mention baseline."""
+"""Candidate rendering, cosine ranking and the first-mention baselines."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,14 @@ from newsgeo.config import (
     REPRESENTATION_MODES,
 )
 from newsgeo.embedding import MockEmbedder, cosine, embed_document
+from newsgeo.kb import KbCacheMiss
 from newsgeo.locations import LocationTuple
 from newsgeo.ner import NerSpan
 from newsgeo.ranking import (
     Candidate,
-    baseline_first_location,
     build_candidate_pool,
     build_representation,
+    candidates,
     predict_location,
     rank_candidates,
     ranking_record,
@@ -230,13 +231,21 @@ class TestPredictLocation:
         assert location == LocationTuple("Germany", "Q183", "Berlin", "Q64")
 
 
+LOCATED = (ONLY_LOCATIONS, LOCATED_NON_LOCATIONS)
+
+
 class TestBaseline:
+    """The first candidate in text order that resolves, as the baselines pick it."""
+
     def span(self, surface, start, label="LOC"):
         return NerSpan(surface, start, start + len(surface), label, "g")
 
+    def first_location(self, spans, resolver, modes=(ONLY_LOCATIONS,)):
+        return predict_location(candidates(spans, "en", modes, resolver), "en", resolver)
+
     def test_earliest_location_wins(self, resolver):
         spans = [self.span("Paris", 50), self.span("Berlin", 10)]
-        location = baseline_first_location(spans, "en", resolver)
+        location = self.first_location(spans, resolver)
         assert location.city == "Berlin"
 
     def test_unresolvable_first_falls_through(self, resolver, kb_cache):
@@ -244,31 +253,34 @@ class TestBaseline:
 
         kb_cache.put("wplink", "en:Nowhere", LinkResult("Nowhere", "en").to_json())
         spans = [self.span("Nowhere", 0), self.span("Paris", 20)]
-        location = baseline_first_location(spans, "en", resolver)
+        location = self.first_location(spans, resolver)
         assert location.city == "Paris"
 
     def test_plain_baseline_skips_non_locations(self, resolver):
         spans = [self.span("Eiffel Tower", 0, label="misc"), self.span("Berlin", 40)]
-        location = baseline_first_location(spans, "en", resolver)
+        location = self.first_location(spans, resolver)
         assert location.city == "Berlin"
 
     def test_located_non_location_variant_uses_page_location(self, resolver):
-        """With the flag, the Eiffel Tower mention places the document in Paris."""
+        """With located non-locations, the Eiffel Tower mention places the
+        document in Paris."""
         spans = [self.span("Eiffel Tower", 0, label="misc"), self.span("Berlin", 40)]
-        location = baseline_first_location(
-            spans, "en", resolver, include_located_non_locations=True
-        )
+        location = self.first_location(spans, resolver, LOCATED)
         assert location == LocationTuple("France", "Q142", "Paris", "Q90")
 
     def test_no_resolvable_span(self, resolver):
         spans = [self.span("Politics", 0, label="misc")]
-        assert baseline_first_location(spans, "en", resolver) is None
-        assert (
-            baseline_first_location(
-                spans, "en", resolver, include_located_non_locations=True
-            )
-            is None
-        )
+        assert self.first_location(spans, resolver) is None
+        assert self.first_location(spans, resolver, LOCATED) is None
+
+    def test_spans_after_the_first_resolvable_are_not_read(self, resolver, kb_cache):
+        """The entity after Berlin has no cache record, so a cache-only
+        lookup of it would fail: the candidates are rendered only on demand."""
+        unknown = self.span("Unrecorded Holdings", 20, label="ORG")
+        spans = [self.span("Berlin", 0), unknown]
+        assert self.first_location(spans, resolver, LOCATED).city == "Berlin"
+        with pytest.raises(KbCacheMiss):
+            build_candidate_pool(spans, "en", LOCATED, resolver)
 
 
 class TestHelpers:

@@ -22,7 +22,6 @@ from newsgeo.embedding import MockEmbedder
 from newsgeo.locations import LocationTuple
 from newsgeo.pairs import TrainingPair, generate_pairs, load_pairs, save_pairs
 from newsgeo.training import (
-    EarlyStopping,
     LinearAdapter,
     TrainingDiverged,
     load_checkpoint,
@@ -659,10 +658,6 @@ class TestLinearAdapter:
     def test_checkpoint_restore_round_trip(self, mock_provider, tmp_path):
         adapter = LinearAdapter(mock_provider)
         adapter.weights = adapter.weights * 2.0
-        saved = adapter.checkpoint()
-        adapter.weights = adapter.weights + 1.0
-        adapter.restore(saved)
-        assert np.array_equal(adapter.weights, saved)
         path = tmp_path / "model.npz"
         save_checkpoint(adapter, path)
         loaded = load_checkpoint(mock_provider, path)
@@ -677,38 +672,65 @@ class TestLinearAdapter:
         assert np.array_equal(load_checkpoint(mock_provider, path).weights, adapter.weights)
 
 
-class TestEarlyStopping:
-    def test_patience_zero_stops_on_first_non_improvement(self):
-        stopper = EarlyStopping(patience=0)
-        assert stopper.update(1, 1.0) is False
-        assert stopper.update(2, 1.1) is True
-        assert stopper.best == 1.0
-        assert stopper.best_epoch == 1
+class TestEarlyStop:
+    """`train`'s stopping rule, with each epoch's validation loss scripted."""
 
-    def test_equal_value_is_not_an_improvement(self):
-        stopper = EarlyStopping(patience=0)
-        assert stopper.update(1, 1.0) is False
-        assert stopper.update(2, 1.0) is True
+    def run(self, monkeypatch, losses, patience, epochs=10):
+        """Train with `losses` as the validation losses: asking for more
+        epochs than scripted fails."""
+        epoch_weights = []
 
-    def test_patience_two_tolerates_two_bad_epochs(self):
-        stopper = EarlyStopping(patience=2)
-        values = [5.0, 4.0, 4.5, 4.6, 4.7]
-        outcomes = [stopper.update(i + 1, v) for i, v in enumerate(values)]
-        assert outcomes == [False, False, False, False, True]
-        assert stopper.best_epoch == 2
+        def scripted(weights, *args):
+            epoch_weights.append(weights.copy())
+            return losses[len(epoch_weights) - 1]
 
-    def test_improvement_resets_the_counter(self):
-        stopper = EarlyStopping(patience=1)
-        assert stopper.update(1, 3.0) is False
-        assert stopper.update(2, 3.5) is False
-        assert stopper.update(3, 2.5) is False
-        assert stopper.update(4, 2.6) is False
-        assert stopper.update(5, 2.7) is True
-        assert stopper.best_epoch == 3
+        monkeypatch.setattr(training, "_split_loss", scripted)
+        provider, pairs = shared_axis_pairs()
+        adapter = LinearAdapter(provider)
+        config = LossConfig(
+            loss=CONTRASTIVE,
+            batch_size=6,
+            epochs=epochs,
+            early_stop_patience=patience,
+            learning_rate=0.5,
+            validation_fraction=0.34,
+        )
+        report = train(adapter, pairs, config)
+        assert report.validation_losses == losses
+        # The adapter ends with the best epoch's weights, not the last's.
+        assert np.array_equal(adapter.weights, epoch_weights[report.best_epoch - 1])
+        assert not np.array_equal(adapter.weights, epoch_weights[-1])
+        return report
+
+    def test_patience_zero_stops_on_first_non_improvement(self, monkeypatch):
+        report = self.run(monkeypatch, [1.0, 1.1], patience=0)
+        assert report.stopped_early
+        assert report.best_validation_loss == 1.0
+        assert report.best_epoch == 1
+
+    def test_equal_value_is_not_an_improvement(self, monkeypatch):
+        # A stop at the last requested epoch still counts as early.
+        report = self.run(monkeypatch, [1.0, 1.0], patience=0, epochs=2)
+        assert report.stopped_early
+        assert report.best_epoch == 1
+
+    def test_patience_two_tolerates_two_bad_epochs(self, monkeypatch):
+        report = self.run(monkeypatch, [5.0, 4.0, 4.5, 4.6, 4.7], patience=2)
+        assert report.stopped_early
+        assert report.best_epoch == 2
+
+    def test_improvement_resets_the_counter(self, monkeypatch):
+        report = self.run(monkeypatch, [3.0, 3.5, 2.5, 2.6, 2.7], patience=1)
+        assert report.stopped_early
+        assert report.best_epoch == 3
 
     def test_negative_patience_rejected(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(-1)
+        config = LossConfig(early_stop_patience=-1)
+        with pytest.raises(ValueError, match="early_stop_patience"):
+            config.validate()
+        provider, pairs = shared_axis_pairs()
+        with pytest.raises(ValueError, match="early_stop_patience"):
+            train(LinearAdapter(provider), pairs, config)
 
 
 class TestTrain:
