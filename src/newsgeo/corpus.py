@@ -79,6 +79,8 @@ class Article:
     source_url: str | None = None
 
     def validate(self) -> None:
+        if type(self.id) is not str or not self.id:
+            raise ValueError(f"id must be a non-empty string, got {self.id!r}")
         if self.language not in SUPPORTED_LANGUAGES:
             raise ValueError(f"unsupported language {self.language!r}")
         if not self.text:
@@ -108,7 +110,7 @@ class Article:
                 for m in mentions
             ]
         article = Article(
-            id=str(d["id"]),
+            id=d["id"],
             language=d.get("lang") or default_language or "",
             title=title,
             text=text,
@@ -139,6 +141,8 @@ class GoldAnnotation:
     locations: tuple[LocationTuple, ...]
 
     def validate(self) -> None:
+        if type(self.article_id) is not str or not self.article_id:
+            raise ValueError(f"article_id must be a non-empty string, got {self.article_id!r}")
         if not self.locations:
             raise ValueError(f"gold row {self.article_id} has no locations")
         for loc in self.locations:
@@ -147,7 +151,7 @@ class GoldAnnotation:
     @staticmethod
     def from_json(d: dict[str, Any]) -> "GoldAnnotation":
         ann = GoldAnnotation(
-            article_id=str(d["article_id"]),
+            article_id=d["article_id"],
             locations=tuple(LocationTuple.from_json(loc) for loc in d["locations"]),
         )
         ann.validate()

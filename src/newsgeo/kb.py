@@ -16,20 +16,24 @@ the command, so an unreachable KB is never scored as a wrong prediction.
 Cache file format: one JSON object per line, ``{"source": s, "key": k,
 "value": v}``, append-only with the last write winning. The format is
 deliberately diff-friendly so recorded fixtures can live in version control.
-Loading indexes the offset of each key's last line; a value is decoded when
-it is read, and a corrupt one (invalid JSON or UTF-8) raises
-:class:`KbCacheCorrupt` naming its file and line at that point.
+Loading indexes the offset of each key's last line, and keeps that index in
+a file beside the cache for the next load; a value is decoded when it is
+read, and a corrupt one (invalid JSON or UTF-8) raises :class:`KbCacheCorrupt`
+naming its file and line at that point.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
+import os
 import re
 import threading
 import time
 import urllib.parse
+import zlib
 from pathlib import Path
 from typing import Any, Callable
 
@@ -83,9 +87,17 @@ class KbCache:
     uses, not for the whole history. A line in the form `put` writes, with a
     source and key free of quotes, backslashes and control characters, has
     them read from its prefix; any other line is decoded in full at load, so
-    a malformed one fails there. A corrupt value behind a well-formed prefix,
-    invalid UTF-8 included, is found when it is first read: `get` raises
-    :class:`KbCacheCorrupt` naming the file and line.
+    a malformed one, or one whose source or key is not a string, fails there.
+    A corrupt value behind a well-formed prefix, invalid UTF-8 included, is
+    found when it is first read: `get` raises :class:`KbCacheCorrupt` naming
+    the file and line.
+
+    The pass starts where the index file beside the cache (`<cache>.index`)
+    ends: it holds the offsets of the first `covered` bytes, up to a newline,
+    with their CRC-32, and is used only while those bytes are unchanged.
+    A load that indexes any line rewrites it (a temporary file, then a
+    rename). The index is disposable: a failed write is ignored, and a
+    missing, unreadable or stale index only makes the pass start at 0.
 
     Concurrent reads are safe; writes are serialized through a single lock and
     flushed immediately so parallel workers sharing one cache never observe a
@@ -101,44 +113,50 @@ class KbCache:
         self.path = path
         self._lock = threading.Lock()
         self._data = path.read_bytes() if path.exists() else b""
-        # (source, key) -> offset of its last line in `_data`, or its `put` line
-        self._entries: dict[tuple[str, str], int | str] = {}
-        sources: dict[bytes, str] = {}  # one str per distinct source
         end = self._data.rfind(b"\n") + 1
-        offset = 0
+        # source -> key -> offset of its last line in `_data`, or its `put` line
+        self._entries: dict[str, dict[str, int | str]]
+        self._entries, start, crc = self._load_index(end)
+        keys_of: dict[bytes, dict[str, int | str]] = {}  # by the source's bytes
+        offset = -1  # of the last line indexed
         try:
-            for match in _LINE.finditer(self._data, 0, end):
+            for match in _LINE.finditer(self._data, start, end):
                 offset = match.start()
                 source, key = match.group(1, 2)
                 if source is None:
-                    self._entries[self._read(offset)[0]] = offset
+                    source, key = self._read(offset)[0]
+                    self._entries.setdefault(source, {})[key] = offset
                 else:
-                    if source not in sources:
-                        sources[source] = source.decode("utf-8")
-                    self._entries[(sources[source], key.decode("utf-8"))] = offset
+                    if source not in keys_of:
+                        keys_of[source] = self._entries.setdefault(source.decode("utf-8"), {})
+                    keys_of[source][key.decode("utf-8")] = offset
         except (ValueError, KeyError, TypeError) as exc:
             raise _corrupt(path, self._number(offset), exc) from exc
+        if offset >= 0:
+            self._save_index(end, zlib.crc32(memoryview(self._data)[start:end], crc))
         # A crash in the middle of `put` leaves a torn last line without its
         # newline: it is skipped here and cut off by the next `put`.
         self._torn_at: int | None = None
         self._unterminated = bool(self._data[end:].strip())
         if self._unterminated:
             try:
-                self._entries[self._read(end)[0]] = end
+                (source, key), _ = self._read(end)
+                self._entries.setdefault(source, {})[key] = end
             except (ValueError, KeyError, TypeError):
                 logger.warning("%s:%d: skipping a torn last line", path, self._number(end))
                 self._torn_at = end
 
     def __contains__(self, source_key: tuple[str, str]) -> bool:
-        return source_key in self._entries
+        source, key = source_key
+        return key in self._entries.get(source, ())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._entries.values()))
 
     def get(self, source: str, key: str, decode: Callable[[Any], Any] = lambda v: v) -> Any:
         """`decode` of the value of (source, key), read afresh on every call; a
         value `decode` cannot take is a corrupt record, like one not in JSON."""
-        entry = self._entries[(source, key)]
+        entry = self._entries[source][key]
         try:
             found, value = self._read(entry)
             if found != (source, key):
@@ -152,7 +170,7 @@ class KbCache:
             {"source": source, "key": key, "value": value}, ensure_ascii=False
         )
         with self._lock:
-            self._entries[(source, key)] = line
+            self._entries.setdefault(source, {})[key] = line
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as handle:
                 if self._torn_at is not None:
@@ -163,7 +181,7 @@ class KbCache:
             self._torn_at, self._unterminated = None, False
 
     def keys(self) -> list[tuple[str, str]]:
-        return sorted(self._entries)
+        return sorted((source, key) for source, keys in self._entries.items() for key in keys)
 
     def export(self, path: str | Path) -> int:
         """Write a deduplicated snapshot, sorted by (source, key)."""
@@ -176,7 +194,7 @@ class KbCache:
                     )
                     + "\n"
                 )
-        return len(self._entries)
+        return len(self)
 
     def _read(self, entry: int | str) -> tuple[tuple[str, str], Any]:
         """(source, key) and value of the line at an offset of `_data`, or of a `put`."""
@@ -184,7 +202,53 @@ class KbCache:
             end = self._data.find(b"\n", entry)
             entry = self._data[entry : None if end < 0 else end].decode("utf-8")
         record = json.loads(entry)
-        return (record["source"], record["key"]), record["value"]
+        source, key = record["source"], record["key"]
+        if type(source) is not str or type(key) is not str:
+            raise TypeError(f"source and key must be strings, got {source!r} and {key!r}")
+        return (source, key), record["value"]
+
+    def _load_index(self, end: int) -> tuple[dict[str, dict[str, int | str]], int, int]:
+        """The entries of the index file, the number of bytes of `_data` they
+        cover and their CRC; ({}, 0, 0) when the index is missing, unreadable
+        or does not match the first bytes of `_data`."""
+        try:
+            index = json.loads(self._index_path().read_bytes())
+            covered, crc, entries = index["covered"], index["crc32"], index["entries"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return {}, 0, 0
+        if not (
+            type(covered) is int
+            and type(crc) is int
+            and 0 < covered <= end
+            and zlib.crc32(memoryview(self._data)[:covered]) == crc
+            and type(entries) is dict
+            and all(
+                type(keys) is dict and all(type(offset) is int for offset in keys.values())
+                for keys in entries.values()
+            )
+        ):
+            return {}, 0, 0
+        return entries, covered, crc
+
+    def _save_index(self, covered: int, crc: int) -> None:
+        """Write `_entries` as the index of the first `covered` bytes of `_data`.
+
+        The cache file stays the only authority, so a failed write is ignored.
+        """
+        index = self._index_path()
+        temp = index.with_name(f"{index.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            temp.write_text(
+                json.dumps({"covered": covered, "crc32": crc, "entries": self._entries}),
+                encoding="ascii",
+            )
+            os.replace(temp, index)
+        except OSError:
+            with contextlib.suppress(OSError):
+                temp.unlink()
+
+    def _index_path(self) -> Path:
+        return self.path.with_name(self.path.name + ".index")
 
     def _number(self, entry: int | str) -> int | None:
         """The line number of an offset of `_data`; None for the line of a `put`."""

@@ -26,6 +26,8 @@ class TrainingPair:
     label: int
 
     def validate(self) -> None:
+        if type(self.article_id) is not str or not self.article_id:
+            raise ValueError(f"article_id must be a non-empty string, got {self.article_id!r}")
         if type(self.label) is not int or self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
         for name, text in (("doc", self.document_text), ("entity", self.entity_text)):
@@ -35,7 +37,7 @@ class TrainingPair:
     @staticmethod
     def from_json(d: dict[str, Any]) -> "TrainingPair":
         return TrainingPair(
-            article_id=str(d["article_id"]),
+            article_id=d["article_id"],
             document_text=d["doc"],
             entity_text=d["entity"],
             label=d["label"],

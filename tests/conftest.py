@@ -24,7 +24,8 @@ from newsgeo.linking import WikipediaLinker
 from newsgeo.locations import CITY_CLASS_MARKERS, Resolver
 from newsgeo.ner import GazetteerNer
 
-# The committed fixture world. Tests read it in place and write only to copies.
+# The committed fixture world. Tests read it in place and write only to copies,
+# except the KB cache's disposable key index that a load writes beside it.
 FIXTURES = Path(__file__).resolve().parents[1] / "data" / "fixtures"
 
 

@@ -131,8 +131,9 @@ def oracle_kb_cache(data: bytes) -> OracleKbCache:
     A line that `json.loads` cannot read still names its record when
     everything before its `, "value": ` is `put`'s own spelling of a source
     and a key that need no escapes, and the line ends in `}`: reading that
-    record fails. Any other unreadable line fails the load, except a last
-    line without its newline, which is torn.
+    record fails. Any other unreadable line, or one whose source or key is
+    not a string, fails the load, except a last line without its newline,
+    which is torn.
     """
     *lines, tail = data.split(b"\n")
     found = OracleKbCache({})
@@ -141,7 +142,10 @@ def oracle_kb_cache(data: bytes) -> OracleKbCache:
             continue
         try:
             record = json.loads(raw.decode("utf-8"))
-            found.records[(record["source"], record["key"])] = (number, record["value"])
+            key = record["source"], record["key"]
+            if not all(type(part) is str for part in key):
+                raise TypeError(f"{key} is not a pair of strings")
+            found.records[key] = (number, record["value"])
             continue
         except (ValueError, KeyError, TypeError):
             pass

@@ -58,6 +58,18 @@ class TestIngest:
         assert f"loaded {len(clean_lines)} articles, skipped 2" in stdout
         assert read_lines(output) == clean_lines
 
+    def test_records_without_a_string_id_are_skipped(self, tmp_path, fixture_tree, capsys):
+        clean_lines = read_lines(fixture_tree["articles_en"])
+        record = json.loads(clean_lines[0])
+        bad = [json.dumps({**record, "id": bad_id}) for bad_id in (None, ["a"], "", 7)]
+        messy = tmp_path / "messy.jsonl"
+        messy.write_text("\n".join([*bad, *clean_lines]) + "\n", encoding="utf-8")
+        output = tmp_path / "clean.jsonl"
+        code = main(["ingest", "--input", str(messy), "--language", "en", "--output", str(output)])
+        assert code == 0
+        assert f"loaded {len(clean_lines)} articles, skipped 4" in capsys.readouterr().out
+        assert read_lines(output) == clean_lines
+
     def test_non_object_lines_are_skipped(self, tmp_path, fixture_tree, capsys):
         clean_lines = read_lines(fixture_tree["articles_en"])
         messy = tmp_path / "messy.jsonl"
@@ -152,6 +164,33 @@ class TestRank:
         assert main(["rank", "--config", config, "--workers", "1", "--output", str(serial)]) == 0
         assert main(["rank", "--config", config, "--workers", "4", "--output", str(threaded)]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
+
+    @pytest.mark.parametrize("blocked", ["read-only directory", "index path is a directory"])
+    def test_a_failed_index_write_leaves_the_output_alone(self, tmp_path, fixture_tree, blocked):
+        folder = fixture_tree["cache"].parent
+        index = folder / "kb_cache.jsonl.index"
+        index.unlink(missing_ok=True)
+        argv = ["rank", "--config", str(fixture_tree["config"]), "--output"]
+        if blocked == "read-only directory":
+            folder.chmod(0o555)
+        else:
+            index.mkdir()
+        before = sorted(folder.iterdir())
+        try:
+            if os.access(folder, os.W_OK) and blocked == "read-only directory":
+                pytest.skip("permission bits do not stop this user's writes")
+            assert main([*argv, str(tmp_path / "blocked.jsonl")]) == 0
+            assert sorted(folder.iterdir()) == before
+        finally:
+            folder.chmod(0o755)
+        if index.is_dir():
+            index.rmdir()
+        assert main([*argv, str(tmp_path / "writes_index.jsonl")]) == 0
+        assert index.is_file()
+        assert main([*argv, str(tmp_path / "reads_index.jsonl")]) == 0
+        outputs = {(tmp_path / name).read_bytes() for name in
+                   ("blocked.jsonl", "writes_index.jsonl", "reads_index.jsonl")}
+        assert len(outputs) == 1
 
     def test_mode_flag_overrides_config(self, tmp_path, fixture_tree):
         output = tmp_path / "ranked.jsonl"
@@ -627,8 +666,16 @@ class TestFailureModes:
             ("[1]", "not a JSON object (list)"),
             ("{torn", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
             ('{"article_id": "a", "doc": "d", "entity": "e", "label": 2}', "label must be 0 or 1, got 2"),
+            (
+                '{"article_id": null, "doc": "d", "entity": "e", "label": 1}',
+                "article_id must be a non-empty string, got None",
+            ),
+            (
+                '{"article_id": ["a"], "doc": "d", "entity": "e", "label": 1}',
+                "article_id must be a non-empty string, got ['a']",
+            ),
         ],
-        ids=["missing-field", "not-an-object", "invalid-json", "bad-label"],
+        ids=["missing-field", "not-an-object", "invalid-json", "bad-label", "id-null", "id-list"],
     )
     def test_bad_pairs_line_names_file_and_line(self, tmp_path, fixture_tree, line, problem, capsys):
         config = str(fixture_tree["config"])

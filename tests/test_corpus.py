@@ -119,8 +119,15 @@ class TestLoadCorpus:
             ("url", 5, "url must be a string or null, got 5"),
             ("start", 2.0, "mention offsets must be integers, got (2.0, 5)"),
             ("start", True, "mention offsets must be integers, got (True, 5)"),
+            ("id", None, "id must be a non-empty string, got None"),
+            ("id", ["a"], "id must be a non-empty string, got ['a']"),
+            ("id", 7, "id must be a non-empty string, got 7"),
+            ("id", "", "id must be a non-empty string, got ''"),
         ],
-        ids=["text-int", "text-list", "text-null", "title-int", "url-int", "start-float", "start-bool"],
+        ids=[
+            "text-int", "text-list", "text-null", "title-int", "url-int", "start-float",
+            "start-bool", "id-null", "id-list", "id-int", "id-empty",
+        ],
     )
     def test_field_of_the_wrong_type_skipped_with_warning(self, tmp_path, field, value, problem):
         record = {"id": "x1", "title": "T", "text": "Paris", "categories": [], "url": None}
@@ -186,6 +193,14 @@ class TestGold:
                 '{"article_id": "a-2", "locations": [{"country": "Peru", "city": ["Lima"]}]}',
                 "city must be a string or null, got ['Lima']",
             ),
+            (
+                '{"article_id": null, "locations": [{"country": "Peru", "country_qid": "Q419"}]}',
+                "article_id must be a non-empty string, got None",
+            ),
+            (
+                '{"article_id": ["a"], "locations": [{"country": "Peru", "country_qid": "Q419"}]}',
+                "article_id must be a non-empty string, got ['a']",
+            ),
         ],
         ids=[
             "list",
@@ -194,6 +209,8 @@ class TestGold:
             "bad-json",
             "country-not-a-string",
             "city-not-a-string",
+            "id-null",
+            "id-list",
         ],
     )
     def test_bad_line_is_fatal_and_names_file_and_line(self, tmp_path, bad, problem):

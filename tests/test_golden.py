@@ -3,7 +3,9 @@
 ``tests/golden/`` holds the files that ``rank``, ``evaluate`` and
 ``cache-export`` wrote on ``data/fixtures/config.json`` at a known-good commit. Rerunning the commands
 must reproduce them byte for byte, so a refactor that changes any score,
-prediction or formatting detail fails here instead of passing silently.
+prediction or formatting detail fails here instead of passing silently. They
+run twice on a copy of the fixtures: without the KB cache's key index, which
+the first run writes, and with it.
 
 It also holds the ``train --output`` report of every loss on the pairs that
 ``generate-pairs`` builds from the same config. Training sums in an order
@@ -44,14 +46,18 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fixture_outputs_match_golden(case, tmp_path, capsys):
+def test_fixture_outputs_match_golden(case, tmp_path, fixture_tree, capsys):
     command, outputs = CASES[case]
-    argv = [*command, "--config", str(CONFIG)]
-    for flag, name in outputs.items():
-        argv += [flag, str(tmp_path / name)]
-    assert main(argv) == 0
-    for name in outputs.values():
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    index = fixture_tree["cache"].with_name("kb_cache.jsonl.index")
+    index.unlink(missing_ok=True)
+    for run in ("without index", "with index"):
+        argv = [*command, "--config", str(fixture_tree["config"])]
+        for flag, name in outputs.items():
+            argv += [flag, str(tmp_path / f"{run} {name}")]
+        assert main(argv) == 0
+        for name in outputs.values():
+            assert (tmp_path / f"{run} {name}").read_bytes() == (GOLDEN / name).read_bytes(), name
+        assert index.is_file()
 
 
 TRAIN_TOLERANCE = 1e-12

@@ -3,11 +3,14 @@
 import json
 import random
 import re
+import sys
 import threading
 import time
+import zlib
 
 import pytest
 
+from newsgeo import kb
 from newsgeo.kb import (
     CACHE_ONLY,
     ONLINE,
@@ -27,6 +30,21 @@ from newsgeo.locations import LocationTuple, Resolver
 
 from conftest import FIXTURES
 from oracles import CORRUPT, oracle_kb_cache
+
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """The (start, end) of every indexing pass over a cache file's bytes."""
+    found = []
+    line = kb._LINE
+
+    class Recording:
+        def finditer(self, data, start, end):
+            found.append((start, end))
+            return line.finditer(data, start, end)
+
+    monkeypatch.setattr(kb, "_LINE", Recording())
+    return found
 
 
 class TestKbCache:
@@ -151,13 +169,56 @@ class TestKbCache:
         path = tmp_path / "c.jsonl"
         KbCache(path).put("src", "k1", {"a": 1})
         KbCache(path).put("src", "k2", [2])
+        path.with_name("c.jsonl.index").unlink()
+        lines = path.read_text(encoding="utf-8").splitlines()
         decoded = []
         loads = json.loads
         monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
         cache = KbCache(path)
-        assert decoded == []
+        assert [text for text in decoded if text in lines] == []
         assert cache.get("src", "k2") == [2]
-        assert len(decoded) == 1
+        assert [text for text in decoded if text in lines] == [lines[1]]
+
+    def test_a_load_with_a_valid_index_scans_only_the_appended_tail(
+        self, tmp_path, monkeypatch, scans
+    ):
+        path = tmp_path / "c.jsonl"
+        compact = json.dumps({"key": "k1", "source": "src", "value": 1}, separators=(",", ":"))
+        path.write_text(compact + "\n", encoding="utf-8")
+        KbCache(path).put("src", "k2", 2)
+        covered = len(compact) + 1
+        assert json.loads(path.with_name("c.jsonl.index").read_text())["covered"] == covered
+        lines = path.read_text(encoding="utf-8").splitlines()
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        scans.clear()
+        cache = KbCache(path)
+        assert scans == [(covered, path.stat().st_size)]
+        assert [text for text in decoded if text in lines] == []
+        assert cache.keys() == [("src", "k1"), ("src", "k2")]
+        assert cache.get("src", "k1") == 1 and cache.get("src", "k2") == 2
+        scans.clear()
+        KbCache(path)
+        assert scans == [(path.stat().st_size, path.stat().st_size)]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"source": "s", "key": 5, "value": 2},
+            {"source": None, "key": "k", "value": 2},
+            {"source": "s", "key": ["a"], "value": 2},
+            {"source": {"s": 1}, "key": "k", "value": 2},
+        ],
+    )
+    def test_source_or_key_that_is_not_a_string_fails_the_load(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps({"source": "s", "key": "k", "value": 1})
+        data = "\n".join([good, json.dumps(line), good]) + "\n"
+        path.write_text(data, encoding="utf-8")
+        with pytest.raises(KbCacheCorrupt, match=f"{path}:2: bad cache record .*must be strings"):
+            KbCache(path)
+        assert oracle_kb_cache(data.encode()).load_error == 2
 
     def test_corrupt_value_fails_when_read(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -212,6 +273,137 @@ class TestKbCache:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["source"], r["key"]) for r in records] == [("a", "y"), ("b", "z")]
         assert records[1]["value"] == 3
+
+
+class TestKbCacheIndex:
+    """The key index beside the cache is used only while it matches the file."""
+
+    def write(self, path, *records):
+        lines = [json.dumps(dict(source="src", key=k, value=v)) for k, v in records]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    def test_first_load_writes_the_index_of_every_whole_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        self.write(path, ("k1", 1), ("k2", 2))
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"source": "src", "key": "k3", "value": 3}')  # unterminated
+        KbCache(path)
+        index = json.loads(path.with_name("c.jsonl.index").read_text(encoding="utf-8"))
+        covered = path.read_bytes().rfind(b"\n") + 1
+        assert index["covered"] == covered
+        assert index["crc32"] == zlib.crc32(path.read_bytes()[:covered])
+        assert index["entries"] == {"src": {"k1": 0, "k2": covered // 2}}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.index"]
+
+    def test_a_rewritten_prefix_of_the_same_length_is_reindexed(self, tmp_path, scans):
+        path = tmp_path / "c.jsonl"
+        self.write(path, ("k1", 1), ("k2", 2))
+        KbCache(path)
+        self.write(path, ("k1", 7), ("k9", 9))
+        scans.clear()
+        cache = KbCache(path)
+        assert scans == [(0, path.stat().st_size)]
+        assert cache.keys() == [("src", "k1"), ("src", "k9")]
+        assert cache.get("src", "k1") == 7 and cache.get("src", "k9") == 9
+
+    def test_a_file_truncated_below_the_index_is_reindexed(self, tmp_path, scans):
+        path = tmp_path / "c.jsonl"
+        self.write(path, ("k1", 1), ("k2", 2))
+        KbCache(path)
+        self.write(path, ("k1", 1))
+        scans.clear()
+        cache = KbCache(path)
+        assert scans == [(0, path.stat().st_size)]
+        assert cache.keys() == [("src", "k1")]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda index: b"\x00garbage\xff",
+            lambda index: index[: len(index) // 2],
+            lambda index: b"[]",
+            lambda index: json.dumps({**json.loads(index), "covered": "40"}).encode(),
+            lambda index: json.dumps({**json.loads(index), "crc32": None}).encode(),
+            lambda index: json.dumps(
+                {**json.loads(index), "crc32": float(json.loads(index)["crc32"])}
+            ).encode(),
+            lambda index: json.dumps({**json.loads(index), "entries": [1]}).encode(),
+            lambda index: json.dumps({**json.loads(index), "entries": {"src": [0]}}).encode(),
+            lambda index: index.replace(b'"k1": 0', b'"k1": "0"'),
+            lambda index: index.replace(b'"k1": 0', b'"k1": 0.0'),
+            lambda index: index.replace(b'"k1": 0', b'"k1": false'),
+            lambda index: index.replace(b'"k1": 0', b'"k1": null'),
+        ],
+        ids=[
+            "garbage", "truncated", "not-an-object", "covered-a-string", "no-crc", "crc-a-float",
+            "entries-a-list", "keys-a-list", "offset-a-string", "offset-a-float",
+            "offset-a-bool", "offset-null",
+        ],
+    )
+    def test_an_unusable_index_is_ignored_and_replaced(self, tmp_path, scans, damage):
+        path = tmp_path / "c.jsonl"
+        self.write(path, ("k1", 1), ("k2", 2))
+        KbCache(path)
+        index = path.with_name("c.jsonl.index")
+        good = index.read_bytes()
+        index.write_bytes(damage(good))
+        scans.clear()
+        cache = KbCache(path)
+        assert scans == [(0, path.stat().st_size)]
+        assert cache.get("src", "k1") == 1 and cache.get("src", "k2") == 2
+        assert index.read_bytes() == good
+
+    def test_a_stale_offset_that_passes_the_checks_fails_loudly(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        self.write(path, ("k1", 1), ("k2", 2))
+        KbCache(path)
+        index = path.with_name("c.jsonl.index")
+        index.write_bytes(index.read_bytes().replace(b'"k1": 0', b'"k1": 1'))
+        with pytest.raises(KbCacheCorrupt, match=f"{path}:1: bad cache record"):
+            KbCache(path).get("src", "k1")
+
+    def test_loads_in_many_threads_leave_one_valid_index(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        self.write(path, *[(f"k{i}", i) for i in range(200)])
+        index = path.with_name("c.jsonl.index")
+        failures = []
+
+        def load_again():
+            try:
+                for _ in range(20):
+                    index.unlink(missing_ok=True)
+                    assert KbCache(path).get("src", "k199") == 199
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=load_again) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        KbCache(path)
+        assert json.loads(index.read_text(encoding="ascii"))["covered"] == path.stat().st_size
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.index"]
+
+    def test_an_index_that_cannot_be_written_changes_nothing(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        self.write(path, ("k1", 1), ("k2", 2))
+        index = path.with_name("c.jsonl.index")
+        index.mkdir()
+        (index / "keep").touch()
+        cache = KbCache(path)
+        assert cache.get("src", "k1") == 1 and cache.get("src", "k2") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.index"]
+        cache.put("src", "k3", 3)
+        assert KbCache(path).keys() == [("src", "k1"), ("src", "k2"), ("src", "k3")]
+        assert caplog.text == ""
 
 
 SOURCES = ["wikidata", "dbpedia", "wplink", "sé", 's"q']
@@ -302,13 +494,20 @@ class TestKbCacheAgainstOracle:
         return cache
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_load_get_and_put_agree_with_the_oracle(self, tmp_path, seed, caplog):
+    def test_load_get_and_put_agree_with_the_oracle(self, tmp_path, seed, caplog, scans):
         path = tmp_path / "c.jsonl"
-        path.write_bytes(generated_cache(seed))
+        data = generated_cache(seed)
+        path.write_bytes(data)
         cache = self.check(path, caplog)
-        if cache is not None:
-            cache.put("sé", 'new "key"', {"v": seed})
-            assert self.check(path, caplog).get("sé", 'new "key"') == {"v": seed}
+        if cache is None:
+            return
+        end = data.rfind(b"\n") + 1
+        indexed = any(line.strip() for line in data[:end].split(b"\n"))
+        assert path.with_name("c.jsonl.index").exists() == indexed
+        scans.clear()
+        self.check(path, caplog).put("sé", 'new "key"', {"v": seed})
+        assert scans == [(end if indexed else 0, end)]
+        assert self.check(path, caplog).get("sé", 'new "key"') == {"v": seed}
 
     def test_the_generated_files_cover_every_case(self):
         found = [oracle_kb_cache(generated_cache(seed)) for seed in SEEDS]
