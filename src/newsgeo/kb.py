@@ -10,7 +10,8 @@ A lookup ends in one of three ways. The KB answered, and the client returns
 the record. The entity has no record (a 404, or a payload that holds nothing
 for it): that confirmed absence is cached and returned as ``None`` (an empty
 :class:`~newsgeo.linking.LinkResult` for the linker). Or the KB could not be
-asked (:class:`KbCacheMiss`, :class:`KbRemoteError`): that raises and fails
+asked (:class:`KbCacheMiss`, :class:`KbRemoteError`, also for a payload not
+of the endpoint's documented shape): that raises, caches nothing and fails
 the command, so an unreachable KB is never scored as a wrong prediction.
 
 Cache file format: one JSON object per line, ``{"source": s, "key": k,
@@ -71,7 +72,8 @@ class KbCacheMiss(KbError):
 
 
 class KbRemoteError(KbError):
-    """The remote endpoint kept failing after retries."""
+    """The remote endpoint kept failing after retries, or sent a payload
+    without the shape it documents."""
 
 
 class KbCacheCorrupt(KbError, ValueError):
@@ -424,7 +426,14 @@ class _CachedClient:
         # Nested lookups go from `wikidata` to `wikidata-label` only, so no
         # fetch waits on a key whose fetch waits on it.
         payload = self._fetch_remote(url)
-        value = None if payload is None else reduce(payload)
+        try:
+            value = None if payload is None else reduce(payload)
+        except KbError:
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError, IndexError) as exc:
+            # Not the shape the endpoint documents: an outage of the KB, not
+            # an answer, so nothing is cached and a later run asks again.
+            raise KbRemoteError(f"{url}: malformed payload ({type(exc).__name__}: {exc})") from exc
         self.cache.put(source, key, _MISSING if value is None else value)
         return True
 

@@ -276,7 +276,8 @@ def train(
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, batch starting at {start}"
                 )
-            adapter.weights = adapter.weights - config.learning_rate * gradient
+            gradient *= config.learning_rate  # a new array each step
+            adapter.weights = adapter.weights - gradient
             epoch_loss += loss * len(batch)
             epoch_items += len(batch)
         if epoch_items == 0:
@@ -371,12 +372,17 @@ def _batch_step(
 ) -> tuple[float, np.ndarray | None]:
     """Mean batch loss and, if ``gradient``, its gradient w.r.t. the weights.
 
-    Column k of ``rows`` picks the feature rows X_k of the batch's k-th
-    texts. With U_k = X_k W^T and G_k the loss gradient w.r.t. U_k, the
-    weight gradient is sum_k G_k^T X_k.
+    Each distinct text of the batch is embedded once: with X_D its feature
+    rows and U_D = X_D W^T, column k of ``rows`` reads its texts' rows U_k of
+    U_D. The loss gradients G_k w.r.t. the U_k are summed onto their texts as
+    G_D, and the weight gradient sum_k G_k^T X_k is formed as one G_D^T X_D.
+    So a step costs the number of distinct texts times n^2.
     """
-    xs = [features[column] for column in rows.T]
-    us = [x @ weights.T for x in xs]
+    texts, where = np.unique(rows, return_inverse=True)
+    where = where.reshape(rows.shape)  # numpy 1.x returns the inverse flat
+    x = features[texts]
+    u = x @ weights.T
+    us = [u[column] for column in where.T]
     margin = config.resolved_margin
     if config.loss == COSINE_MSE:
         loss, *grads = loss_cosine_grad(*us, labels)
@@ -388,7 +394,9 @@ def _batch_step(
         loss, *grads = loss_infonce_grad(*us)
     if not gradient:
         return loss, None
-    return loss, sum(g.T @ x for g, x in zip(grads, xs))
+    # One-hot (texts x rows) fold of the stacked row gradients onto their texts.
+    fold = (np.arange(len(texts))[:, None] == where.T.reshape(-1)).astype(float)
+    return loss, (fold @ np.concatenate(grads)).T @ x
 
 
 def _split_loss(

@@ -16,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from newsgeo.config import CONTRASTIVE, COSINE_MSE, TRIPLET
 from newsgeo.training import (
     loss_contrastive_grad,
     loss_cosine_grad,
@@ -84,6 +85,24 @@ def oracle_loss_infonce(us, vs, scale: float = 1.0) -> float:
         denominator = sum(math.exp(s) for s in scores)
         total += -math.log(math.exp(scores[i]) / denominator)
     return total / b
+
+
+def oracle_batch_step(weights, features, rows, labels, config) -> tuple[float, np.ndarray]:
+    """Mean batch loss and weight gradient, column by column: column k of
+    ``rows`` picks the feature rows X_k, U_k = X_k W^T, and with G_k the loss
+    gradient w.r.t. U_k the weight gradient is sum_k G_k^T X_k. A text that
+    appears in several places is projected once per place."""
+    xs = [features[column] for column in rows.T]
+    us = [x @ weights.T for x in xs]
+    if config.loss == COSINE_MSE:
+        loss, *grads = loss_cosine_grad(*us, labels)
+    elif config.loss == CONTRASTIVE:
+        loss, *grads = loss_contrastive_grad(*us, labels, config.resolved_margin)
+    elif config.loss == TRIPLET:
+        loss, *grads = loss_triplet_grad(*us, config.resolved_margin)
+    else:
+        loss, *grads = loss_infonce_grad(*us)
+    return loss, sum(g.T @ x for g, x in zip(grads, xs))
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

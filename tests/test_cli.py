@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from newsgeo.cli import main
+from newsgeo.kb import KbCache
 
 # Config field, value and reported problem of a component whose optional
 # dependency is missing, by the module it needs.
@@ -705,6 +706,21 @@ KB_COMMANDS = {
 }
 
 
+def dbpedia_value_without_value(url):
+    page = url.rsplit("/", 1)[1].removesuffix(".json")
+    node = {"http://dbpedia.org/ontology/country": [{"type": "uri"}]}
+    return {f"http://dbpedia.org/resource/{page}": node}
+
+
+# By the source whose records a run fetches: a part of the URLs that ask for
+# them, and a payload (from the URL) without the shape the endpoint documents.
+MALFORMED_PAYLOADS = {
+    "wplink": ("list=search", lambda url: {"query": {"search": [{"pageid": 1}]}}),
+    "wikidata": ("wikidata.org", lambda url: {"entities": []}),
+    "dbpedia": ("dbpedia.org", dbpedia_value_without_value),
+}
+
+
 def answer_every_lookup_as_absent(monkeypatch):
     """Make the online KB answer 404 to every request, without waiting."""
 
@@ -740,6 +756,49 @@ class TestKbFailures:
         assert error["error"] == "remote-error"
         assert error["details"][0].startswith("https://")
         assert error["details"][0].endswith(": connection refused")
+
+    @pytest.mark.parametrize("source", sorted(MALFORMED_PAYLOADS))
+    @pytest.mark.parametrize("command", ["evaluate-1", "rank", "generate-pairs"])
+    def test_malformed_payload_is_a_remote_error_and_is_not_cached(
+        self, tmp_path, fixture_tree, command, source, monkeypatch, capsys
+    ):
+        marker, malformed = MALFORMED_PAYLOADS[source]
+        cache = tmp_path / "cache.jsonl"
+        lines = read_lines(fixture_tree["cache"])
+        cache.write_text(
+            "".join(line + "\n" for line in lines if f'"source": "{source}",' not in line),
+            encoding="utf-8",
+        )
+        asked = []
+
+        def answer(payload):
+            def transport(url, params=None):
+                asked.append(url)
+                if marker not in url or payload is None:
+                    raise LookupError(url)
+                return payload(url)
+
+            monkeypatch.setattr("newsgeo.kb.default_transport", transport)
+
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        answer(malformed)
+        self.run(tmp_path, fixture_tree, command, cache, "--network", "online")
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "remote-error"
+        url, reason = error["details"][0].split(": ", 1)
+        assert url == asked[-1] and marker in url
+        assert reason.startswith("malformed payload (")
+        assert not any(key[0] == source for key in KbCache(cache).keys())
+
+        # A later run whose KB answers (every page absent) fetches the key.
+        asked.clear()
+        answer(None)
+        out = tmp_path / "out"
+        argv = [arg.format(out=out) for arg in KB_COMMANDS[command]]
+        flags = ["--config", str(fixture_tree["config"]), "--cache", str(cache)]
+        assert main([*argv, *flags, "--network", "online"]) == 0
+        assert url in asked
+        assert any(key[0] == source for key in KbCache(cache).keys())
 
     @pytest.mark.parametrize("command", sorted(KB_COMMANDS))
     def test_cache_without_link_records_is_a_cache_miss(

@@ -849,6 +849,47 @@ class TestConcurrentFetches:
         assert len(transport.calls) == 2
 
 
+class TestMalformedPayloads:
+    """A payload without the shape its endpoint documents is a remote error."""
+
+    URL = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"entities": []}, {"entities": {"Q90": {"labels": {"en": {}}}}}, ["entities"]],
+        ids=["entities-list", "label-without-value", "payload-list"],
+    )
+    def test_is_a_remote_error_that_caches_nothing(self, tmp_path, payload):
+        url = self.URL.format(qid="Q90")
+        good = wikidata_payload("Q90", labels={"en": "Paris"})
+        transport = FakeTransport({url: [payload, good]})
+        cache = KbCache(tmp_path)
+        client = WikidataClient(cache, policy=ONLINE, transport=transport)
+        with pytest.raises(KbRemoteError, match=f"^{re.escape(url)}: malformed payload"):
+            client.fetch("Q90")
+        assert ("wikidata", "Q90") not in cache
+        assert client.fetch("Q90").labels == {"en": "Paris"}
+        assert len(transport.calls) == 2
+
+    @pytest.mark.parametrize("nested", ["remote-error", "corrupt-record"])
+    def test_a_kb_error_inside_the_reduction_passes_unchanged(self, tmp_path, nested):
+        city, target = self.URL.format(qid="Q90"), self.URL.format(qid="Q515")
+        transport = FakeTransport(
+            {city: wikidata_payload("Q90", p31=["Q515"]), target: ConnectionError("down")}
+        )
+        cache = KbCache(tmp_path)
+        if nested == "corrupt-record":
+            cache.put("wikidata-label", "Q515", {"no-labels": {}})
+        client = WikidataClient(cache, policy=ONLINE, transport=transport, retries=0)
+        error = KbRemoteError if nested == "remote-error" else KbCacheCorrupt
+        with pytest.raises(error) as excinfo:
+            client.fetch("Q90")
+        assert type(excinfo.value) is error and "malformed" not in str(excinfo.value)
+        if nested == "remote-error":
+            assert str(excinfo.value) == f"{target}: down"
+        assert ("wikidata", "Q90") not in cache
+
+
 def dbpedia_payload(title, type_uris=(), properties=None, abstracts=None):
     node = {}
     for uri in type_uris:

@@ -40,6 +40,7 @@ from oracles import (
     loss_cosine,
     loss_infonce,
     loss_triplet,
+    oracle_batch_step,
     oracle_loss_contrastive,
     oracle_loss_cosine,
     oracle_loss_infonce,
@@ -296,6 +297,16 @@ def batch_case(loss, n=5, b=4, seed=40):
     return features, rows, labels
 
 
+def repeated_text_case(loss, n=5, seed=23):
+    """A batch of 4 items over 8 texts in which text 4 is the entity of rows 0
+    and 1, and text 0 is the document of row 0 and the entity of row 2."""
+    features = np.random.default_rng(seed).standard_normal((8, n))
+    rows = np.array([[0, 4], [1, 4], [2, 0], [3, 5]])
+    if loss == TRIPLET:
+        rows = np.column_stack([rows, [6, 7, 6, 1]])
+    return features, rows, np.array([1, 0, 1, 0])
+
+
 def near_identity(n=5, seed=41):
     return np.eye(n) + 0.2 * np.random.default_rng(seed).standard_normal((n, n))
 
@@ -329,6 +340,40 @@ class TestBatchedTraining:
         )
         assert gradient.shape == weights.shape
         assert gradient_agreement(gradient, numeric) <= 1e-6
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_repeated_texts_match_the_per_column_step(self, loss):
+        features, rows, labels = repeated_text_case(loss)
+        weights = near_identity()
+        config = LossConfig(loss=loss, batch_size=4)
+        if loss == TRIPLET:
+            d_pos, hinge = triplet_hinges(weights, features, rows)
+            assert np.all(d_pos > 0.0) and np.all(np.abs(hinge) > 1e-3) and np.any(hinge > 0.0)
+        loss_value, gradient = training._batch_step(weights, features, rows, labels, config)
+        expected_loss, expected = oracle_batch_step(weights, features, rows, labels, config)
+        assert abs(loss_value - expected_loss) <= 1e-12
+        assert np.max(np.abs(gradient - expected)) <= 1e-12
+        assert training._batch_step(weights, features, rows, labels, config, False) == (
+            loss_value,
+            None,
+        )
+        numeric = central_difference(
+            lambda w: training._batch_step(w, features, rows, labels, config, False)[0],
+            weights,
+            1e-6,
+        )
+        assert gradient_agreement(gradient, numeric) <= 1e-6
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_step_writes_into_no_input_and_returns_a_new_gradient(self, loss):
+        features, rows, labels = repeated_text_case(loss)
+        weights = near_identity()
+        inputs = weights.copy(), features.copy(), rows.copy(), labels.copy()
+        _, gradient = training._batch_step(weights, features, rows, labels, LossConfig(loss=loss))
+        for array, copy in zip((weights, features, rows, labels), inputs):
+            assert np.array_equal(array, copy)
+        assert not np.shares_memory(gradient, weights)
+        assert not np.shares_memory(gradient, features)
 
     def test_triplet_rows_without_a_smooth_hinge_get_zero_gradients(self):
         features, rows, _ = batch_case(TRIPLET)
