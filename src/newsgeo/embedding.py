@@ -137,8 +137,12 @@ def embed_document(
     if chunking != AVERAGE:
         raise ValueError(f"unknown chunking mode {chunking!r}")
     chunks = chunk_document(text, provider)
-    vectors = np.stack([np.asarray(provider.embed(chunk), dtype=float) for chunk in chunks])
-    return vectors.mean(axis=0)
+    vectors = [np.asarray(provider.embed(chunk), dtype=float) for chunk in chunks]
+    if len(vectors) == 1:
+        # The mean of one vector, bit for bit: the sum in `mean` starts from
+        # 0.0, which turns -0.0 into 0.0 and leaves every other value.
+        return vectors[0] + 0.0
+    return np.stack(vectors).mean(axis=0)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
 
 from .config import AVERAGE
@@ -217,6 +216,9 @@ def map_articles(
     """`fn` of every article in corpus order: serially, or on a thread pool."""
     if workers == 1:
         return [fn(article) for article in articles]
+    # Imported here: a serial command never loads the thread pool's modules.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, articles))
 

@@ -425,17 +425,23 @@ class _CachedClient:
     ) -> bool:
         # Nested lookups go from `wikidata` to `wikidata-label` only, so no
         # fetch waits on a key whose fetch waits on it.
+        value = self._fetch_reduced(url, reduce)
+        self.cache.put(source, key, _MISSING if value is None else value)
+        return True
+
+    def _fetch_reduced(self, url: str, reduce: Callable[[Any], Any]) -> Any:
+        """`reduce` of the payload at `url`; None on a 404. A `KbError` from
+        `reduce` passes unchanged; a payload `reduce` cannot read raises
+        :class:`KbRemoteError` naming `url`."""
         payload = self._fetch_remote(url)
         try:
-            value = None if payload is None else reduce(payload)
+            return None if payload is None else reduce(payload)
         except KbError:
             raise
         except (KeyError, TypeError, AttributeError, ValueError, IndexError) as exc:
             # Not the shape the endpoint documents: an outage of the KB, not
             # an answer, so nothing is cached and a later run asks again.
             raise KbRemoteError(f"{url}: malformed payload ({type(exc).__name__}: {exc})") from exc
-        self.cache.put(source, key, _MISSING if value is None else value)
-        return True
 
     def _fetch_remote(self, url: str) -> Any:
         """The payload at `url`; None on a 404. Raises KbRemoteError when the

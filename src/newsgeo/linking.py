@@ -83,17 +83,16 @@ class WikipediaLinker(_CachedClient):
         )
 
     def _page_qid(self, title: str, language: str) -> str | None:
-        payload = self._fetch_remote(
-            PAGEPROPS_URL.format(lang=language, title=urllib.parse.quote(title))
-        )
-        if payload is None:
-            return None
-        pages = payload.get("query", {}).get("pages", {})
-        for page in pages.values():
-            qid = page.get("pageprops", {}).get("wikibase_item")
-            if qid:
-                return qid
-        return None
+        url = PAGEPROPS_URL.format(lang=language, title=urllib.parse.quote(title))
+        return self._fetch_reduced(url, _pageprops_qid)
+
+
+def _pageprops_qid(payload: Any) -> str | None:
+    for page in payload.get("query", {}).get("pages", {}).values():
+        qid = page.get("pageprops", {}).get("wikibase_item")
+        if qid:
+            return qid
+    return None
 
 
 def normalized_match(a: LocationTuple | None, b: LocationTuple | None, level: str) -> bool:

@@ -12,6 +12,8 @@ from typing import Any, Callable, Hashable, TypeVar
 
 T = TypeVar("T")
 
+_ABSENT = object()
+
 
 class Memo:
     """Values by key, each computed once for the life of the memo.
@@ -30,6 +32,11 @@ class Memo:
 
     def get(self, key: Hashable, compute: Callable[[], T]) -> T:
         """The value of `key`, from `compute()` on the first call."""
+        # A stored value never changes or goes away, so it is read without
+        # the lock; one dictionary read is atomic.
+        value = self._values.get(key, _ABSENT)
+        if value is not _ABSENT:
+            return value
         while True:
             with self._lock:
                 if key in self._values:

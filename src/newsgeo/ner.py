@@ -10,6 +10,7 @@ signal, not noise, for the downstream ranker.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from typing import Protocol, Sequence
 
@@ -17,6 +18,7 @@ from typing import Protocol, Sequence
 LOCATION_LABELS = frozenset({"loc", "location", "geopolitical area", "gpe"})
 
 
+@functools.lru_cache(maxsize=1024)
 def normalize_label(label: str) -> str:
     return label.strip().casefold()
 
@@ -53,10 +55,16 @@ class GazetteerNer:
 
     Finds every whole-word occurrence of each gazetteer name, so its output is
     a pure function of (gazetteer, text). Longer names do not suppress shorter
-    ones; deduplication is the ensemble's job.
+    ones; deduplication is the ensemble's job. A name is found by literal
+    search, and each hit is kept only where the name's whole-word pattern
+    matches there; the scan goes on after a match, or one character past a
+    rejected hit, which gives exactly the non-overlapping matches of
+    ``pattern.finditer(text)``.
     """
 
     def __init__(self, entries: dict[str, str], name: str = "gazetteer"):
+        if "" in entries:
+            raise ValueError("a gazetteer name must be non-empty")
         self.name = name
         self._patterns = [
             (entry, re.compile(r"(?<!\w)" + re.escape(entry) + r"(?!\w)"), label)
@@ -66,20 +74,24 @@ class GazetteerNer:
     def spans(self, text: str, language: str) -> list[NerSpan]:
         found = []
         for entry, pattern, label in self._patterns:
-            # A whole-word match is a substring match: the cheap test skips
-            # the entries that cannot occur.
-            if entry not in text:
-                continue
-            for match in pattern.finditer(text):
+            start = text.find(entry)
+            while start != -1:
+                # `match` at an offset still sees the character before it, so
+                # the lookbehind rejects a hit that follows a word character.
+                match = pattern.match(text, start)
+                if match is None:
+                    start = text.find(entry, start + 1)
+                    continue
                 found.append(
                     NerSpan(
                         surface=match.group(0),
-                        start=match.start(),
+                        start=start,
                         end=match.end(),
                         label=label,
                         provider=self.name,
                     )
                 )
+                start = text.find(entry, match.end())
         return sorted(found, key=_span_order)
 
 

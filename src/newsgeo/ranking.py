@@ -15,6 +15,8 @@ import dataclasses
 import logging
 from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .config import (
     AVERAGE,
     LOCATED_NON_LOCATIONS,
@@ -24,7 +26,7 @@ from .config import (
     ONLY_LOCATIONS,
     REPRESENTATION_MODES,
 )
-from .embedding import EmbeddingProvider, cosine, embed_document
+from .embedding import EmbeddingProvider, embed_document
 from .locations import LocationTuple, Resolver
 from .memo import Memo
 from .ner import NerSpan, is_location_label
@@ -142,26 +144,31 @@ def rank_candidates(
     Result is sorted by descending score, ties broken by earliest text offset.
     A zero-norm embedding cannot be scored; the candidate is kept with score
     -1 and a warning instead of aborting the ranking. `vectors` holds the
-    embedding of each text under this provider and mode: a text it already
-    holds is not embedded again.
+    embedding of each text under this provider and mode, with its norm: a
+    text it already holds is not embedded again.
     """
     if not candidates:
         return []
     if vectors is None:
         vectors = Memo()
 
-    def embed(piece: str):
-        return vectors.get(piece, lambda: embed_document(piece, provider, chunking))
+    def embed(piece: str) -> tuple[np.ndarray, float]:
+        def compute() -> tuple[np.ndarray, float]:
+            vector = embed_document(piece, provider, chunking)
+            return vector, float(np.linalg.norm(vector))
 
-    document = embed(text)
+        return vectors.get(piece, compute)
+
+    # The score is `embedding.cosine`'s formula, with each norm taken once.
+    document, document_norm = embed(text)
     ranked = []
     for candidate in candidates:
-        vector = embed(candidate.text)
-        try:
-            score = cosine(document, vector)
-        except ValueError:
+        vector, norm = embed(candidate.text)
+        if document_norm == 0.0 or norm == 0.0:
             logger.warning("zero-norm embedding for %r; scored -1", candidate.text)
             score = -1.0
+        else:
+            score = float(np.dot(document, vector) / (document_norm * norm))
         ranked.append(Candidate(candidate.span, candidate.text, candidate.location, score))
     ranked.sort(key=lambda c: (-c.score, c.span.start, c.span.end, c.text))
     return ranked

@@ -828,19 +828,39 @@ class TestKbFailures:
         assert str(blocker) in error["details"][0]
 
 
-# Run `newsgeo.cli.main` in a fresh interpreter and report, as the last line
-# of stdout, whether numpy was imported.
+# Run `newsgeo.cli.main` on the arguments after the first in a fresh
+# interpreter and report, as the last line of stdout, whether the module the
+# first argument names was imported.
 IMPORT_PROBE = """
 import sys
 from newsgeo.cli import main
-code = main(sys.argv[1:])
-print("numpy" in sys.modules)
+code = main(sys.argv[2:])
+print(sys.argv[1] in sys.modules)
 sys.exit(code)
 """
 
 
+def loads_module(tmp_path, fixture_tree, command, module):
+    paths = {"out": tmp_path / "out", "articles_en": fixture_tree["articles_en"]}
+    argv = [part.format(**paths) for part in command]
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, module, *argv, "--config", str(fixture_tree["config"])],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
 class TestImports:
-    """Commands that only read the corpus and the KB never load numpy."""
+    """Commands that only read the corpus and the KB never load numpy, and
+    serial commands never load the thread pool."""
 
     @pytest.mark.parametrize(
         "command, loads_numpy",
@@ -856,18 +876,10 @@ class TestImports:
         ids=lambda value: value[0] if isinstance(value, list) else None,
     )
     def test_numpy_only_in_commands_that_embed(self, tmp_path, fixture_tree, command, loads_numpy):
-        paths = {"out": tmp_path / "out", "articles_en": fixture_tree["articles_en"]}
-        argv = [part.format(**paths) for part in command]
-        env = dict(os.environ)
-        root = Path(__file__).resolve().parent.parent
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, *argv, "--config", str(fixture_tree["config"])],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == str(loads_numpy)
+        assert loads_module(tmp_path, fixture_tree, command, "numpy") == loads_numpy
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_thread_pool_only_with_workers(self, tmp_path, fixture_tree, command, workers):
+        argv = [command, "--workers", str(workers), "--output", "{out}"]
+        assert loads_module(tmp_path, fixture_tree, argv, "concurrent.futures") == (workers > 1)

@@ -124,6 +124,41 @@ class TestEmbedDocument:
             out = embed_document(text, mock_provider, mode)
             assert np.array_equal(out, mock_provider.embed(text))
 
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            [-0.0, 0.0, 5e-324, -5e-324, -1.7976931348623157e308, 0.1, float("nan"), -np.inf],
+            np.arange(8, dtype=np.float32) / 7,
+        ],
+        ids=["float64-edge-values", "float32"],
+    )
+    def test_one_chunk_average_is_the_stacked_mean_bit_for_bit(self, vector):
+        class OneVectorProvider:
+            name = "scripted"
+            dimension = 8
+            max_tokens = 128
+
+            def token_count(self, text):
+                return len(text.split())
+
+            def embed(self, text):
+                return np.asarray(vector)
+
+        provider = OneVectorProvider()
+        out = embed_document("One short sentence.", provider, AVERAGE)
+        expected = np.stack([np.asarray(vector, dtype=float)]).mean(axis=0)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_one_chunk_average_is_the_stacked_mean_for_the_mock_encoder(self):
+        rng = random.Random(5)
+        provider = MockEmbedder(dimension=384, seed=11)
+        for _ in range(50):
+            text = random_text(rng, n_sentences=rng.randint(1, 6))
+            assert chunk_document(text, provider) == [text]
+            expected = np.stack([provider.embed(text)]).mean(axis=0)
+            assert embed_document(text, provider, AVERAGE).tobytes() == expected.tobytes()
+
     def test_average_of_scripted_chunks(self):
         """Two chunks with known vectors average componentwise."""
 

@@ -1,8 +1,10 @@
 """Entity linking via the search API and id-based location matching."""
 
+import re
+
 import pytest
 
-from newsgeo.kb import CACHE_ONLY, ONLINE, KbCache, KbCacheMiss, forbidden_transport
+from newsgeo.kb import CACHE_ONLY, ONLINE, KbCache, KbCacheMiss, KbRemoteError, forbidden_transport
 from newsgeo.linking import LinkResult, WikipediaLinker, normalized_match
 from newsgeo.locations import LocationTuple
 
@@ -97,6 +99,37 @@ class TestWikipediaLinker:
         assert cache.get("wplink", "en:Atlantis") == {"__missing__": True}
         assert linker.link("Atlantis", "en") == LinkResult("Atlantis", "en")
         assert len(transport.calls) == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"query": {"pages": []}}, {"query": {"pages": {"1": []}}}, ["query"]],
+        ids=["pages-list", "page-list", "payload-list"],
+    )
+    def test_malformed_pageprops_is_a_remote_error_naming_its_url(self, tmp_path, payload):
+        import urllib.parse
+
+        base = "https://fr.wikipedia.org/w/api.php"
+        search_url = (
+            f"{base}?action=query&list=search&srlimit=max&srnamespace=0&format=json"
+            f"&srsearch={urllib.parse.quote('Paris')}"
+        )
+        props_url = (
+            f"{base}?action=query&prop=pageprops&ppprop=wikibase_item&format=json"
+            f"&titles={urllib.parse.quote('Paris')}"
+        )
+        transport = FakeTransport(
+            {
+                search_url: [search_payload("Paris"), search_payload("Paris")],
+                props_url: [payload, pageprops_payload("Q90")],
+            }
+        )
+        cache = KbCache(tmp_path)
+        linker = WikipediaLinker(cache, policy=ONLINE, transport=transport)
+        with pytest.raises(KbRemoteError, match=f"^{re.escape(props_url)}: malformed payload"):
+            linker.link("Paris", "fr")
+        assert ("wplink", "fr:Paris") not in cache
+        assert linker.link("Paris", "fr").qid == "Q90"
+        assert transport.calls == [search_url, props_url, search_url, props_url]
 
     def test_empty_surface_rejected(self, tmp_path):
         linker = WikipediaLinker(KbCache(tmp_path), transport=forbidden_transport)

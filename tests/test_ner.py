@@ -1,6 +1,7 @@
 """Gazetteer provider, ensembling and location filtering."""
 
 import json
+import random
 import re
 
 import pytest
@@ -68,10 +69,44 @@ class TestGazetteerNer:
         [
             ({"Paris": "LOC"}, "Parisian cafés"),
             ({"Paris": "LOC", "Parisian": "MISC"}, "A Parisian in Paris."),
+            # A rejected hit overlaps the match after it; matches never overlap.
+            ({"a a": "LOC"}, "ba a a"),
+            ({"a a": "LOC"}, "a a a a a"),
+            # The character before a hit is a word character.
+            ({"ab": "LOC"}, "xab ab"),
+            ({"ab": "LOC"}, "_ab ab_ ab"),
+            # Names at the start and at the end of the text.
+            ({"Rome": "LOC", "Oslo": "LOC"}, "Rome, then Oslo"),
+            ({"Rome": "LOC"}, "Rome"),
+            # A Unicode letter next to the name is a word character.
+            ({"Paris": "LOC"}, "éParis Parisé Paris"),
+            ({"España": "LOC", "São Paulo": "LOC"}, "ñEspaña España, São Paulo São Pauloã"),
         ],
     )
     def test_spans_match_an_unfiltered_regex_scan(self, entries, text):
         assert _spans(GazetteerNer(entries), text) == regex_scan(entries, text)
+
+    def test_spans_match_an_unfiltered_regex_scan_on_random_texts(self):
+        entries = {
+            "a a": "LOC",
+            "ab": "LOC",
+            "b": "MISC",
+            "Paris": "LOC",
+            "São Paulo": "LOC",
+            "New York City": "GPE",
+            "New York": "LOC",
+            "O'Hare": "ORG",
+        }
+        pieces = [*entries, "a", "b", "é", "ß", "_", "1", " ", " ", ", ", ".", "-", "'", "\n"]
+        ner = GazetteerNer(entries)
+        rng = random.Random(16)
+        for _ in range(500):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 24)))
+            assert _spans(ner, text) == regex_scan(entries, text), text
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            GazetteerNer({"": "LOC"})
 
     def test_spans_match_an_unfiltered_regex_scan_on_fixture_articles(
         self, gazetteer_ner, articles

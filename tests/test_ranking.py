@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from newsgeo.config import (
+    AVERAGE,
     LOCATED_NON_LOCATIONS,
     LOCATION_ABSTRACTS,
     NON_LOCATION_ABSTRACTS,
@@ -11,8 +12,10 @@ from newsgeo.config import (
     NON_LOCATIONS,
     ONLY_LOCATIONS,
     REPRESENTATION_MODES,
+    TRUNCATE,
 )
 from newsgeo.embedding import MockEmbedder, cosine, embed_document
+from newsgeo.evaluation import Pipeline
 from newsgeo.kb import KbCacheMiss
 from newsgeo.locations import LocationTuple
 from newsgeo.ner import NerSpan
@@ -25,6 +28,8 @@ from newsgeo.ranking import (
     rank_candidates,
     ranking_record,
 )
+
+from conftest import count_calls
 
 PARIS_SPAN = NerSpan("Paris", 27, 32, "LOC", "g")
 QUEEN_SPAN = NerSpan("Queen Elizabeth II", 0, 18, "person", "g")
@@ -190,6 +195,46 @@ class TestRankCandidates:
         assert [r.getMessage() for r in caplog.records] == [
             "zero-norm embedding for 'void'; scored -1"
         ]
+
+    def test_zero_norm_document_scores_every_candidate_minus_one(self, caplog):
+        provider = ScriptedProvider({"doc": [0.0, 0.0], "fine": [1.0, 1.0]})
+        candidates = [
+            Candidate(NerSpan("fine", 0, 4, "LOC", "g"), "fine"),
+            Candidate(NerSpan("other", 5, 10, "LOC", "g"), "other"),
+        ]
+        with caplog.at_level("WARNING"):
+            ranked = rank_candidates("doc", candidates, provider)
+        assert [(c.text, c.score) for c in ranked] == [("fine", -1.0), ("other", -1.0)]
+        assert [r.getMessage() for r in caplog.records] == [
+            "zero-norm embedding for 'fine'; scored -1",
+            "zero-norm embedding for 'other'; scored -1",
+        ]
+
+    @pytest.mark.parametrize(
+        "chunking, max_tokens", [(AVERAGE, 128), (AVERAGE, 8), (TRUNCATE, 8)]
+    )
+    def test_scores_are_the_cosine_bit_for_bit_on_the_fixture_world(
+        self, articles, resolver, gazetteer_ner, monkeypatch, chunking, max_tokens
+    ):
+        """Each score is `cosine` of the two embeddings, exactly, on the first
+        ranking of an article and on a second one served from the memo."""
+        provider = MockEmbedder(dimension=16, seed=7, max_tokens=max_tokens)
+        modes = [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS, NON_LOCATION_IN_LOCATION, NON_LOCATIONS]
+        pipeline = Pipeline(resolver, [gazetteer_ner], provider, modes, chunking)
+        first = {article.id: pipeline.rank(article) for article in articles}
+        for article in articles:
+            document = embed_document(article.text, provider, chunking)
+            for candidate in first[article.id]:
+                vector = embed_document(candidate.text, provider, chunking)
+                assert candidate.score == cosine(document, vector)
+        embeds = count_calls(monkeypatch, MockEmbedder, "embed")
+        for article in articles:
+            again = pipeline.rank(article)
+            assert [(c.text, c.score) for c in again] == [
+                (c.text, c.score) for c in first[article.id]
+            ]
+        assert embeds == []
+        assert sum(len(ranked) for ranked in first.values()) > 40
 
     def test_permutation_of_pool_does_not_change_ranking(self, mock_provider):
         texts = ["Paris", "Berlin", "Madrid", "London"]
