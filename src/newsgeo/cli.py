@@ -29,6 +29,7 @@ from .config import (
     load_config,
 )
 from .corpus import (
+    SUPPORTED_LANGUAGES,
     Article,
     compute_stats,
     format_stats_table,
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[common], help="load, validate and normalize a corpus file")
     p.add_argument("--input", required=True)
-    p.add_argument("--language", required=True)
+    p.add_argument("--language", required=True, choices=SUPPORTED_LANGUAGES)
     p.add_argument("--output", required=True)
     p.add_argument("--stats", action="store_true", help="print the corpus statistics table")
     p.set_defaults(handler=cmd_ingest)

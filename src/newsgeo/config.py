@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from .corpus import SUPPORTED_LANGUAGES
 from .kb import CACHE_ONLY, ONLINE, DbpediaClient, KbCache, WikidataClient
 from .linking import WikipediaLinker
 from .locations import Resolver
@@ -97,8 +99,8 @@ class LossConfig:
     def validate(self) -> None:
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r} (choose from {LOSSES})")
-        if self.margin is not None and self.margin < 0:
-            raise ValueError("margin must be >= 0")
+        if self.margin is not None and not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
         minimum = 2 if self.loss == INFONCE else 1
         if self.batch_size < minimum:
             raise ValueError(f"batch_size must be >= {minimum} for {self.loss}")
@@ -106,8 +108,8 @@ class LossConfig:
             raise ValueError("epochs must be >= 1")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 < self.validation_fraction < 1:
             raise ValueError("validation_fraction must be in (0, 1)")
 
@@ -139,7 +141,9 @@ class PipelineConfig:
         """Raise a :class:`ConfigError` with one message per unusable field."""
         found: list[str] = []
         for language, path in self.corpus.items():
-            if not Path(path).exists():
+            if language not in SUPPORTED_LANGUAGES:
+                found.append(f"corpus[{language}]: language not one of {list(SUPPORTED_LANGUAGES)}")
+            elif not Path(path).exists():
                 found.append(f"corpus[{language}]: no such file {path!r}")
         if self.gold is not None and not Path(self.gold).exists():
             found.append(f"gold: no such file {self.gold!r}")

@@ -1,4 +1,4 @@
-"""Document embeddings: chunking, mean-of-chunks aggregation, cosine.
+"""Document embeddings: chunking and mean-of-chunks aggregation.
 
 Encoders accept at most ``max_tokens`` tokens, while news articles are often
 longer. Two strategies are provided: truncate (embed the prefix) and
@@ -143,17 +143,6 @@ def embed_document(
         # 0.0, which turns -0.0 into 0.0 and leaves every other value.
         return vectors[0] + 0.0
     return np.stack(vectors).mean(axis=0)
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """cos(u, v) = <u, v> / (|u| |v|). Raises ValueError on a zero vector."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine of a zero-norm vector is undefined")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 class MockEmbedder:

@@ -53,7 +53,8 @@ _QID_RE = re.compile(r"^Q[0-9]+$")
 # Marker stored as a cache value when the remote endpoint confirmed absence.
 _MISSING = {"__missing__": True}
 
-Transport = Callable[[str, dict[str, Any] | None], Any]
+# GET of a URL that carries its whole query; the JSON payload, or LookupError on a 404.
+Transport = Callable[[str], Any]
 
 
 class KbError(Exception):
@@ -288,13 +289,12 @@ class RateLimiter:
             self._last = time.monotonic()
 
 
-def default_transport(url: str, params: dict[str, Any] | None = None) -> Any:
+def default_transport(url: str) -> Any:
     """GET a JSON document. Raises LookupError on HTTP 404."""
     import requests
 
     response = requests.get(
         url,
-        params=params,
         headers={"User-Agent": "newsgeo/0.1 (news location detection pipeline)"},
         timeout=30,
     )
@@ -304,7 +304,7 @@ def default_transport(url: str, params: dict[str, Any] | None = None) -> Any:
     return response.json()
 
 
-def forbidden_transport(url: str, params: dict[str, Any] | None = None) -> Any:
+def forbidden_transport(url: str) -> Any:
     """Transport that fails on use; injected in tests to prove offline runs."""
     raise AssertionError(f"network access attempted in cache-only mode: {url}")
 
@@ -450,7 +450,7 @@ class _CachedClient:
         for attempt in range(self.retries + 1):
             self.rate_limiter.wait()
             try:
-                return self.transport(url, None)
+                return self.transport(url)
             except LookupError:
                 return None
             except Exception as exc:
@@ -479,16 +479,13 @@ class WikidataClient(_CachedClient):
             self.SOURCE, qid, url, lambda p: self._parse_entity(qid, p), WikidataItem.from_json
         )
 
-    def label(self, qid: str, language: str = "en") -> str | None:
-        """English (or requested-language) label of an entity, cache-backed;
-        None when the entity does not exist or has no labels. The labels come
-        from the entity's record when that is cached, else from a labels-only
-        record."""
-        source = self.SOURCE if (self.SOURCE, qid) in self.cache else self.LABEL_SOURCE
+    def label(self, qid: str) -> str | None:
+        """English label of an entity (else any), from its labels-only record
+        (`wikidata-label`); None when the entity does not exist or has no labels."""
         url = WIKIDATA_ENTITY_URL.format(qid=qid)
         return self._lookup(
-            source, qid, url, lambda p: _labels_record(qid, p),
-            lambda value: _pick_label(value["labels"], language),
+            self.LABEL_SOURCE, qid, url, lambda p: _labels_record(qid, p),
+            lambda value: _pick_label(value["labels"], "en"),
         )
 
     def _parse_entity(self, qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:

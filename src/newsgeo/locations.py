@@ -237,17 +237,8 @@ class Resolver:
 
     def classify_categories(self, categories: list[str], language: str) -> list[LocationTuple]:
         """The locations the categories name, in order, duplicates removed."""
-        found: list[LocationTuple] = []
-        seen = set()
-        for category in categories:
-            location = self.classify_category(category, language)
-            if location is None:
-                continue
-            key = (location.city_qid, location.country_qid, location.city, location.country)
-            if key not in seen:
-                seen.add(key)
-                found.append(location)
-        return found
+        found = (self.classify_category(category, language) for category in categories)
+        return list(dict.fromkeys(location for location in found if location is not None))
 
     @staticmethod
     def _has_location_markers(record, item: WikidataItem) -> bool:

@@ -126,9 +126,8 @@ def build_candidate_pool(
     modes: Sequence[str],
     resolver: Resolver,
 ) -> list[Candidate]:
-    """Every candidate of the spans, sorted by offset and then text."""
-    pool = candidates(spans, language, modes, resolver)
-    return sorted(pool, key=lambda c: (c.span.start, c.span.end, c.text))
+    """Every candidate of the spans, in text order."""
+    return list(candidates(spans, language, modes, resolver))
 
 
 def rank_candidates(
@@ -159,7 +158,6 @@ def rank_candidates(
 
         return vectors.get(piece, compute)
 
-    # The score is `embedding.cosine`'s formula, with each norm taken once.
     document, document_norm = embed(text)
     ranked = []
     for candidate in candidates:

@@ -10,7 +10,6 @@ from newsgeo.config import AVERAGE, TRUNCATE
 from newsgeo.embedding import (
     MockEmbedder,
     chunk_document,
-    cosine,
     embed_document,
     split_sentences,
     truncate_text,
@@ -221,23 +220,3 @@ class TestMockEmbedder:
     def test_tiny_dimension_rejected(self):
         with pytest.raises(ValueError):
             MockEmbedder(dimension=1)
-
-
-class TestCosine:
-    def test_identical_vectors(self):
-        u = np.array([1.0, 2.0, 3.0])
-        assert abs(cosine(u, u) - 1.0) <= 1e-12
-
-    def test_orthogonal_vectors(self):
-        assert abs(cosine(np.array([1.0, 0.0]), np.array([0.0, 2.0]))) <= 1e-12
-
-    def test_symmetry_and_scale(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            u, v = rng.standard_normal(6), rng.standard_normal(6)
-            assert abs(cosine(u, v) - cosine(v, u)) <= 1e-12
-            assert abs(cosine(3.5 * u, v) - cosine(u, v)) <= 1e-12
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine(np.zeros(3), np.ones(3))

@@ -526,7 +526,7 @@ class FakeTransport:
         self.responses = responses
         self.calls = []
 
-    def __call__(self, url, params=None):
+    def __call__(self, url):
         self.calls.append(url)
         outcome = self.responses[url]
         if isinstance(outcome, list):
@@ -715,13 +715,18 @@ class TestWikidataClient:
         assert offline.fetch("Q90") == item
         assert offline.label("Q404") is None
 
-    def test_label_prefers_requested_language_then_english(self, tmp_path):
+    def test_label_is_english_else_any_from_the_labels_record_only(self, tmp_path):
         cache = KbCache(tmp_path)
-        item = WikidataItem("Q183", {"en": "Germany", "de": "Deutschland"}, [], [], [])
-        cache.put("wikidata", "Q183", item.to_json())
+        cache.put("wikidata-label", "Q183", {"labels": {"de": "Deutschland", "en": "Germany"}})
+        cache.put("wikidata-label", "Q1055", {"labels": {"de": "Hamburg"}})
+        item = WikidataItem("Q64", {"en": "Berlin"}, [], [], [])
+        cache.put("wikidata", "Q64", item.to_json())
         client = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
-        assert client.label("Q183", "de") == "Deutschland"
-        assert client.label("Q183", "it") == "Germany"
+        assert client.label("Q183") == "Germany"
+        assert client.label("Q1055") == "Hamburg"
+        # The entity's full record is not a label source.
+        with pytest.raises(KbCacheMiss, match="wikidata-label:Q64"):
+            client.label("Q64")
 
     def test_label_fetched_online_is_cached_as_labels(self, tmp_path):
         url = "https://www.wikidata.org/wiki/Special:EntityData/Q99.json"
@@ -730,12 +735,13 @@ class TestWikidataClient:
         )
         cache = KbCache(tmp_path)
         client = WikidataClient(cache, policy=ONLINE, transport=transport)
-        assert client.label("Q99", "de") == "Irgendwo"
+        assert client.label("Q99") == "Somewhere"
         assert cache.get("wikidata-label", "Q99") == {
             "labels": {"en": "Somewhere", "de": "Irgendwo"}
         }
+        assert ("wikidata", "Q99") not in cache
         offline = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
-        assert offline.label("Q99", "it") == "Somewhere"
+        assert offline.label("Q99") == "Somewhere"
         assert len(transport.calls) == 1
 
     def test_label_of_a_cached_absence_is_not_fetched_again(self, tmp_path):
@@ -743,10 +749,12 @@ class TestWikidataClient:
         transport = FakeTransport({url: LookupError(url)})
         cache = KbCache(tmp_path)
         client = WikidataClient(cache, policy=ONLINE, transport=transport)
-        assert client.fetch("Q404") is None
+        assert client.label("Q404") is None
         assert client.label("Q404") is None
         assert len(transport.calls) == 1
-        assert len(cache.path.read_text(encoding="utf-8").splitlines()) == 1
+        assert cache.keys() == [("wikidata-label", "Q404")]
+        offline = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
+        assert offline.label("Q404") is None
 
     def test_country_is_fetched_once_on_a_cold_run(self, tmp_path):
         """Q90 names its country, and Q1's located-in walk reaches it."""
@@ -781,14 +789,16 @@ class TestWikidataClient:
 
     def test_a_record_missing_a_field_is_corrupt(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        record = {"source": "wikidata", "key": "Q90", "value": {"qid": "Q90"}}
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        records = [
+            {"source": "wikidata", "key": "Q90", "value": {"qid": "Q90"}},
+            {"source": "wikidata-label", "key": "Q90", "value": {"label": "Paris"}},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         client = WikidataClient(KbCache(path), policy=CACHE_ONLY, transport=forbidden_transport)
-        message = re.escape(f"{path}:1: bad cache record (no field 'labels')")
-        with pytest.raises(KbCacheCorrupt, match=message):
-            client.fetch("Q90")
-        with pytest.raises(KbCacheCorrupt, match=message):
-            client.label("Q90")
+        for number, lookup in ((1, client.fetch), (2, client.label)):
+            message = re.escape(f"{path}:{number}: bad cache record (no field 'labels')")
+            with pytest.raises(KbCacheCorrupt, match=message):
+                lookup("Q90")
 
     def test_label_falls_back_to_label_cache(self, tmp_path):
         cache = KbCache(tmp_path)
@@ -803,7 +813,7 @@ class TestConcurrentFetches:
         qids = ("Q90", "Q64")
         calls = []
 
-        def transport(url, params=None):
+        def transport(url):
             calls.append(url)
             time.sleep(0.2)  # the other threads miss the key meanwhile
             qid = url.rsplit("/", 1)[1].removesuffix(".json")

@@ -1,5 +1,7 @@
 """Candidate rendering, cosine ranking and the first-mention baselines."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from newsgeo.config import (
     REPRESENTATION_MODES,
     TRUNCATE,
 )
-from newsgeo.embedding import MockEmbedder, cosine, embed_document
+from newsgeo.embedding import MockEmbedder, embed_document
 from newsgeo.evaluation import Pipeline
 from newsgeo.kb import KbCacheMiss
 from newsgeo.locations import LocationTuple
@@ -30,6 +32,7 @@ from newsgeo.ranking import (
 )
 
 from conftest import count_calls
+from oracles import oracle_cosine
 
 PARIS_SPAN = NerSpan("Paris", 27, 32, "LOC", "g")
 QUEEN_SPAN = NerSpan("Queen Elizabeth II", 0, 18, "person", "g")
@@ -138,7 +141,7 @@ class TestRankCandidates:
     def test_single_candidate_gets_its_cosine(self, mock_provider):
         candidates = [Candidate(PARIS_SPAN, "Paris")]
         ranked = rank_candidates(TEXT, candidates, mock_provider)
-        expected = cosine(
+        expected = oracle_cosine(
             embed_document(TEXT, mock_provider), mock_provider.embed("Paris")
         )
         assert len(ranked) == 1
@@ -168,7 +171,7 @@ class TestRankCandidates:
         doc_vector = embed_document(document, mock_provider)
         expected = sorted(
             texts,
-            key=lambda t: (-cosine(doc_vector, mock_provider.embed(t)), t),
+            key=lambda t: (-oracle_cosine(doc_vector, mock_provider.embed(t)), t),
         )
         # No cosine ties among hashed vectors, so text order is irrelevant.
         assert [c.text for c in ranked] == expected
@@ -216,7 +219,7 @@ class TestRankCandidates:
     def test_scores_are_the_cosine_bit_for_bit_on_the_fixture_world(
         self, articles, resolver, gazetteer_ner, monkeypatch, chunking, max_tokens
     ):
-        """Each score is `cosine` of the two embeddings, exactly, on the first
+        """Each score is the cosine of the two embeddings, exactly, on the first
         ranking of an article and on a second one served from the memo."""
         provider = MockEmbedder(dimension=16, seed=7, max_tokens=max_tokens)
         modes = [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS, NON_LOCATION_IN_LOCATION, NON_LOCATIONS]
@@ -226,7 +229,9 @@ class TestRankCandidates:
             document = embed_document(article.text, provider, chunking)
             for candidate in first[article.id]:
                 vector = embed_document(candidate.text, provider, chunking)
-                assert candidate.score == cosine(document, vector)
+                assert candidate.score == float(
+                    np.dot(document, vector) / (np.linalg.norm(document) * np.linalg.norm(vector))
+                )
         embeds = count_calls(monkeypatch, MockEmbedder, "embed")
         for article in articles:
             again = pipeline.rank(article)
@@ -245,6 +250,27 @@ class TestRankCandidates:
         forward = rank_candidates("doc text", candidates, mock_provider)
         backward = rank_candidates("doc text", candidates[::-1], mock_provider)
         assert [c.text for c in forward] == [c.text for c in backward]
+
+    def test_shuffled_pool_ranks_alike_on_the_fixture_world(
+        self, articles, resolver, gazetteer_ner, mock_provider
+    ):
+        """The ranking is a function of the pool's contents, not its order, so
+        `build_candidate_pool` needs no sort of its own. Equal texts at other
+        offsets tie on score, so the offsets must break the ties."""
+        candidate_count = tied_texts = 0
+        for article in articles:
+            spans = gazetteer_ner.spans(article.text, article.language)
+            pool = build_candidate_pool(
+                spans, article.language, REPRESENTATION_MODES, resolver
+            )
+            expected = rank_candidates(article.text, pool, mock_provider)
+            candidate_count += len(pool)
+            tied_texts += len(pool) - len({c.text for c in pool})
+            for seed in range(5):
+                shuffled = list(pool)
+                random.Random(seed).shuffle(shuffled)
+                assert rank_candidates(article.text, shuffled, mock_provider) == expected
+        assert candidate_count > 40 and tied_texts > 10
 
 
 class TestPredictLocation:
