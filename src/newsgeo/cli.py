@@ -39,6 +39,7 @@ from .corpus import (
 )
 from .kb import KbCacheCorrupt, KbCacheMiss, KbRemoteError
 from .locations import LocationTuple, Resolver
+from .memo import map_articles
 from .pairs import TrainingPair, generate_pairs, load_pairs, save_pairs
 
 # The commands that embed import evaluation, ranking or training (and with
@@ -231,12 +232,14 @@ def _note_sources(articles: Sequence[Article], path: str, sources: dict[str, str
 
 
 def _category_locations(
-    articles: Sequence[Article], resolver: Resolver
+    articles: Sequence[Article], resolver: Resolver, workers: int
 ) -> dict[str, list[LocationTuple]]:
-    return {
-        article.id: resolver.classify_categories(article.categories, article.language)
-        for article in articles
-    }
+    found = map_articles(
+        lambda article: resolver.classify_categories(article.categories, article.language),
+        articles,
+        workers,
+    )
+    return {article.id: locations for article, locations in zip(articles, found)}
 
 
 def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -252,7 +255,7 @@ def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_classify_categories(args: argparse.Namespace, config: PipelineConfig) -> int:
     articles = _load_all(config)
     resolver = config.build_resolver()
-    locations = _category_locations(articles, resolver)
+    locations = _category_locations(articles, resolver, config.workers)
     with Path(args.output).open("w", encoding="utf-8") as handle:
         for article in articles:
             record = {
@@ -269,8 +272,8 @@ def _corpus_pairs(config: PipelineConfig) -> list[TrainingPair]:
     """Training pairs of the corpus, from its category locations."""
     articles = _load_all(config)
     resolver = config.build_resolver()
-    locations = _category_locations(articles, resolver)
-    return generate_pairs(articles, locations, resolver, seed=config.seed)
+    locations = _category_locations(articles, resolver, config.workers)
+    return generate_pairs(articles, locations, resolver, seed=config.seed, workers=config.workers)
 
 
 def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -285,7 +288,6 @@ def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
-    from .evaluation import map_articles
     from .ranking import ranking_record
 
     articles = _load_all(config)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence
 
 from .config import AVERAGE
 from .corpus import Article, GoldAnnotation
@@ -20,7 +20,7 @@ from .embedding import EmbeddingProvider
 from .kb import KbError
 from .linking import normalized_match
 from .locations import LocationTuple, Resolver
-from .memo import Memo
+from .memo import Memo, map_articles
 from .ner import NerProvider, ensemble_spans
 from .ranking import (
     Candidate,
@@ -33,7 +33,6 @@ from .ranking import (
 logger = logging.getLogger(__name__)
 
 Predictor = Callable[[Article], LocationTuple | None]
-T = TypeVar("T")
 
 LEVELS = ("country", "city")
 
@@ -208,19 +207,6 @@ def run_experiment(
             )
         )
     return EvalReport(system=system, country=country, city=city, trace=trace)
-
-
-def map_articles(
-    fn: Callable[[Article], T], articles: Sequence[Article], workers: int = 1
-) -> list[T]:
-    """`fn` of every article in corpus order: serially, or on a thread pool."""
-    if workers == 1:
-        return [fn(article) for article in articles]
-    # Imported here: a serial command never loads the thread pool's modules.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, articles))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -400,32 +400,29 @@ class _CachedClient:
         # the first one's fetch and reads its record.
         self._fetched = Memo()
 
-    def _lookup(self, source: str, key: str, url: str, reduce: Callable, decode: Callable) -> Any:
+    def _lookup(self, source: str, key: str, fetch: Callable[[], Any], decode: Callable) -> Any:
         """`decode` of the record of (source, key); a missing one is first
-        `reduce`d from the payload at `url` and cached.
+        `fetch`ed (usually a `_fetch_reduced` of one URL) and cached.
 
-        Honours the network policy. A 404, or a payload that `reduce` finds
-        nothing in (it returns None), is a confirmed absence: it is cached
-        and gives None, on this call and every later one. A record that
-        `decode` cannot take raises :class:`KbCacheCorrupt`. Threads that
-        miss one key together fetch and write it once.
+        Honours the network policy. A 404, or a payload that holds nothing
+        for the key (`fetch` returns None), is a confirmed absence: it is
+        cached and gives None, on this call and every later one. A record
+        that `decode` cannot take raises :class:`KbCacheCorrupt`. Threads
+        that miss one key together fetch and write it once.
         """
         if (source, key) not in self.cache:
             if self.policy == CACHE_ONLY:
                 raise KbCacheMiss(source, key)
-            self._fetched.get(
-                (source, key), lambda: self._fetch_into_cache(source, key, url, reduce)
-            )
+            self._fetched.get((source, key), lambda: self._fetch_into_cache(source, key, fetch))
         return self.cache.get(
             source, key, lambda value: None if value == _MISSING else decode(value)
         )
 
-    def _fetch_into_cache(
-        self, source: str, key: str, url: str, reduce: Callable[[Any], Any]
-    ) -> bool:
-        # Nested lookups go from `wikidata` to `wikidata-label` only, so no
-        # fetch waits on a key whose fetch waits on it.
-        value = self._fetch_reduced(url, reduce)
+    def _fetch_into_cache(self, source: str, key: str, fetch: Callable[[], Any]) -> bool:
+        # Nested lookups go from `wikidata` to `wikidata-label` and from
+        # `wplink` to `wptitle` only, so no fetch waits on a key whose fetch
+        # waits on it.
+        value = fetch()
         self.cache.put(source, key, _MISSING if value is None else value)
         return True
 
@@ -476,7 +473,9 @@ class WikidataClient(_CachedClient):
             raise ValueError(f"malformed WikiData id {qid!r}")
         url = WIKIDATA_ENTITY_URL.format(qid=qid)
         return self._lookup(
-            self.SOURCE, qid, url, lambda p: self._parse_entity(qid, p), WikidataItem.from_json
+            self.SOURCE, qid,
+            lambda: self._fetch_reduced(url, lambda p: self._parse_entity(qid, p)),
+            WikidataItem.from_json,
         )
 
     def label(self, qid: str) -> str | None:
@@ -484,7 +483,8 @@ class WikidataClient(_CachedClient):
         (`wikidata-label`); None when the entity does not exist or has no labels."""
         url = WIKIDATA_ENTITY_URL.format(qid=qid)
         return self._lookup(
-            self.LABEL_SOURCE, qid, url, lambda p: _labels_record(qid, p),
+            self.LABEL_SOURCE, qid,
+            lambda: self._fetch_reduced(url, lambda p: _labels_record(qid, p)),
             lambda value: _pick_label(value["labels"], "en"),
         )
 
@@ -557,8 +557,9 @@ class DbpediaClient(_CachedClient):
         page = urllib.parse.quote(title.replace(" ", "_"))
         url = DBPEDIA_DATA_URL.format(lang=language, title=page)
         return self._lookup(
-            self.SOURCE, f"{language}:{title}", url,
-            lambda p: _parse_dbpedia(title, language, p), DbpediaRecord.from_json,
+            self.SOURCE, f"{language}:{title}",
+            lambda: self._fetch_reduced(url, lambda p: _parse_dbpedia(title, language, p)),
+            DbpediaRecord.from_json,
         )
 
 

@@ -5,6 +5,14 @@ endpoint, taking the first result and retrieving the page's WikiData id. This
 normalizes spelling variants ("U.S.A.", "the United States") to one id, which
 is what the evaluation compares on. The first result is not guaranteed to be
 the intended page; ``rank_in_results`` is kept on the result for auditing.
+
+Linking takes two requests, and a caller that reads only the page title
+(the DBpedia page of a surface) sends only the first:
+
+* the search, whose first hit's title is cached as a `wptitle` record;
+* the page's properties (pageprops), sent only when the WikiData id is
+  read; the full result is cached as a `wplink` record, which answers
+  title lookups too.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import dataclasses
 import urllib.parse
 from typing import TYPE_CHECKING, Any
 
-from .kb import _CachedClient
+from .kb import ONLINE, _CachedClient
 
 if TYPE_CHECKING:
     from .locations import LocationTuple
@@ -56,35 +64,59 @@ class WikipediaLinker(_CachedClient):
     """Search-API entity linker with the same cache/policy behaviour as kb clients."""
 
     SOURCE = "wplink"
+    TITLE_SOURCE = "wptitle"
 
-    def link(self, surface: str, language: str) -> LinkResult:
+    def link(self, surface: str, language: str, *, title_only: bool = False) -> LinkResult:
         """Link `surface` to its first search hit; the empty LinkResult (no
-        page, no qid) when nothing matches."""
+        page, no qid) when nothing matches.
+
+        With `title_only` the page's WikiData id is not asked for: the result
+        carries no qid unless the full record is cached. Under `cache-only`,
+        a surface with neither record is a cache miss for its `wplink` key.
+        """
         if not surface:
             raise ValueError("empty surface form")
-        url = SEARCH_URL.format(lang=language, query=urllib.parse.quote(surface))
+        key = f"{language}:{surface}"
+        # A full record answers a title lookup. Without one, the title record
+        # does, or online the search alone; offline with neither, the miss
+        # names the full record's key.
+        if title_only and (self.SOURCE, key) not in self.cache and (
+            self.policy == ONLINE or (self.TITLE_SOURCE, key) in self.cache
+        ):
+            title = self._title(surface, language)
+            return LinkResult(surface, language, title, rank_in_results=-1 if title is None else 0)
         found = self._lookup(
-            self.SOURCE, f"{language}:{surface}", url,
-            lambda p: self._first_hit(surface, language, p).to_json(), LinkResult.from_json,
+            self.SOURCE, key, lambda: self._linked(surface, language), LinkResult.from_json
         )
         return found or LinkResult(surface=surface, language=language)
 
-    def _first_hit(self, surface: str, language: str, payload: Any) -> LinkResult:
-        hits = payload.get("query", {}).get("search", [])
-        if not hits:
-            return LinkResult(surface=surface, language=language)
-        title = hits[0]["title"]
-        return LinkResult(
-            surface=surface,
-            language=language,
-            page_title=title,
-            qid=self._page_qid(title, language),
-            rank_in_results=0,
+    def _title(self, surface: str, language: str) -> str | None:
+        """Title of the first search hit; None when nothing matches."""
+        url = SEARCH_URL.format(lang=language, query=urllib.parse.quote(surface))
+        return self._lookup(
+            self.TITLE_SOURCE, f"{language}:{surface}",
+            lambda: self._fetch_reduced(url, _first_title), _as_title,
         )
 
-    def _page_qid(self, title: str, language: str) -> str | None:
+    def _linked(self, surface: str, language: str) -> dict[str, Any] | None:
+        """The full record of the first search hit, with its page's WikiData id."""
+        title = self._title(surface, language)
+        if title is None:
+            return None
         url = PAGEPROPS_URL.format(lang=language, title=urllib.parse.quote(title))
-        return self._fetch_reduced(url, _pageprops_qid)
+        qid = self._fetch_reduced(url, _pageprops_qid)
+        return LinkResult(surface, language, title, qid, rank_in_results=0).to_json()
+
+
+def _first_title(payload: Any) -> str | None:
+    hits = payload.get("query", {}).get("search", [])
+    return _as_title(hits[0]["title"]) if hits else None
+
+
+def _as_title(value: Any) -> str:
+    if type(value) is not str:
+        raise TypeError(f"page title must be a string, got {value!r}")
+    return value
 
 
 def _pageprops_qid(payload: Any) -> str | None:

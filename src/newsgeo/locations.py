@@ -2,8 +2,8 @@
 
 Three capabilities live here:
 
-* deciding whether a category names a location (population / place ontology
-  markers, or the country / located-in properties);
+* deciding whether a category names a location (its WikiData item reaches a
+  country through the country / located-in properties);
 * completing any located entity to a (city, country) tuple, where the city is
   found by walking "located in the administrative territorial entity" edges
   until an item whose instance-of class names a city-like settlement;
@@ -24,11 +24,6 @@ from .linking import LinkResult, WikipediaLinker
 from .memo import Memo
 
 logger = logging.getLogger(__name__)
-
-# DBpedia ontology types / property names that mark a category as a location.
-CATEGORY_LOCATION_MARKERS = frozenset(
-    {"populationtotal", "populatedplace", "location", "place", "settlement"}
-)
 
 # Substrings of an instance-of class label that make the item itself a city.
 CITY_CLASS_MARKERS = ("city", "capital", "municipality", "town", "village", "commune")
@@ -182,8 +177,8 @@ def _memoized(method: Callable) -> Callable:
 class Resolver:
     """Bundles the KB clients behind the location-resolution operations.
 
-    `link`, `locate_qid`, `implicit_locate`, `page_abstract` and
-    `classify_category` are memoized by their arguments for the life of the
+    `link`, `page_title`, `locate_qid`, `implicit_locate`, `page_abstract`
+    and `classify_category` are memoized by their arguments for the life of the
     resolver, that is, one command: their results are frozen values (or
     None), so every caller may share them. Records the clients return are
     mutable and are never memoized, and neither is a `KbError`: a lookup
@@ -203,53 +198,43 @@ class Resolver:
         self.linker = linker
         self.max_depth = max_depth
         # Memoized lookups only call ones listed before them here: link,
-        # locate_qid, then page_abstract, implicit_locate, classify_category.
+        # page_title, locate_qid, then page_abstract, implicit_locate,
+        # classify_category.
         self._memo = Memo()
 
     @_memoized
     def link(self, surface: str, language: str) -> LinkResult:
-        """The linker's result for `surface` in `language`."""
+        """The linker's result for `surface` in `language`, with its WikiData id."""
         return self.linker.link(surface, language)
+
+    @_memoized
+    def page_title(self, surface: str, language: str) -> str | None:
+        """Title of the page `surface` links to; its WikiData id is not asked for."""
+        return self.linker.link(surface, language, title_only=True).page_title
 
     @_memoized
     def page_abstract(self, surface: str, language: str) -> str | None:
         """Abstract of the DBpedia page `surface` links to; None without one."""
-        link = self.link(surface, language)
-        record = self.dbpedia.fetch(link.page_title, language) if link.page_title else None
+        title = self.page_title(surface, language)
+        record = self.dbpedia.fetch(title, language) if title else None
         return record.abstract if record else None
 
     @_memoized
     def classify_category(self, category: str, language: str) -> LocationTuple | None:
         """The category's (city, country) tuple when it names a location.
 
-        A category counts as a location when its DBpedia page carries any of
-        the population / place markers, or its WikiData item has a country or
-        located-in claim. A category without a WikiData item is not one.
+        A category names a location when its WikiData item reaches a country
+        through its country (P17) or located-in (P131) claims; its DBpedia
+        page is not read, since no page could locate an item without them. A
+        category without a WikiData item is not one.
         """
         link = self.link(category, language)
-        if not link.qid:
-            return None
-        record = self.dbpedia.fetch(link.page_title, language) if link.page_title else None
-        item = self.wikidata.fetch(link.qid)
-        if item is None or not self._has_location_markers(record, item):
-            return None
-        return self.locate_item(item)
+        return self.locate_qid(link.qid) if link.qid else None
 
     def classify_categories(self, categories: list[str], language: str) -> list[LocationTuple]:
         """The locations the categories name, in order, duplicates removed."""
         found = (self.classify_category(category, language) for category in categories)
         return list(dict.fromkeys(location for location in found if location is not None))
-
-    @staticmethod
-    def _has_location_markers(record, item: WikidataItem) -> bool:
-        if record is not None:
-            for ontology_type in record.ontology_types:
-                if ontology_type.casefold() in CATEGORY_LOCATION_MARKERS:
-                    return True
-            for name in record.properties:
-                if name.casefold() in CATEGORY_LOCATION_MARKERS:
-                    return True
-        return bool(item.p17 or item.p131)
 
     def locate_item(self, item: WikidataItem) -> LocationTuple | None:
         """Complete an item to a LocationTuple; None when no country is reachable."""
@@ -283,10 +268,10 @@ class Resolver:
         "country" and "place"; the first value of the best-matching property
         is linked back to WikiData and completed to a (city, country) tuple.
         """
-        link = self.link(surface, language)
-        if not link.page_title:
+        title = self.page_title(surface, language)
+        if not title:
             return None
-        record = self.dbpedia.fetch(link.page_title, language)
+        record = self.dbpedia.fetch(title, language)
         match = _best_geographic_property(record.properties) if record else None
         if match is None:
             return None

@@ -1,4 +1,5 @@
-"""A memo that computes each key once, also when worker threads share it.
+"""A memo that computes each key once, also when worker threads share it,
+and the map that runs a command's articles on those threads.
 
 A command's `Resolver` and `Pipeline` each own one, and the KB clients use
 one to fetch each missing key once. Once per key keeps a run's work, and so
@@ -8,7 +9,10 @@ its counters, the same at any worker count.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Hashable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    from .corpus import Article
 
 T = TypeVar("T")
 
@@ -55,3 +59,16 @@ class Memo:
             with self._lock:
                 del self._computing[key]
             mine.set()
+
+
+def map_articles(
+    fn: Callable[[Article], T], articles: Sequence[Article], workers: int = 1
+) -> list[T]:
+    """`fn` of every article in corpus order: serially, or on a thread pool."""
+    if workers == 1:
+        return [fn(article) for article in articles]
+    # Imported here: a serial command never loads the thread pool's modules.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, articles))

@@ -16,6 +16,7 @@ from typing import Any, Iterable, Sequence
 
 from .corpus import Article, read_strict_jsonl
 from .locations import LocationTuple, Resolver, render_location
+from .memo import map_articles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,6 +58,7 @@ def generate_pairs(
     category_locations: dict[str, list[LocationTuple]],
     resolver: Resolver,
     seed: int = 13,
+    workers: int = 1,
 ) -> list[TrainingPair]:
     """Label (document, entity) pairs without manual annotation.
 
@@ -64,41 +66,51 @@ def generate_pairs(
     document. Negatives: surface forms of mentioned entities that are
     unrelated to every positive, i.e. the mention's id is not a positive's
     city or country id and its own resolved tuple shares neither, capped at
-    the document's positive count by a seeded sample. Mentions that cannot be
-    resolved are never used as negatives, since their unrelatedness is
-    unverifiable.
+    the document's positive count by a sample seeded with `seed` and the
+    article id. Mentions that cannot be resolved are never used as
+    negatives, since their unrelatedness is unverifiable. The articles run
+    on `workers` threads; their pairs come in corpus order.
     """
-    pairs: list[TrainingPair] = []
-    for article in corpus:
-        locations = category_locations.get(article.id, [])
-        if not locations:
+    per_article = map_articles(
+        lambda article: _article_pairs(
+            article, category_locations.get(article.id, []), resolver, seed
+        ),
+        corpus,
+        workers,
+    )
+    return [pair for pairs in per_article for pair in pairs]
+
+
+def _article_pairs(
+    article: Article, locations: list[LocationTuple], resolver: Resolver, seed: int
+) -> list[TrainingPair]:
+    """The pairs of one article, given its category-derived locations."""
+    if not locations:
+        return []
+    positive_texts: list[str] = []
+    for location in locations:
+        text = render_location(location)
+        if text and text not in positive_texts:
+            positive_texts.append(text)
+    positive_qids = set()
+    for location in locations:
+        positive_qids.update(q for q in (location.city_qid, location.country_qid) if q)
+    negatives: list[str] = []
+    for mention in article.mentions:
+        if not mention.qid or mention.qid in positive_qids:
             continue
-        positive_texts: list[str] = []
-        for location in locations:
-            text = render_location(location)
-            if text and text not in positive_texts:
-                positive_texts.append(text)
-        positive_qids = set()
-        for location in locations:
-            positive_qids.update(q for q in (location.city_qid, location.country_qid) if q)
-        negatives: list[str] = []
-        for mention in article.mentions:
-            if not mention.qid or mention.qid in positive_qids:
-                continue
-            if mention.surface in positive_texts or mention.surface in negatives:
-                continue
-            resolved = resolver.locate_qid(mention.qid)
-            if resolved is None or _related(resolved, locations):
-                continue
-            negatives.append(mention.surface)
-        if len(negatives) > len(positive_texts):
-            rng = random.Random(f"{seed}:{article.id}")
-            negatives = rng.sample(negatives, len(positive_texts))
-        for text in positive_texts:
-            pairs.append(TrainingPair(article.id, article.text, text, 1))
-        for text in negatives:
-            pairs.append(TrainingPair(article.id, article.text, text, 0))
-    return pairs
+        if mention.surface in positive_texts or mention.surface in negatives:
+            continue
+        resolved = resolver.locate_qid(mention.qid)
+        if resolved is None or _related(resolved, locations):
+            continue
+        negatives.append(mention.surface)
+    if len(negatives) > len(positive_texts):
+        rng = random.Random(f"{seed}:{article.id}")
+        negatives = rng.sample(negatives, len(positive_texts))
+    return [TrainingPair(article.id, article.text, text, 1) for text in positive_texts] + [
+        TrainingPair(article.id, article.text, text, 0) for text in negatives
+    ]
 
 
 def _related(candidate: LocationTuple, positives: Iterable[LocationTuple]) -> bool:

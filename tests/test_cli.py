@@ -164,6 +164,16 @@ class TestGeneratePairs:
         assert "(10 positive, 5 negative)" in capsys.readouterr().out
         assert len(read_lines(output)) == 15
 
+    @pytest.mark.parametrize("command", ["generate-pairs", "classify-categories"])
+    def test_worker_count_does_not_change_output(self, tmp_path, fixture_tree, command):
+        outputs = []
+        for workers in ("1", "4"):
+            output = tmp_path / f"{command}-{workers}.jsonl"
+            argv = [command, "--config", str(fixture_tree["config"]), "--workers", workers]
+            assert main([*argv, "--output", str(output)]) == 0
+            outputs.append(output.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0]
+
     def test_category_locations_file_is_not_an_option(self, tmp_path, fixture_tree):
         argv = ["generate-pairs", "--config", str(fixture_tree["config"])]
         with pytest.raises(SystemExit) as excinfo:
@@ -773,6 +783,20 @@ MALFORMED_PAYLOADS = {
     "dbpedia": ("dbpedia.org", dbpedia_value_without_value),
 }
 
+# The sources whose records the answer to a source's URLs fills: a search
+# answers a title lookup (`wptitle`) and, with its page's id, a full one.
+# A failed search leaves neither link record behind; `rank` links surfaces
+# only for their titles, so its later run writes the title record alone.
+UNCACHED_SOURCES = {"wplink": {"wplink", "wptitle"}, "wikidata": {"wikidata"}, "dbpedia": {"dbpedia"}}
+
+# The commands that read each source's records; generate-pairs reads no DBpedia page.
+MALFORMED_CASES = [
+    pytest.param(command, source, id=f"{command}-{source}")
+    for source in sorted(MALFORMED_PAYLOADS)
+    for command in ["evaluate-1", "rank", "generate-pairs"]
+    if (command, source) != ("generate-pairs", "dbpedia")
+]
+
 
 def answer_every_lookup_as_absent(monkeypatch):
     """Make the online KB answer 404 to every request, without waiting."""
@@ -810,8 +834,7 @@ class TestKbFailures:
         assert error["details"][0].startswith("https://")
         assert error["details"][0].endswith(": connection refused")
 
-    @pytest.mark.parametrize("source", sorted(MALFORMED_PAYLOADS))
-    @pytest.mark.parametrize("command", ["evaluate-1", "rank", "generate-pairs"])
+    @pytest.mark.parametrize("command, source", MALFORMED_CASES)
     def test_malformed_payload_is_a_remote_error_and_is_not_cached(
         self, tmp_path, fixture_tree, command, source, monkeypatch, capsys
     ):
@@ -841,7 +864,7 @@ class TestKbFailures:
         url, reason = error["details"][0].split(": ", 1)
         assert url == asked[-1] and marker in url
         assert reason.startswith("malformed payload (")
-        assert not any(key[0] == source for key in KbCache(cache).keys())
+        assert not any(key[0] in UNCACHED_SOURCES[source] for key in KbCache(cache).keys())
 
         # A later run whose KB answers (every page absent) fetches the key.
         asked.clear()
@@ -851,7 +874,38 @@ class TestKbFailures:
         flags = ["--config", str(fixture_tree["config"]), "--cache", str(cache)]
         assert main([*argv, *flags, "--network", "online"]) == 0
         assert url in asked
-        assert any(key[0] == source for key in KbCache(cache).keys())
+        answered = {"wplink", "wptitle"} if (command, source) == ("rank", "wplink") else {source}
+        assert any(key[0] in answered for key in KbCache(cache).keys())
+
+    def test_generate_pairs_asks_dbpedia_nothing(
+        self, tmp_path, fixture_tree, monkeypatch, capsys
+    ):
+        """Category locations come from WikiData claims alone, so a cache
+        without DBpedia pages and a DBpedia that answers malformed payloads
+        leave generate-pairs unchanged."""
+        cache = tmp_path / "cache.jsonl"
+        lines = read_lines(fixture_tree["cache"])
+        cache.write_text(
+            "".join(line + "\n" for line in lines if '"source": "dbpedia",' not in line),
+            encoding="utf-8",
+        )
+        asked = []
+        _, malformed = MALFORMED_PAYLOADS["dbpedia"]
+
+        def transport(url):
+            asked.append(url)
+            return malformed(url)
+
+        monkeypatch.setattr("newsgeo.kb.default_transport", transport)
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        flags = ["--config", str(fixture_tree["config"])]
+        online, offline = tmp_path / "online.jsonl", tmp_path / "offline.jsonl"
+        argv = ["generate-pairs", *flags, "--cache", str(cache), "--network", "online"]
+        assert main([*argv, "--output", str(online)]) == 0
+        assert main(["generate-pairs", *flags, "--output", str(offline)]) == 0
+        assert asked == []
+        assert online.read_bytes() == offline.read_bytes()
+        assert not any(key[0] == "dbpedia" for key in KbCache(cache).keys())
 
     @pytest.mark.parametrize("command", sorted(KB_COMMANDS))
     def test_cache_without_link_records_is_a_cache_miss(
@@ -919,7 +973,9 @@ class TestImports:
         "command, loads_numpy",
         [
             (["generate-pairs", "--output", "{out}"], False),
+            (["generate-pairs", "--workers", "2", "--output", "{out}"], False),
             (["classify-categories", "--output", "{out}"], False),
+            (["classify-categories", "--workers", "2", "--output", "{out}"], False),
             (["cache-export", "--output", "{out}"], False),
             (["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"], False),
             (["rank", "--output", "{out}"], True),
@@ -931,7 +987,7 @@ class TestImports:
     def test_numpy_only_in_commands_that_embed(self, tmp_path, fixture_tree, command, loads_numpy):
         assert loads_module(tmp_path, fixture_tree, command, "numpy") == loads_numpy
 
-    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    @pytest.mark.parametrize("command", ["rank", "evaluate", "generate-pairs", "classify-categories"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_thread_pool_only_with_workers(self, tmp_path, fixture_tree, command, workers):
         argv = [command, "--workers", str(workers), "--output", "{out}"]

@@ -13,12 +13,12 @@ from newsgeo.evaluation import (
     Pipeline,
     baseline_predictor,
     format_report_table,
-    map_articles,
     precision_at_1,
     run_experiment,
 )
 from newsgeo.kb import KbCache
 from newsgeo.locations import LocationTuple
+from newsgeo.memo import map_articles
 from newsgeo.ner import GazetteerNer
 
 from conftest import count_calls

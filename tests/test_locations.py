@@ -2,10 +2,16 @@
 
 import pytest
 
-from newsgeo.kb import KbCache, KbCacheMiss, WikidataItem, forbidden_transport
+from newsgeo.kb import (
+    DbpediaClient,
+    DbpediaRecord,
+    KbCache,
+    KbCacheMiss,
+    WikidataItem,
+    forbidden_transport,
+)
 from newsgeo.linking import LinkResult
 from newsgeo.locations import (
-    CATEGORY_LOCATION_MARKERS,
     CITY_CLASS_MARKERS,
     PROPERTY_KEYWORDS,
     LocationTuple,
@@ -190,15 +196,6 @@ class TestResolveCountry:
 
 
 class TestMarkerSets:
-    def test_category_location_markers(self):
-        assert CATEGORY_LOCATION_MARKERS == {
-            "populationtotal",
-            "populatedplace",
-            "location",
-            "place",
-            "settlement",
-        }
-
     def test_city_class_markers(self):
         assert set(CITY_CLASS_MARKERS) == {
             "city",
@@ -250,6 +247,29 @@ class TestClassifyCategory:
         location = resolver.classify_category("Obscureville", "en")
         assert location is not None
         assert location.city == "London"
+
+    def test_dbpedia_place_markers_without_claims_are_not_a_location(self, kb_cache, monkeypatch):
+        """A page full of place markers cannot locate an item that has no
+        country or located-in claim, so the page is never asked for."""
+        kb_cache.put(
+            "wplink", "en:Markerton", LinkResult("Markerton", "en", "Markerton", "Q7778", 0).to_json()
+        )
+        kb_cache.put(
+            "dbpedia",
+            "en:Markerton",
+            DbpediaRecord(
+                "Markerton", "en", {"populationtotal": ["1200"], "location": ["Paris"]},
+                ["Place", "PopulatedPlace", "Settlement"],
+            ).to_json(),
+        )
+        kb_cache.put(
+            "wikidata",
+            "Q7778",
+            WikidataItem("Q7778", {"en": "Markerton"}, [], [("Q515", "city")], []).to_json(),
+        )
+        pages = count_calls(monkeypatch, DbpediaClient, "fetch")
+        assert cache_only_resolver(kb_cache).classify_category("Markerton", "en") is None
+        assert pages == []
 
     def test_unlinkable_category_returns_none(self, resolver, kb_cache):
         kb_cache.put(
