@@ -20,9 +20,9 @@ def main() -> None:
     resolver = config.build_resolver(cache)
 
     print()
-    print("category names classify to locations when their page looks geographic:")
+    print("category names classify to locations when their WikiData item reaches a country:")
     for category, language in (("Paris", "en"), ("Canadá", "es"), ("Politics", "en")):
-        location = resolver.classify_category(category, language)
+        location = resolver.locate_surface(category, language)
         print(f"  {category!r} ({language}) -> {location}")
 
     print()
@@ -30,7 +30,7 @@ def main() -> None:
     for qid in ("Q999101", "Q243", "Q999104"):
         item = resolver.wikidata.fetch(qid)
         location = resolver.locate_item(item)
-        print(f"  {item.label('en')} ({qid}) -> {location}")
+        print(f"  {item.label()} ({qid}) -> {location}")
 
     print()
     print("non-location pages reveal locations through their geographic properties:")

@@ -21,7 +21,7 @@ import random
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-from .kb import _QID_RE
+from .kb import _check_qid
 from .locations import LocationTuple
 
 logger = logging.getLogger(__name__)
@@ -47,8 +47,8 @@ class ParsedMention:
             raise ValueError(
                 f"mention surface {self.surface!r} does not match text span"
             )
-        if self.qid is not None and not _QID_RE.match(self.qid):
-            raise ValueError(f"malformed WikiData id {self.qid!r}")
+        if self.qid is not None:
+            _check_qid(self.qid)
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "ParsedMention":

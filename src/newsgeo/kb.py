@@ -48,7 +48,7 @@ CACHE_ONLY = "cache-only"
 WIKIDATA_ENTITY_URL = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"
 DBPEDIA_DATA_URL = "https://{lang}.dbpedia.org/data/{title}.json"
 
-_QID_RE = re.compile(r"^Q[0-9]+$")
+_QID_RE = re.compile(r"^Q[0-9]+\Z")
 
 # Marker stored as a cache value when the remote endpoint confirmed absence.
 _MISSING = {"__missing__": True}
@@ -324,8 +324,14 @@ class WikidataItem:
     p31: list[tuple[str, str]]
     p131: list[str]
 
-    def label(self, language: str = "en") -> str | None:
-        return _pick_label(self.labels, language)
+    def __post_init__(self) -> None:
+        # Fetched payloads and cached records both become items here, so a
+        # claim target that is not an item id never reaches a lookup.
+        for target in (*self.p17, *(qid for qid, _ in self.p31), *self.p131):
+            _check_qid(target)
+
+    def label(self) -> str | None:
+        return _pick_label(self.labels)
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "WikidataItem":
@@ -389,6 +395,8 @@ class _CachedClient:
     ):
         if policy not in (ONLINE, CACHE_ONLY):
             raise ValueError(f"unknown fetch policy {policy!r}")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         self.cache = cache
         self.policy = policy
         self.transport = transport or default_transport
@@ -427,10 +435,22 @@ class _CachedClient:
         return True
 
     def _fetch_reduced(self, url: str, reduce: Callable[[Any], Any]) -> Any:
-        """`reduce` of the payload at `url`; None on a 404. A `KbError` from
-        `reduce` passes unchanged; a payload `reduce` cannot read raises
-        :class:`KbRemoteError` naming `url`."""
-        payload = self._fetch_remote(url)
+        """`reduce` of the payload at `url`; None on a 404. A transport that
+        keeps failing after the retries, or a payload `reduce` cannot read,
+        raises :class:`KbRemoteError` naming `url`; a `KbError` passes unchanged."""
+        for attempt in range(self.retries + 1):
+            self.rate_limiter.wait()
+            try:
+                payload = self.transport(url)
+                break
+            except LookupError:
+                return None
+            except Exception as exc:
+                if attempt == self.retries:
+                    raise KbRemoteError(f"{url}: {exc}") from exc
+                delay = self.backoff * (2**attempt)
+                logger.warning("fetch failed (%s); retrying in %.1fs", exc, delay)
+                time.sleep(delay)
         try:
             return None if payload is None else reduce(payload)
         except KbError:
@@ -439,25 +459,6 @@ class _CachedClient:
             # Not the shape the endpoint documents: an outage of the KB, not
             # an answer, so nothing is cached and a later run asks again.
             raise KbRemoteError(f"{url}: malformed payload ({type(exc).__name__}: {exc})") from exc
-
-    def _fetch_remote(self, url: str) -> Any:
-        """The payload at `url`; None on a 404. Raises KbRemoteError when the
-        transport keeps failing after the retries."""
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            self.rate_limiter.wait()
-            try:
-                return self.transport(url)
-            except LookupError:
-                return None
-            except Exception as exc:
-                last_error = exc
-                if attempt == self.retries:
-                    break
-                delay = self.backoff * (2**attempt)
-                logger.warning("fetch failed (%s); retrying in %.1fs", exc, delay)
-                time.sleep(delay)
-        raise KbRemoteError(f"{url}: {last_error}")
 
 
 class WikidataClient(_CachedClient):
@@ -469,9 +470,7 @@ class WikidataClient(_CachedClient):
     def fetch(self, qid: str) -> WikidataItem | None:
         """The entity with country / instance-of / located-in populated; None
         when it does not exist."""
-        if not _QID_RE.match(qid or ""):
-            raise ValueError(f"malformed WikiData id {qid!r}")
-        url = WIKIDATA_ENTITY_URL.format(qid=qid)
+        url = WIKIDATA_ENTITY_URL.format(qid=_check_qid(qid))
         return self._lookup(
             self.SOURCE, qid,
             lambda: self._fetch_reduced(url, lambda p: self._parse_entity(qid, p)),
@@ -481,11 +480,11 @@ class WikidataClient(_CachedClient):
     def label(self, qid: str) -> str | None:
         """English label of an entity (else any), from its labels-only record
         (`wikidata-label`); None when the entity does not exist or has no labels."""
-        url = WIKIDATA_ENTITY_URL.format(qid=qid)
+        url = WIKIDATA_ENTITY_URL.format(qid=_check_qid(qid))
         return self._lookup(
             self.LABEL_SOURCE, qid,
             lambda: self._fetch_reduced(url, lambda p: _labels_record(qid, p)),
-            lambda value: _pick_label(value["labels"], "en"),
+            lambda value: _pick_label(value["labels"]),
         )
 
     def _parse_entity(self, qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
@@ -502,13 +501,16 @@ class WikidataClient(_CachedClient):
         return WikidataItem(qid=qid, labels=labels, p17=p17, p31=p31, p131=p131).to_json()
 
 
-def _pick_label(labels: dict[str, str], language: str) -> str | None:
-    """The label in `language`, else the English one, else any; None without labels."""
-    if language in labels:
-        return labels[language]
-    if "en" in labels:
-        return labels["en"]
-    return next(iter(labels.values()), None)
+def _check_qid(qid: Any) -> str:
+    """`qid` itself; ValueError unless it is a WikiData item id."""
+    if type(qid) is not str or not _QID_RE.match(qid):
+        raise ValueError(f"malformed WikiData id {qid!r}")
+    return qid
+
+
+def _pick_label(labels: dict[str, str]) -> str | None:
+    """The English label, else any; None without labels."""
+    return labels["en"] if "en" in labels else next(iter(labels.values()), None)
 
 
 def _entity_node(qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:

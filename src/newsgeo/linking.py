@@ -4,15 +4,16 @@ A surface form is linked by querying the article language's Wikipedia search
 endpoint, taking the first result and retrieving the page's WikiData id. This
 normalizes spelling variants ("U.S.A.", "the United States") to one id, which
 is what the evaluation compares on. The first result is not guaranteed to be
-the intended page; ``rank_in_results`` is kept on the result for auditing.
+the intended page; ``rank_in_results`` records its place in the results, which
+is always 0 for a hit and -1 without one.
 
-Linking takes two requests, and a caller that reads only the page title
-(the DBpedia page of a surface) sends only the first:
+`WikipediaLinker.link` sends two requests, and `WikipediaLinker.title`, for a
+caller that reads only the page title (the DBpedia page of a surface), sends
+only the first:
 
 * the search, whose first hit's title is cached as a `wptitle` record;
-* the page's properties (pageprops), sent only when the WikiData id is
-  read; the full result is cached as a `wplink` record, which answers
-  title lookups too.
+* the page's properties (pageprops), for its WikiData id; the full result is
+  cached as a `wplink` record, which answers title lookups too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import dataclasses
 import urllib.parse
 from typing import TYPE_CHECKING, Any
 
-from .kb import ONLINE, _CachedClient
+from .kb import CACHE_ONLY, _CachedClient
 
 if TYPE_CHECKING:
     from .locations import LocationTuple
@@ -66,46 +67,49 @@ class WikipediaLinker(_CachedClient):
     SOURCE = "wplink"
     TITLE_SOURCE = "wptitle"
 
-    def link(self, surface: str, language: str, *, title_only: bool = False) -> LinkResult:
-        """Link `surface` to its first search hit; the empty LinkResult (no
-        page, no qid) when nothing matches.
-
-        With `title_only` the page's WikiData id is not asked for: the result
-        carries no qid unless the full record is cached. Under `cache-only`,
-        a surface with neither record is a cache miss for its `wplink` key.
-        """
-        if not surface:
-            raise ValueError("empty surface form")
-        key = f"{language}:{surface}"
-        # A full record answers a title lookup. Without one, the title record
-        # does, or online the search alone; offline with neither, the miss
-        # names the full record's key.
-        if title_only and (self.SOURCE, key) not in self.cache and (
-            self.policy == ONLINE or (self.TITLE_SOURCE, key) in self.cache
-        ):
-            title = self._title(surface, language)
-            return LinkResult(surface, language, title, rank_in_results=-1 if title is None else 0)
+    def link(self, surface: str, language: str) -> LinkResult:
+        """Link `surface` to its first search hit, with the page's WikiData id;
+        the empty LinkResult (no page, no qid) when nothing matches."""
         found = self._lookup(
-            self.SOURCE, key, lambda: self._linked(surface, language), LinkResult.from_json
+            self.SOURCE, _key(surface, language),
+            lambda: self._linked(surface, language), LinkResult.from_json,
         )
         return found or LinkResult(surface=surface, language=language)
 
-    def _title(self, surface: str, language: str) -> str | None:
+    def title(self, surface: str, language: str) -> str | None:
+        """Title of the page `surface` links to; None when nothing matches. A
+        cached full record answers; without one, the title record does, or
+        online the search alone, which does not ask for the page's WikiData
+        id. Under `cache-only` with neither, the miss names the full record's key."""
+        key = _key(surface, language)
+        if (self.SOURCE, key) in self.cache or (
+            self.policy == CACHE_ONLY and (self.TITLE_SOURCE, key) not in self.cache
+        ):
+            return self.link(surface, language).page_title
+        return self._search(surface, language)
+
+    def _search(self, surface: str, language: str) -> str | None:
         """Title of the first search hit; None when nothing matches."""
         url = SEARCH_URL.format(lang=language, query=urllib.parse.quote(surface))
         return self._lookup(
-            self.TITLE_SOURCE, f"{language}:{surface}",
+            self.TITLE_SOURCE, _key(surface, language),
             lambda: self._fetch_reduced(url, _first_title), _as_title,
         )
 
     def _linked(self, surface: str, language: str) -> dict[str, Any] | None:
         """The full record of the first search hit, with its page's WikiData id."""
-        title = self._title(surface, language)
+        title = self._search(surface, language)
         if title is None:
             return None
         url = PAGEPROPS_URL.format(lang=language, title=urllib.parse.quote(title))
         qid = self._fetch_reduced(url, _pageprops_qid)
         return LinkResult(surface, language, title, qid, rank_in_results=0).to_json()
+
+
+def _key(surface: str, language: str) -> str:
+    if not surface:
+        raise ValueError("empty surface form")
+    return f"{language}:{surface}"
 
 
 def _first_title(payload: Any) -> str | None:

@@ -19,8 +19,8 @@ import functools
 import logging
 from typing import Any, Callable
 
-from .kb import _QID_RE, DbpediaClient, WikidataClient, WikidataItem
-from .linking import LinkResult, WikipediaLinker
+from .kb import DbpediaClient, DbpediaRecord, WikidataClient, WikidataItem, _check_qid
+from .linking import WikipediaLinker
 from .memo import Memo
 
 logger = logging.getLogger(__name__)
@@ -49,8 +49,8 @@ class LocationTuple:
         if self.city_qid and not self.city:
             raise ValueError("city_qid without a city name")
         for qid in (self.country_qid, self.city_qid):
-            if qid is not None and not _QID_RE.match(qid):
-                raise ValueError(f"malformed WikiData id {qid!r}")
+            if qid is not None:
+                _check_qid(qid)
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "LocationTuple":
@@ -177,9 +177,11 @@ def _memoized(method: Callable) -> Callable:
 class Resolver:
     """Bundles the KB clients behind the location-resolution operations.
 
-    `link`, `page_title`, `locate_qid`, `implicit_locate`, `page_abstract`
-    and `classify_category` are memoized by their arguments for the life of the
-    resolver, that is, one command: their results are frozen values (or
+    Each KB question has one method: `page_title` (the page a surface links
+    to), `locate_surface` (the location of the item it links to),
+    `locate_qid` (the location of an item), `page_abstract` and
+    `implicit_locate`. They are memoized by their arguments for the life of
+    the resolver, that is, one command: their results are frozen values (or
     None), so every caller may share them. Records the clients return are
     mutable and are never memoized, and neither is a `KbError`: a lookup
     that raised asks the cache again on its next call. Worker threads share
@@ -197,43 +199,41 @@ class Resolver:
         self.dbpedia = dbpedia
         self.linker = linker
         self.max_depth = max_depth
-        # Memoized lookups only call ones listed before them here: link,
-        # page_title, locate_qid, then page_abstract, implicit_locate,
-        # classify_category.
+        # Memoized lookups only call ones listed before them here: page_title,
+        # locate_qid, then locate_surface, page_abstract, implicit_locate.
         self._memo = Memo()
-
-    @_memoized
-    def link(self, surface: str, language: str) -> LinkResult:
-        """The linker's result for `surface` in `language`, with its WikiData id."""
-        return self.linker.link(surface, language)
 
     @_memoized
     def page_title(self, surface: str, language: str) -> str | None:
         """Title of the page `surface` links to; its WikiData id is not asked for."""
-        return self.linker.link(surface, language, title_only=True).page_title
+        return self.linker.title(surface, language)
+
+    @_memoized
+    def locate_surface(self, surface: str, language: str) -> LocationTuple | None:
+        """The (city, country) tuple of the WikiData item `surface` links to;
+        None when it links to no item, or to one that reaches no country."""
+        qid = self.linker.link(surface, language).qid
+        return self.locate_qid(qid) if qid else None
+
+    def _page(self, surface: str, language: str) -> DbpediaRecord | None:
+        """The DBpedia page `surface` links to; None without one."""
+        title = self.page_title(surface, language)
+        return self.dbpedia.fetch(title, language) if title else None
 
     @_memoized
     def page_abstract(self, surface: str, language: str) -> str | None:
         """Abstract of the DBpedia page `surface` links to; None without one."""
-        title = self.page_title(surface, language)
-        record = self.dbpedia.fetch(title, language) if title else None
+        record = self._page(surface, language)
         return record.abstract if record else None
 
-    @_memoized
-    def classify_category(self, category: str, language: str) -> LocationTuple | None:
-        """The category's (city, country) tuple when it names a location.
+    def classify_categories(self, categories: list[str], language: str) -> list[LocationTuple]:
+        """The locations the categories name, in order, duplicates removed.
 
         A category names a location when its WikiData item reaches a country
         through its country (P17) or located-in (P131) claims; its DBpedia
-        page is not read, since no page could locate an item without them. A
-        category without a WikiData item is not one.
+        page is not read, since no page could locate an item without them.
         """
-        link = self.link(category, language)
-        return self.locate_qid(link.qid) if link.qid else None
-
-    def classify_categories(self, categories: list[str], language: str) -> list[LocationTuple]:
-        """The locations the categories name, in order, duplicates removed."""
-        found = (self.classify_category(category, language) for category in categories)
+        found = (self.locate_surface(category, language) for category in categories)
         return list(dict.fromkeys(location for location in found if location is not None))
 
     def locate_item(self, item: WikidataItem) -> LocationTuple | None:
@@ -268,18 +268,12 @@ class Resolver:
         "country" and "place"; the first value of the best-matching property
         is linked back to WikiData and completed to a (city, country) tuple.
         """
-        title = self.page_title(surface, language)
-        if not title:
-            return None
-        record = self.dbpedia.fetch(title, language)
+        record = self._page(surface, language)
         match = _best_geographic_property(record.properties) if record else None
         if match is None:
             return None
         property_name, anchor = match
-        anchor_link = self.link(anchor, language)
-        if not anchor_link.qid:
-            return None
-        location = self.locate_qid(anchor_link.qid)
+        location = self.locate_surface(anchor, language)
         if location is None:
             return None
         return LocatedEntity(

@@ -176,8 +176,7 @@ def resolve_location_span(
     span: NerSpan, language: str, resolver: Resolver
 ) -> LocationTuple | None:
     """Link a location surface and complete it to a (city, country) tuple."""
-    link = resolver.link(span.surface, language)
-    return resolver.locate_qid(link.qid) if link.qid else None
+    return resolver.locate_surface(span.surface, language)
 
 
 def predict_location(

@@ -104,9 +104,9 @@ class DictKb:
     def fetch(self, qid: str) -> WikidataItem | None:
         return self.items.get(qid)
 
-    def label(self, qid: str, language: str = "en") -> str | None:
+    def label(self, qid: str) -> str | None:
         item = self.items.get(qid)
-        return item.label(language) if item else None
+        return item.label() if item else None
 
 
 _CITY_PHRASES = (

@@ -22,6 +22,7 @@ from newsgeo.embedding import MockEmbedder
 from newsgeo.kb import KbCache
 
 from conftest import count_calls
+from test_kb import wikidata_payload
 
 # Config field, value and reported problem of a component whose optional
 # dependency is missing, by the module it needs.
@@ -876,6 +877,32 @@ class TestKbFailures:
         assert url in asked
         answered = {"wplink", "wptitle"} if (command, source) == ("rank", "wplink") else {source}
         assert any(key[0] in answered for key in KbCache(cache).keys())
+
+    def test_a_claim_target_that_is_not_an_item_id_is_a_remote_error(
+        self, tmp_path, fixture_tree, monkeypatch, capsys
+    ):
+        """An item located in "X9" is a malformed payload: it is not cached,
+        and evaluate fails instead of scoring the articles that reach it as misses."""
+        cache = tmp_path / "cache.jsonl"
+        lines = read_lines(fixture_tree["cache"])
+        cache.write_text(
+            "".join(line + "\n" for line in lines if '"source": "wikidata",' not in line),
+            encoding="utf-8",
+        )
+
+        def transport(url):
+            if "wikidata.org" not in url:
+                raise LookupError(url)
+            qid = url.rsplit("/", 1)[1].removesuffix(".json")
+            return wikidata_payload(qid, {"en": qid}, p131=["X9"])
+
+        monkeypatch.setattr("newsgeo.kb.default_transport", transport)
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        self.run(tmp_path, fixture_tree, "evaluate-1", cache, "--network", "online")
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "remote-error"
+        assert error["details"][0].endswith("(ValueError: malformed WikiData id 'X9')")
+        assert not any(source == "wikidata" for source, _ in KbCache(cache).keys())
 
     def test_generate_pairs_asks_dbpedia_nothing(
         self, tmp_path, fixture_tree, monkeypatch, capsys

@@ -665,6 +665,10 @@ class TestRetries:
             client.fetch("Q90")
         assert len(transport.calls) == 3  # initial attempt + 2 retries
 
+    def test_negative_retries_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="retries"):
+            WikidataClient(KbCache(tmp_path), retries=-1)
+
     def test_backs_off_only_between_attempts(self, tmp_path, monkeypatch):
         sleeps = []
         monkeypatch.setattr("newsgeo.kb.time.sleep", sleeps.append)
@@ -683,10 +687,11 @@ class TestRetries:
 
 class TestWikidataClient:
     def test_malformed_qid_rejected(self, tmp_path):
-        client = WikidataClient(KbCache(tmp_path), transport=forbidden_transport)
-        for bad in ("", "90", "P31", "Q90x", None):
-            with pytest.raises(ValueError):
-                client.fetch(bad)
+        client = WikidataClient(KbCache(tmp_path), policy=ONLINE, transport=forbidden_transport)
+        for bad in ("", "90", "P31", "Q90x", "Q90\n", "bogus id", None, 90):
+            for lookup in (client.fetch, client.label):
+                with pytest.raises(ValueError, match="malformed WikiData id"):
+                    lookup(bad)
 
     def test_redirect_payload_keyed_by_canonical_id(self, tmp_path):
         url = "https://www.wikidata.org/wiki/Special:EntityData/Q1000.json"
@@ -727,6 +732,11 @@ class TestWikidataClient:
         # The entity's full record is not a label source.
         with pytest.raises(KbCacheMiss, match="wikidata-label:Q64"):
             client.label("Q64")
+
+    def test_item_label_is_english_else_any(self):
+        assert WikidataItem("Q1", {"de": "Köln", "en": "Cologne"}, [], [], []).label() == "Cologne"
+        assert WikidataItem("Q1", {"de": "Köln"}, [], [], []).label() == "Köln"
+        assert WikidataItem("Q1", {}, [], [], []).label() is None
 
     def test_label_fetched_online_is_cached_as_labels(self, tmp_path):
         url = "https://www.wikidata.org/wiki/Special:EntityData/Q99.json"
@@ -805,6 +815,45 @@ class TestWikidataClient:
         cache.put("wikidata-label", "Q99", {"labels": {"en": "Somewhere"}})
         client = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
         assert client.label("Q99") == "Somewhere"
+
+
+class TestClaimTargets:
+    """Every country, instance-of and located-in target is an item id, in a
+    fetched payload and in a cached record alike."""
+
+    URL = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"
+
+    @pytest.mark.parametrize(
+        "claims, bad",
+        [({"p131": ["X9"]}, "X9"), ({"p31": ["bogus id"]}, "bogus id"), ({"p17": ["Q1", "P17"]}, "P17")],
+        ids=["located-in", "instance-of", "country"],
+    )
+    def test_a_fetched_target_that_is_not_an_id_is_a_remote_error(self, tmp_path, claims, bad):
+        url = self.URL.format(qid="Q90")
+        transport = FakeTransport(
+            {url: wikidata_payload("Q90", labels={"en": "Paris"}, **claims)}
+        )
+        cache = KbCache(tmp_path)
+        client = WikidataClient(cache, policy=ONLINE, transport=transport)
+        message = f"^{re.escape(url)}: malformed payload .*malformed WikiData id {bad!r}"
+        with pytest.raises(KbRemoteError, match=message):
+            client.fetch("Q90")
+        assert transport.calls == [url]
+        assert cache.keys() == []
+
+    @pytest.mark.parametrize("field", ["p17", "p31", "p131"])
+    def test_a_cached_target_that_is_not_an_id_is_corrupt(self, tmp_path, field):
+        path = tmp_path / "c.jsonl"
+        value = WikidataItem("Q90", {"en": "Paris"}, [], [], []).to_json()
+        value[field] = [["X9", "city"]] if field == "p31" else ["X9"]
+        path.write_text(
+            json.dumps({"source": "wikidata", "key": "Q90", "value": value}) + "\n",
+            encoding="utf-8",
+        )
+        client = WikidataClient(KbCache(path), policy=CACHE_ONLY, transport=forbidden_transport)
+        message = re.escape(f"{path}:1: bad cache record (malformed WikiData id 'X9')")
+        with pytest.raises(KbCacheCorrupt, match=message):
+            client.fetch("Q90")
 
 
 class TestConcurrentFetches:

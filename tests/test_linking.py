@@ -60,28 +60,29 @@ class TestWikipediaLinker:
         assert result.qid == "Q30"
         assert result.rank_in_results == 0
 
-    @pytest.mark.parametrize("title_only", [False, True])
-    def test_no_hits_is_cached_as_empty_result(self, tmp_path, title_only):
+    @pytest.mark.parametrize("title_first", [False, True])
+    def test_no_hits_is_cached_as_empty_result(self, tmp_path, title_first):
         transport = FakeTransport({search_url("en", "qqzzxx"): search_payload()})
         cache = KbCache(tmp_path)
         linker = WikipediaLinker(cache, policy=ONLINE, transport=transport)
-        result = linker.link("qqzzxx", "en", title_only=title_only)
-        assert result == LinkResult("qqzzxx", "en")
-        # A cold full lookup sends the search alone; after a title-only one,
+        if title_first:
+            assert linker.title("qqzzxx", "en") is None
+        # A cold full lookup sends the search alone; after a title lookup,
         # the full lookup reads the search's cached absence. Later calls come
         # from the cache.
-        assert linker.link("qqzzxx", "en") == result
-        assert linker.link("qqzzxx", "en") == result
+        assert linker.link("qqzzxx", "en") == LinkResult("qqzzxx", "en")
+        assert linker.link("qqzzxx", "en") == LinkResult("qqzzxx", "en")
+        assert linker.title("qqzzxx", "en") is None
         assert len(transport.calls) == 1
         assert cache.keys() == [("wplink", "en:qqzzxx"), ("wptitle", "en:qqzzxx")]
 
-    @pytest.mark.parametrize("title_only", [False, True])
-    def test_cache_only_miss_names_key(self, tmp_path, title_only):
+    @pytest.mark.parametrize("lookup", ["link", "title"])
+    def test_cache_only_miss_names_key(self, tmp_path, lookup):
         linker = WikipediaLinker(
             KbCache(tmp_path), policy=CACHE_ONLY, transport=forbidden_transport
         )
         with pytest.raises(KbCacheMiss) as exc_info:
-            linker.link("Zanzibar", "en", title_only=title_only)
+            getattr(linker, lookup)("Zanzibar", "en")
         assert exc_info.value.source == "wplink"
         assert exc_info.value.key == "en:Zanzibar"
 
@@ -147,21 +148,22 @@ class TestWikipediaLinker:
         assert linker.link("Paris", "fr").qid == "Q90"
         assert transport.calls == [search_url, props_url, props_url]
 
-    @pytest.mark.parametrize("title_only", [False, True])
-    def test_malformed_search_caches_nothing_under_either_source(self, tmp_path, title_only):
+    @pytest.mark.parametrize("lookup", ["link", "title"])
+    def test_malformed_search_caches_nothing_under_either_source(self, tmp_path, lookup):
         malformed = {"query": {"search": [{"pageid": 1}]}}
         transport = RecordingTransport({search_url("en", "Paris"): malformed})
         cache = KbCache(tmp_path)
         linker = WikipediaLinker(cache, policy=ONLINE, transport=transport)
         with pytest.raises(KbRemoteError, match="malformed payload"):
-            linker.link("Paris", "en", title_only=title_only)
+            getattr(linker, lookup)("Paris", "en")
         assert cache.keys() == []
         assert transport.calls == [search_url("en", "Paris")]
 
-    def test_empty_surface_rejected(self, tmp_path):
-        linker = WikipediaLinker(KbCache(tmp_path), transport=forbidden_transport)
+    @pytest.mark.parametrize("lookup", ["link", "title"])
+    def test_empty_surface_rejected(self, tmp_path, lookup):
+        linker = WikipediaLinker(KbCache(tmp_path), policy=ONLINE, transport=forbidden_transport)
         with pytest.raises(ValueError):
-            linker.link("", "en")
+            getattr(linker, lookup)("", "en")
 
     def test_spelling_variants_share_an_id(self, resolver):
         """Different surfaces for one entity normalize to the same WikiData id."""
@@ -260,37 +262,39 @@ class TestRequestCounts:
         resolver = online_resolver(cache, transport)
         resolver.implicit_locate("Ada", "en")
         asked = len(transport.calls)
-        assert resolver.link("Ada", "en") == LinkResult("Ada", "en", "Ada Lovelace", "Q7259", 0)
+        linked = resolver.linker.link("Ada", "en")
+        assert linked == LinkResult("Ada", "en", "Ada Lovelace", "Q7259", 0)
         assert transport.calls[asked:] == [pageprops_url("en", "Ada Lovelace")]
         assert cache.get("wptitle", "en:Ada") == "Ada Lovelace"
-        assert cache.get("wplink", "en:Ada") == resolver.link("Ada", "en").to_json()
+        assert cache.get("wplink", "en:Ada") == linked.to_json()
 
     def test_classify_category_asks_no_dbpedia(self, tmp_path):
         transport = RecordingTransport(ADA_WORLD)
         resolver = online_resolver(KbCache(tmp_path), transport)
-        assert resolver.classify_category("London", "en") == LONDON
+        assert resolver.classify_categories(["London"], "en") == [LONDON]
         assert not any("dbpedia.org" in url for url in transport.calls)
 
     @pytest.mark.parametrize(
-        "title_only", [(False,), (True, False), (True,)], ids=["full", "mixed", "title"]
+        "lookups", [("link",), ("title", "link"), ("title",)], ids=["full", "mixed", "title"]
     )
-    def test_threads_linking_one_surface_send_each_url_once(self, tmp_path, title_only):
+    def test_threads_linking_one_surface_send_each_url_once(self, tmp_path, lookups):
         transport = RecordingTransport(ADA_WORLD, search_delay=0.05)
         linker = WikipediaLinker(
             KbCache(tmp_path), policy=ONLINE, transport=transport, rate_limiter=RateLimiter(1e9)
         )
-        flags = [title_only[index % len(title_only)] for index in range(8)]
-        start = threading.Barrier(len(flags), timeout=10)
+        names = [lookups[index % len(lookups)] for index in range(8)]
+        start = threading.Barrier(len(names), timeout=10)
         results = {}
 
         def link(index):
             start.wait()
-            results[index] = linker.link("Ada", "en", title_only=flags[index])
+            found = getattr(linker, names[index])("Ada", "en")
+            results[index] = found if names[index] == "title" else found.page_title
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=link, args=(index,)) for index in range(len(flags))]
+            threads = [threading.Thread(target=link, args=(index,)) for index in range(len(names))]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -298,10 +302,10 @@ class TestRequestCounts:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert {result.page_title for result in results.values()} == {"Ada Lovelace"}
-        assert len(results) == len(flags)
+        assert set(results.values()) == {"Ada Lovelace"}
+        assert len(results) == len(names)
         wanted = [search_url("en", "Ada")]
-        if not all(flags):
+        if "link" in names:
             wanted.append(pageprops_url("en", "Ada Lovelace"))
         assert sorted(transport.calls) == sorted(wanted)
 
@@ -310,7 +314,7 @@ class TestRequestCounts:
         stored = LinkResult("Paris", "fr", "Paris", "Q90", 0)
         cache.put("wplink", "fr:Paris", stored.to_json())
         linker = WikipediaLinker(cache, policy=CACHE_ONLY, transport=forbidden_transport)
-        assert linker.link("Paris", "fr", title_only=True).page_title == "Paris"
+        assert linker.title("Paris", "fr") == "Paris"
         assert linker.link("Paris", "fr") == stored
         assert cache.keys() == [("wplink", "fr:Paris")]
 
@@ -318,8 +322,7 @@ class TestRequestCounts:
         cache = KbCache(tmp_path)
         cache.put("wptitle", "fr:Paris", "Paris")
         linker = WikipediaLinker(cache, policy=CACHE_ONLY, transport=forbidden_transport)
-        found = linker.link("Paris", "fr", title_only=True)
-        assert found == LinkResult("Paris", "fr", "Paris", None, 0)
+        assert linker.title("Paris", "fr") == "Paris"
         with pytest.raises(KbCacheMiss) as exc_info:
             linker.link("Paris", "fr")
         assert (exc_info.value.source, exc_info.value.key) == ("wplink", "fr:Paris")
@@ -329,7 +332,7 @@ class TestRequestCounts:
         cache.put("wptitle", "fr:Paris", {"title": "Paris"})
         linker = WikipediaLinker(cache, policy=CACHE_ONLY, transport=forbidden_transport)
         with pytest.raises(KbCacheCorrupt, match="page title must be a string"):
-            linker.link("Paris", "fr", title_only=True)
+            linker.title("Paris", "fr")
 
 
 PARIS = LocationTuple("France", "Q142", "Paris", "Q90")

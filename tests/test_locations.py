@@ -10,7 +10,7 @@ from newsgeo.kb import (
     WikidataItem,
     forbidden_transport,
 )
-from newsgeo.linking import LinkResult
+from newsgeo.linking import LinkResult, WikipediaLinker
 from newsgeo.locations import (
     CITY_CLASS_MARKERS,
     PROPERTY_KEYWORDS,
@@ -20,6 +20,8 @@ from newsgeo.locations import (
     resolve_city,
     resolve_country,
 )
+from newsgeo.ner import NerSpan
+from newsgeo.ranking import resolve_location_span
 
 from conftest import DictKb, bfs_nearest_city, cache_only_resolver, count_calls
 
@@ -212,15 +214,14 @@ class TestMarkerSets:
 
 class TestClassifyCategory:
     def test_city_category(self, resolver):
-        location = resolver.classify_category("Paris", "en")
-        assert location == LocationTuple("France", "Q142", "Paris", "Q90")
+        locations = resolver.classify_categories(["Paris"], "en")
+        assert locations == [LocationTuple("France", "Q142", "Paris", "Q90")]
 
     def test_country_category_has_no_city(self, resolver):
-        location = resolver.classify_category("Canadá", "es")
-        assert location == LocationTuple("Canada", "Q16")
+        assert resolver.classify_categories(["Canadá"], "es") == [LocationTuple("Canada", "Q16")]
 
     def test_topic_category_is_not_a_location(self, resolver):
-        assert resolver.classify_category("Politics", "en") is None
+        assert resolver.classify_categories(["Politics"], "en") == []
 
     def test_wikidata_claims_qualify_without_dbpedia_markers(self, kb_cache):
         """No page markers, but a located-in claim still makes it a location."""
@@ -244,8 +245,7 @@ class TestClassifyCategory:
             dbpedia=DbpediaClient(kb_cache, policy=CACHE_ONLY, transport=forbidden_transport),
             linker=WikipediaLinker(kb_cache, policy=CACHE_ONLY, transport=forbidden_transport),
         )
-        location = resolver.classify_category("Obscureville", "en")
-        assert location is not None
+        [location] = resolver.classify_categories(["Obscureville"], "en")
         assert location.city == "London"
 
     def test_dbpedia_place_markers_without_claims_are_not_a_location(self, kb_cache, monkeypatch):
@@ -268,18 +268,18 @@ class TestClassifyCategory:
             WikidataItem("Q7778", {"en": "Markerton"}, [], [("Q515", "city")], []).to_json(),
         )
         pages = count_calls(monkeypatch, DbpediaClient, "fetch")
-        assert cache_only_resolver(kb_cache).classify_category("Markerton", "en") is None
+        assert cache_only_resolver(kb_cache).classify_categories(["Markerton"], "en") == []
         assert pages == []
 
     def test_unlinkable_category_returns_none(self, resolver, kb_cache):
         kb_cache.put(
             "wplink", "en:Gibberish", LinkResult("Gibberish", "en").to_json()
         )
-        assert resolver.classify_category("Gibberish", "en") is None
+        assert resolver.classify_categories(["Gibberish"], "en") == []
 
     def test_cache_miss_propagates(self, resolver):
         with pytest.raises(KbCacheMiss):
-            resolver.classify_category("Atlantis", "en")
+            resolver.classify_categories(["Atlantis"], "en")
 
     def test_missing_wikidata_item_is_unresolvable(self, resolver, kb_cache):
         kb_cache.put(
@@ -287,7 +287,7 @@ class TestClassifyCategory:
         )
         kb_cache.put("dbpedia", "en:Ghostton", {"__missing__": True})
         kb_cache.put("wikidata", "Q9402", {"__missing__": True})
-        assert resolver.classify_category("Ghostton", "en") is None
+        assert resolver.classify_categories(["Ghostton"], "en") == []
 
     def test_classify_categories_skips_failures_and_deduplicates(
         self, resolver, kb_cache
@@ -349,11 +349,11 @@ class TestImplicitLocate:
 
 class TestResolverMemo:
     LOOKUPS = [
-        ("link", ("Paris", "fr")),
+        ("locate_surface", ("Paris", "fr")),
         ("locate_qid", ("Q90",)),
         ("implicit_locate", ("Queen Elizabeth II", "en")),
         ("page_abstract", ("Eiffel Tower", "en")),
-        ("classify_category", ("Paris", "en")),
+        ("page_title", ("Eiffel Tower", "en")),
     ]
 
     @pytest.mark.parametrize("name, args", LOOKUPS)
@@ -378,6 +378,21 @@ class TestResolverMemo:
             cache.put(source, key, kb_cache.get(source, key))
         expected = getattr(cache_only_resolver(kb_cache), name)(*args)
         assert getattr(resolver, name)(*args) == expected is not None
+
+
+class TestLocateSurface:
+    def test_a_location_span_a_category_and_an_anchor_link_their_surface_once(
+        self, resolver, monkeypatch
+    ):
+        """Queen Elizabeth II's birthplace anchor is Mayfair, also asked here
+        as a location span and as a category."""
+        links = count_calls(monkeypatch, WikipediaLinker, "link")
+        span = NerSpan("Mayfair", 0, 7, "LOC", "test")
+        location = resolve_location_span(span, "en", resolver)
+        assert location == LocationTuple("United Kingdom", "Q145", "London", "Q84")
+        assert resolver.classify_categories(["Mayfair"], "en") == [location]
+        assert resolver.implicit_locate("Queen Elizabeth II", "en").location == location
+        assert links.count(("Mayfair", "en")) == 1
 
 
 class TestBestGeographicProperty:
