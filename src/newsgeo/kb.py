@@ -18,19 +18,24 @@ Cache file format: one JSON object per line, ``{"source": s, "key": k,
 "value": v}``, append-only with the last write winning. The format is
 deliberately diff-friendly so recorded fixtures can live in version control.
 Loading indexes the offset of each key's last line, and keeps that index in
-a file beside the cache for the next load; a value is decoded when it is
-read, and a corrupt one (invalid JSON or UTF-8) raises :class:`KbCacheCorrupt`
-naming its file and line at that point.
+a binary file beside the cache: sorted 64-bit key hashes and their offsets,
+which the next load checks and then searches in place, so opening a long
+cache decodes none of its history. A value is decoded when it is read, and a
+corrupt one (invalid JSON or UTF-8) raises :class:`KbCacheCorrupt` naming its
+file and line at that point.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import json
 import logging
 import os
 import re
+import struct
+import sys
 import threading
 import time
 import urllib.parse
@@ -39,6 +44,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .memo import Memo
+
+try:  # hashlib's own blake2b, without the OpenSSL bindings `import hashlib` loads (3 ms)
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 logger = logging.getLogger(__name__)
 
@@ -96,11 +106,20 @@ class KbCache:
     the file and line.
 
     The pass starts where the index file beside the cache (`<cache>.index`)
-    ends: it holds the offsets of the first `covered` bytes, up to a newline,
-    with their CRC-32, and is used only while those bytes are unchanged.
-    A load that indexes any line rewrites it (a temporary file, then a
-    rename). The index is disposable: a failed write is ignored, and a
-    missing, unreadable or stale index only makes the pass start at 0.
+    ends. That binary file, in this machine's byte order, covers the first
+    `covered` bytes, up to a newline: a header (a tag naming the format and
+    byte order, `covered` and their CRC-32, the counts of distinct keys and
+    of entries, the body's CRC-32), then the entries' 64-bit key hashes,
+    sorted, and their line offsets in the same order. A key's hash is the
+    8-byte BLAKE2b digest of `source + "\\0" + key` in UTF-8, the same in
+    every process. A load that finds the index whole searches it in place,
+    decoding nothing per key. A hit counts only when the line at its offset,
+    read by the load's rule, holds that source and key, and the last such
+    line wins, so neither a hash collision nor a damaged index can answer
+    with another key's record. A load that indexes any line rewrites the
+    index with their entries merged in (a temporary file, then a rename).
+    The index is disposable: a failed write is ignored, and a missing,
+    unreadable or stale index only makes the pass start at 0.
 
     Concurrent reads are safe; writes are serialized through a single lock and
     flushed immediately so parallel workers sharing one cache never observe a
@@ -117,9 +136,12 @@ class KbCache:
         self._lock = threading.Lock()
         self._data = path.read_bytes() if path.exists() else b""
         end = self._data.rfind(b"\n") + 1
-        # source -> key -> offset of its last line in `_data`, or its `put` line
-        self._entries: dict[str, dict[str, int | str]]
-        self._entries, start, crc = self._load_index(end)
+        # source -> key -> offset of its last line in `_data`, or its `put`
+        # line: the keys of the lines after the index, of `put`s, and those
+        # found in the index
+        self._entries: dict[str, dict[str, int | str]] = {}
+        # the index's hashes and offsets, and its count of distinct keys
+        self._hashes, self._offsets, self._len, start, crc = self._load_index(end)
         keys_of: dict[bytes, dict[str, int | str]] = {}  # by the source's bytes
         offset = -1  # of the last line indexed
         try:
@@ -135,8 +157,14 @@ class KbCache:
                     keys_of[source][key.decode("utf-8")] = offset
         except (ValueError, KeyError, TypeError) as exc:
             raise _corrupt(path, self._number(offset), exc) from exc
-        if offset >= 0:
-            self._save_index(end, zlib.crc32(memoryview(self._data)[start:end], crc))
+        added = []  # (hash, offset) of each key of the lines after the index
+        for source, keys in self._entries.items():
+            for key, line in keys.items():
+                digest = _key_hash(source, key)
+                added.append((digest, line))
+                self._len += self._search(digest, source, key) is None
+        if added:
+            self._save_index(end, zlib.crc32(memoryview(self._data)[start:end], crc), added)
         # A crash in the middle of `put` leaves a torn last line without its
         # newline: it is skipped here and cut off by the next `put`.
         self._torn_at: int | None = None
@@ -144,22 +172,24 @@ class KbCache:
         if self._unterminated:
             try:
                 (source, key), _ = self._read(end)
+                self._len += (source, key) not in self
                 self._entries.setdefault(source, {})[key] = end
             except (ValueError, KeyError, TypeError):
                 logger.warning("%s:%d: skipping a torn last line", path, self._number(end))
                 self._torn_at = end
 
     def __contains__(self, source_key: tuple[str, str]) -> bool:
-        source, key = source_key
-        return key in self._entries.get(source, ())
+        return self._entry(*source_key) is not None
 
     def __len__(self) -> int:
-        return sum(map(len, self._entries.values()))
+        return self._len
 
     def get(self, source: str, key: str, decode: Callable[[Any], Any] = lambda v: v) -> Any:
         """`decode` of the value of (source, key), read afresh on every call; a
         value `decode` cannot take is a corrupt record, like one not in JSON."""
-        entry = self._entries[source][key]
+        entry = self._entry(source, key)
+        if entry is None:
+            raise KeyError((source, key))
         try:
             found, value = self._read(entry)
             if found != (source, key):
@@ -173,6 +203,7 @@ class KbCache:
             {"source": source, "key": key, "value": value}, ensure_ascii=False
         )
         with self._lock:
+            self._len += (source, key) not in self
             self._entries.setdefault(source, {})[key] = line
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as handle:
@@ -184,12 +215,19 @@ class KbCache:
             self._torn_at, self._unterminated = None, False
 
     def keys(self) -> list[tuple[str, str]]:
-        return sorted((source, key) for source, keys in self._entries.items() for key in keys)
+        """Every (source, key), sorted; the one call that reads every entry of the index."""
+        found = {(source, key) for source, keys in self._entries.items() for key in keys}
+        for digest, offset in zip(self._hashes, self._offsets):
+            source_key = self._key_at(offset)
+            if source_key is not None and _key_hash(*source_key) == digest:
+                found.add(source_key)
+        return sorted(found)
 
     def export(self, path: str | Path) -> int:
         """Write a deduplicated snapshot, sorted by (source, key)."""
+        keys = self.keys()
         with Path(path).open("w", encoding="utf-8") as handle:
-            for source, key in self.keys():
+            for source, key in keys:
                 handle.write(
                     json.dumps(
                         {"source": source, "key": key, "value": self.get(source, key)},
@@ -197,7 +235,42 @@ class KbCache:
                     )
                     + "\n"
                 )
-        return len(self)
+        return len(keys)
+
+    def _entry(self, source: str, key: str) -> int | str | None:
+        """The offset of the last line of (source, key) in `_data`, or its
+        `put` line; None when it has neither. An index hit is kept in `_entries`."""
+        keys = self._entries.get(source)
+        if keys is not None and key in keys:
+            return keys[key]
+        offset = self._search(_key_hash(source, key), source, key)
+        if offset is None:
+            return None
+        # unless a `put` of the key came first
+        return self._entries.setdefault(source, {}).setdefault(key, offset)
+
+    def _search(self, digest: int, source: str, key: str) -> int | None:
+        """The highest offset in the index of a line of (source, key), whose
+        hash is `digest`; None when the index holds none."""
+        low = bisect.bisect_left(self._hashes, digest)
+        for i in reversed(range(low, bisect.bisect_right(self._hashes, digest, low))):
+            if self._key_at(self._offsets[i]) == (source, key):
+                return self._offsets[i]
+        return None
+
+    def _key_at(self, offset: int) -> tuple[str, str] | None:
+        """(source, key) of the line at `offset` of `_data` as loading reads
+        it; None when no record starts there."""
+        match = _LINE.match(self._data, offset)
+        if match is None:
+            return None
+        source, key = match.group(1, 2)
+        try:
+            if source is None:
+                return self._read(offset)[0]
+            return source.decode("utf-8"), key.decode("utf-8")
+        except (ValueError, KeyError, TypeError):
+            return None
 
     def _read(self, entry: int | str) -> tuple[tuple[str, str], Any]:
         """(source, key) and value of the line at an offset of `_data`, or of a `put`."""
@@ -210,41 +283,57 @@ class KbCache:
             raise TypeError(f"source and key must be strings, got {source!r} and {key!r}")
         return (source, key), record["value"]
 
-    def _load_index(self, end: int) -> tuple[dict[str, dict[str, int | str]], int, int]:
-        """The entries of the index file, the number of bytes of `_data` they
-        cover and their CRC; ({}, 0, 0) when the index is missing, unreadable
-        or does not match the first bytes of `_data`."""
+    def _load_index(self, end: int) -> tuple[memoryview, memoryview, int, int, int]:
+        """The hashes, offsets and key count of the index file, the number of
+        bytes of `_data` it covers and their CRC; empty arrays and zeros when
+        the index is missing, unreadable or does not match the first bytes of
+        `_data`."""
+        empty = memoryview(b"").cast("Q")
         try:
-            index = json.loads(self._index_path().read_bytes())
-            covered, crc, entries = index["covered"], index["crc32"], index["entries"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return {}, 0, 0
+            index = memoryview(self._index_path().read_bytes())
+            magic, covered, crc, keys, entries, body_crc = _INDEX_HEADER.unpack_from(index)
+        except (OSError, struct.error):
+            return empty, empty, 0, 0, 0
+        body = index[_INDEX_HEADER.size :]
         if not (
-            type(covered) is int
-            and type(crc) is int
+            magic == _INDEX_MAGIC
+            and len(body) == 16 * entries
+            and keys <= entries
             and 0 < covered <= end
+            and zlib.crc32(body) == body_crc
             and zlib.crc32(memoryview(self._data)[:covered]) == crc
-            and type(entries) is dict
-            and all(
-                type(keys) is dict and all(type(offset) is int for offset in keys.values())
-                for keys in entries.values()
-            )
         ):
-            return {}, 0, 0
-        return entries, covered, crc
+            return empty, empty, 0, 0, 0
+        hashes, offsets = body[: 8 * entries].cast("Q"), body[8 * entries :].cast("Q")
+        return hashes, offsets, keys, covered, crc
 
-    def _save_index(self, covered: int, crc: int) -> None:
-        """Write `_entries` as the index of the first `covered` bytes of `_data`.
+    def _save_index(self, covered: int, crc: int, added: list[tuple[int, int]]) -> None:
+        """Write the index of the first `covered` bytes of `_data`: the loaded
+        one with the (hash, offset) entries `added` merged in, in one pass.
 
         The cache file stays the only authority, so a failed write is ignored.
         """
+        hashes, offsets = [], []  # the pieces of the two arrays' bytes
+        start = 0
+        for digest, offset in sorted(added):
+            # after the loaded entries of an equal hash, whose lines come first
+            cut = bisect.bisect_right(self._hashes, digest, start)
+            if cut > start:
+                hashes.append(self._hashes[start:cut].cast("B"))
+                offsets.append(self._offsets[start:cut].cast("B"))
+            hashes.append(_INDEX_ITEM.pack(digest))
+            offsets.append(_INDEX_ITEM.pack(offset))
+            start = cut
+        hashes.append(self._hashes[start:].cast("B"))
+        offsets.append(self._offsets[start:].cast("B"))
+        body = b"".join(hashes + offsets)
+        header = _INDEX_HEADER.pack(
+            _INDEX_MAGIC, covered, crc, self._len, len(body) // 16, zlib.crc32(body)
+        )
         index = self._index_path()
         temp = index.with_name(f"{index.name}.{os.getpid()}-{threading.get_ident()}.tmp")
         try:
-            temp.write_text(
-                json.dumps({"covered": covered, "crc32": crc, "entries": self._entries}),
-                encoding="ascii",
-            )
+            temp.write_bytes(header + body)
             os.replace(temp, index)
         except OSError:
             with contextlib.suppress(OSError):
@@ -256,6 +345,18 @@ class KbCache:
     def _number(self, entry: int | str) -> int | None:
         """The line number of an offset of `_data`; None for the line of a `put`."""
         return self._data.count(b"\n", 0, entry) + 1 if isinstance(entry, int) else None
+
+
+# The index file's header: tag, covered, its CRC-32, keys, entries, body CRC-32.
+_INDEX_MAGIC = f"kbindex2 {sys.byteorder}".encode().ljust(16)
+_INDEX_HEADER = struct.Struct("=16sQIQQI")
+_INDEX_ITEM = struct.Struct("=Q")
+
+
+def _key_hash(source: str, key: str) -> int:
+    """A 64-bit hash of (source, key), the same in every process (unlike `hash`)."""
+    text = f"{source}\0{key}".encode("utf-8", "surrogatepass")
+    return int.from_bytes(blake2b(text, digest_size=8).digest(), "little")
 
 
 # A line of `_data` that is not blank; one in the form `put` writes, with a
@@ -326,9 +427,12 @@ class WikidataItem:
 
     def __post_init__(self) -> None:
         # Fetched payloads and cached records both become items here, so a
-        # claim target that is not an item id never reaches a lookup.
+        # claim target that is not an item id, or a label that is not a
+        # string, never reaches a lookup or a report.
         for target in (*self.p17, *(qid for qid, _ in self.p31), *self.p131):
             _check_qid(target)
+        for label in (*self.labels.values(), *(label for _, label in self.p31)):
+            _check_label(label)
 
     def label(self) -> str | None:
         return _pick_label(self.labels)
@@ -484,7 +588,9 @@ class WikidataClient(_CachedClient):
         return self._lookup(
             self.LABEL_SOURCE, qid,
             lambda: self._fetch_reduced(url, lambda p: _labels_record(qid, p)),
-            lambda value: _pick_label(value["labels"]),
+            lambda value: _pick_label(
+                {lang: _check_label(label) for lang, label in value["labels"].items()}
+            ),
         )
 
     def _parse_entity(self, qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
@@ -508,6 +614,13 @@ def _check_qid(qid: Any) -> str:
     return qid
 
 
+def _check_label(label: Any) -> str:
+    """`label` itself; TypeError unless it is a string."""
+    if type(label) is not str:
+        raise TypeError(f"label must be a string, got {label!r}")
+    return label
+
+
 def _pick_label(labels: dict[str, str]) -> str | None:
     """The English label, else any; None without labels."""
     return labels["en"] if "en" in labels else next(iter(labels.values()), None)
@@ -527,7 +640,8 @@ def _labels_record(qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
 
 
 def _entity_labels(entity: dict[str, Any]) -> dict[str, str]:
-    return {lang: record["value"] for lang, record in entity.get("labels", {}).items()}
+    labels = entity.get("labels", {})
+    return {lang: _check_label(record["value"]) for lang, record in labels.items()}
 
 
 def _claim_targets(claims: list[dict[str, Any]]) -> list[str]:

@@ -22,7 +22,7 @@ import dataclasses
 import urllib.parse
 from typing import TYPE_CHECKING, Any
 
-from .kb import CACHE_ONLY, _CachedClient
+from .kb import CACHE_ONLY, _CachedClient, _check_qid
 
 if TYPE_CHECKING:
     from .locations import LocationTuple
@@ -49,11 +49,12 @@ class LinkResult:
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "LinkResult":
+        qid = d.get("qid")
         return LinkResult(
             surface=d["surface"],
             language=d["language"],
             page_title=d.get("page_title"),
-            qid=d.get("qid"),
+            qid=None if qid is None else _check_qid(qid),
             rank_in_results=d.get("rank_in_results", -1),
         )
 
@@ -127,7 +128,7 @@ def _pageprops_qid(payload: Any) -> str | None:
     for page in payload.get("query", {}).get("pages", {}).values():
         qid = page.get("pageprops", {}).get("wikibase_item")
         if qid:
-            return qid
+            return _check_qid(qid)
     return None
 
 

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import urllib.parse
 from pathlib import Path
 
 import numpy as np
@@ -903,6 +904,38 @@ class TestKbFailures:
         assert error["error"] == "remote-error"
         assert error["details"][0].endswith("(ValueError: malformed WikiData id 'X9')")
         assert not any(source == "wikidata" for source, _ in KbCache(cache).keys())
+
+    def test_a_pageprops_id_that_is_not_an_item_id_is_a_remote_error(
+        self, tmp_path, fixture_tree, monkeypatch, capsys
+    ):
+        """A page whose WikiData id is "X9" is a malformed payload: no link is
+        cached, and evaluate fails instead of scoring the article as a miss."""
+        cache = tmp_path / "cache.jsonl"
+        lines = read_lines(fixture_tree["cache"])
+        cache.write_text(
+            "".join(line + "\n" for line in lines if '"source": "wplink",' not in line),
+            encoding="utf-8",
+        )
+        asked = []
+
+        def transport(url):
+            asked.append(url)
+            query = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
+            if "srsearch" in query:
+                return {"query": {"search": [{"title": query["srsearch"][0]}]}}
+            if "titles" in query:
+                return {"query": {"pages": {"1": {"pageprops": {"wikibase_item": "X9"}}}}}
+            raise LookupError(url)
+
+        monkeypatch.setattr("newsgeo.kb.default_transport", transport)
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        self.run(tmp_path, fixture_tree, "evaluate-1", cache, "--network", "online")
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "remote-error"
+        reason = "malformed payload (ValueError: malformed WikiData id 'X9')"
+        assert error["details"][0] == f"{asked[-1]}: {reason}"
+        assert "prop=pageprops" in asked[-1]
+        assert not any(source == "wplink" for source, _ in KbCache(cache).keys())
 
     def test_generate_pairs_asks_dbpedia_nothing(
         self, tmp_path, fixture_tree, monkeypatch, capsys

@@ -1,8 +1,10 @@
 """Cache, fetch policies, retry behaviour and payload parsing."""
 
+import hashlib
 import json
 import random
 import re
+import struct
 import sys
 import threading
 import time
@@ -39,12 +41,45 @@ def scans(monkeypatch):
     line = kb._LINE
 
     class Recording:
+        match = line.match
+
         def finditer(self, data, start, end):
             found.append((start, end))
             return line.finditer(data, start, end)
 
     monkeypatch.setattr(kb, "_LINE", Recording())
     return found
+
+
+HEADER = struct.Struct("=16sQIQQI")  # magic, covered, crc32, keys, entries, body_crc32
+
+
+def key_hash(source, key):
+    text = f"{source}\0{key}".encode("utf-8", "surrogatepass")
+    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "little")
+
+
+def read_index(path):
+    """The header fields and the (hash, offset) entries of the index beside cache `path`."""
+    data = path.with_name(path.name + ".index").read_bytes()
+    magic, covered, crc, keys, count, body_crc = HEADER.unpack_from(data)
+    assert len(data) == HEADER.size + 16 * count
+    assert zlib.crc32(data[HEADER.size :]) == body_crc
+    hashes = struct.unpack_from(f"={count}Q", data, HEADER.size)
+    offsets = struct.unpack_from(f"={count}Q", data, HEADER.size + 8 * count)
+    assert list(hashes) == sorted(hashes)
+    return dict(
+        magic=magic, covered=covered, crc32=crc, keys=keys, entries=list(zip(hashes, offsets))
+    )
+
+
+def rewrite_index(index, body=None, **fields):
+    """`index` with header `fields` replaced and a body CRC that matches `body`."""
+    names = ["magic", "covered", "crc32", "keys", "entries", "body_crc32"]
+    header = dict(zip(names, HEADER.unpack_from(index)))
+    body = index[HEADER.size :] if body is None else body
+    header.update(body_crc32=zlib.crc32(body), **fields)
+    return HEADER.pack(*(header[name] for name in names)) + body
 
 
 class TestKbCache:
@@ -61,6 +96,18 @@ class TestKbCache:
         assert ("src", "k") in cache
         assert cache.get("src", "k") == {"a": 1}
         assert ("src", "other") not in cache
+
+    def test_a_put_over_an_existing_key_keeps_the_length(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = KbCache(path)
+        cache.put("src", "k", 1)
+        cache.put("src", "k", 2)
+        assert len(cache) == 1
+        reloaded = KbCache(path)  # through the index
+        reloaded.put("src", "k", 3)
+        assert len(reloaded) == 1 and reloaded.get("src", "k") == 3
+        reloaded.put("src", "k2", 4)
+        assert len(reloaded) == 2 and len(KbCache(path)) == 2
 
     def test_directory_argument_appends_filename(self, tmp_path):
         cache = KbCache(tmp_path)
@@ -187,7 +234,7 @@ class TestKbCache:
         path.write_text(compact + "\n", encoding="utf-8")
         KbCache(path).put("src", "k2", 2)
         covered = len(compact) + 1
-        assert json.loads(path.with_name("c.jsonl.index").read_text())["covered"] == covered
+        assert read_index(path)["covered"] == covered
         lines = path.read_text(encoding="utf-8").splitlines()
         decoded = []
         loads = json.loads
@@ -288,12 +335,44 @@ class TestKbCacheIndex:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"source": "src", "key": "k3", "value": 3}')  # unterminated
         KbCache(path)
-        index = json.loads(path.with_name("c.jsonl.index").read_text(encoding="utf-8"))
+        index = read_index(path)
         covered = path.read_bytes().rfind(b"\n") + 1
+        assert index["magic"] == f"kbindex2 {sys.byteorder}".encode().ljust(16)
         assert index["covered"] == covered
         assert index["crc32"] == zlib.crc32(path.read_bytes()[:covered])
-        assert index["entries"] == {"src": {"k1": 0, "k2": covered // 2}}
+        assert index["keys"] == 2
+        assert index["entries"] == sorted(
+            [(key_hash("src", "k1"), 0), (key_hash("src", "k2"), covered // 2)]
+        )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.index"]
+
+    def test_a_load_merges_the_appended_lines_into_the_index(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        self.write(path, *[(f"k{i}", i) for i in range(50)])
+        KbCache(path)
+        before = read_index(path)["entries"]
+        with path.open("a", encoding="utf-8") as handle:
+            for key in ("k7", "new1", "new2"):  # k7 is written again
+                offset = handle.tell()
+                handle.write(json.dumps(dict(source="src", key=key, value=key)) + "\n")
+                before.append((key_hash("src", key), offset))
+        cache = KbCache(path)
+        index = read_index(path)
+        assert index["entries"] == sorted(before)
+        assert index["keys"] == len(cache) == 52
+        assert KbCache(path).get("src", "k7") == "k7"
+
+    def test_a_warm_load_decodes_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        self.write(path, *[(f"k{i}", {"n": i}) for i in range(2000)])
+        KbCache(path)
+        calls = []
+        loads = kb.json.loads
+        monkeypatch.setattr(kb.json, "loads", lambda text: calls.append(text) or loads(text))
+        cache = KbCache(path)
+        assert calls == [] and len(cache) == 2000
+        assert cache.get("src", "k1234") == {"n": 1234}
+        assert len(calls) == 1
 
     def test_a_rewritten_prefix_of_the_same_length_is_reindexed(self, tmp_path, scans):
         path = tmp_path / "c.jsonl"
@@ -321,23 +400,24 @@ class TestKbCacheIndex:
         [
             lambda index: b"\x00garbage\xff",
             lambda index: index[: len(index) // 2],
-            lambda index: b"[]",
-            lambda index: json.dumps({**json.loads(index), "covered": "40"}).encode(),
-            lambda index: json.dumps({**json.loads(index), "crc32": None}).encode(),
+            lambda index: rewrite_index(index, body=index[HEADER.size : -8]),
+            lambda index: rewrite_index(index, magic=b"kbindex1 little"),
+            lambda index: rewrite_index(
+                index, magic=f"kbindex2 {'big' if sys.byteorder == 'little' else 'little'}".encode()
+            ),
             lambda index: json.dumps(
-                {**json.loads(index), "crc32": float(json.loads(index)["crc32"])}
+                {"covered": HEADER.unpack_from(index)[1], "crc32": HEADER.unpack_from(index)[2],
+                 "entries": {"src": {"k1": 0, "k2": 43}}}
             ).encode(),
-            lambda index: json.dumps({**json.loads(index), "entries": [1]}).encode(),
-            lambda index: json.dumps({**json.loads(index), "entries": {"src": [0]}}).encode(),
-            lambda index: index.replace(b'"k1": 0', b'"k1": "0"'),
-            lambda index: index.replace(b'"k1": 0', b'"k1": 0.0'),
-            lambda index: index.replace(b'"k1": 0', b'"k1": false'),
-            lambda index: index.replace(b'"k1": 0', b'"k1": null'),
+            lambda index: rewrite_index(index, covered=HEADER.unpack_from(index)[1] + 43),
+            lambda index: rewrite_index(index, crc32=HEADER.unpack_from(index)[2] ^ 1),
+            lambda index: index[:-1] + bytes([index[-1] ^ 1]),
+            lambda index: rewrite_index(index, keys=3),
         ],
         ids=[
-            "garbage", "truncated", "not-an-object", "covered-a-string", "no-crc", "crc-a-float",
-            "entries-a-list", "keys-a-list", "offset-a-string", "offset-a-float",
-            "offset-a-bool", "offset-null",
+            "garbage", "truncated", "size-not-the-entries", "other-version", "other-byte-order",
+            "earlier-json-format", "covered-past-the-end", "data-crc-mismatch",
+            "body-crc-mismatch", "more-keys-than-entries",
         ],
     )
     def test_an_unusable_index_is_ignored_and_replaced(self, tmp_path, scans, damage):
@@ -358,9 +438,36 @@ class TestKbCacheIndex:
         self.write(path, ("k1", 1), ("k2", 2))
         KbCache(path)
         index = path.with_name("c.jsonl.index")
-        index.write_bytes(index.read_bytes().replace(b'"k1": 0', b'"k1": 1'))
-        with pytest.raises(KbCacheCorrupt, match=f"{path}:1: bad cache record"):
-            KbCache(path).get("src", "k1")
+        good, entries = index.read_bytes(), read_index(path)["entries"]
+        hashes = good[HEADER.size : HEADER.size + 16]
+        for offsets in (
+            [offset for _, offset in entries[::-1]],  # each at the other key's line
+            [offset + 1 for _, offset in entries],  # inside a line
+            [10**6, 10**6],  # past the end of the file
+        ):
+            index.write_bytes(rewrite_index(good, body=hashes + struct.pack("=2Q", *offsets)))
+            cache = KbCache(path)
+            assert ("src", "k1") not in cache and ("src", "k2") not in cache
+            with pytest.raises(KeyError):
+                cache.get("src", "k1")
+            assert cache.keys() == []
+
+    def test_keys_of_one_hash_are_told_apart_by_their_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kb, "_key_hash", lambda source, key: 7)
+        path = tmp_path / "c.jsonl"
+        self.write(path, ("k1", 1), ("k2", 2), ("k1", 3))
+        path.write_text(
+            path.read_text(encoding="utf-8")
+            + json.dumps({"key": "k3", "source": "src", "value": 4}, separators=(",", ":"))
+            + "\n",
+            encoding="utf-8",
+        )
+        KbCache(path)
+        assert {digest for digest, _ in read_index(path)["entries"]} == {7}
+        cache = KbCache(path)
+        assert len(cache) == 3 and ("src", "k4") not in cache
+        assert [cache.get("src", key) for key in ("k1", "k2", "k3")] == [3, 2, 4]
+        assert cache.keys() == [("src", "k1"), ("src", "k2"), ("src", "k3")]
 
     def test_loads_in_many_threads_leave_one_valid_index(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -389,7 +496,8 @@ class TestKbCacheIndex:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         KbCache(path)
-        assert json.loads(index.read_text(encoding="ascii"))["covered"] == path.stat().st_size
+        assert read_index(path)["covered"] == path.stat().st_size
+        assert len(read_index(path)["entries"]) == read_index(path)["keys"] == 200
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.index"]
 
     def test_an_index_that_cannot_be_written_changes_nothing(self, tmp_path, caplog):
@@ -501,11 +609,16 @@ class TestKbCacheAgainstOracle:
         cache = self.check(path, caplog)
         if cache is None:
             return
+        expected = oracle_kb_cache(data)
+        assert len(cache) == len(expected.records)
         end = data.rfind(b"\n") + 1
         indexed = any(line.strip() for line in data[:end].split(b"\n"))
         assert path.with_name("c.jsonl.index").exists() == indexed
         scans.clear()
-        self.check(path, caplog).put("sé", 'new "key"', {"v": seed})
+        cache = self.check(path, caplog)
+        assert len(cache) == len(expected.records)
+        cache.put("sé", 'new "key"', {"v": seed})
+        assert len(cache) == len(expected.records) + 1
         assert scans == [(end if indexed else 0, end)]
         assert self.check(path, caplog).get("sé", 'new "key"') == {"v": seed}
 
@@ -854,6 +967,62 @@ class TestClaimTargets:
         message = re.escape(f"{path}:1: bad cache record (malformed WikiData id 'X9')")
         with pytest.raises(KbCacheCorrupt, match=message):
             client.fetch("Q90")
+
+
+class TestLabels:
+    """Every WikiData label is a string, in a fetched payload and in a cached
+    record alike, for items and labels-only records."""
+
+    URL = TestClaimTargets.URL
+
+    @pytest.mark.parametrize("bad", [5, ["Paris"]], ids=["int", "list"])
+    @pytest.mark.parametrize("source", ["wikidata", "wikidata-label"])
+    def test_a_fetched_label_that_is_not_a_string_is_a_remote_error(self, tmp_path, source, bad):
+        url = self.URL.format(qid="Q90")
+        transport = FakeTransport({url: wikidata_payload("Q90", labels={"de": "Paris", "en": bad})})
+        cache = KbCache(tmp_path)
+        client = WikidataClient(cache, policy=ONLINE, transport=transport)
+        lookup = client.fetch if source == "wikidata" else client.label
+        message = f"^{re.escape(url)}: malformed payload .*label must be a string, got "
+        with pytest.raises(KbRemoteError, match=message + re.escape(repr(bad))):
+            lookup("Q90")
+        assert transport.calls == [url]
+        assert cache.keys() == []
+
+    def test_a_fetched_class_label_that_is_not_a_string_is_a_remote_error(self, tmp_path):
+        city, item = self.URL.format(qid="Q515"), self.URL.format(qid="Q90")
+        transport = FakeTransport(
+            {
+                item: wikidata_payload("Q90", labels={"en": "Paris"}, p31=["Q515"]),
+                city: wikidata_payload("Q515", labels={"en": 5}),
+            }
+        )
+        cache = KbCache(tmp_path)
+        client = WikidataClient(cache, policy=ONLINE, transport=transport)
+        with pytest.raises(KbRemoteError, match=f"^{re.escape(city)}: malformed payload"):
+            client.fetch("Q90")
+        assert transport.calls == [item, city]
+        assert cache.keys() == []
+
+    @pytest.mark.parametrize("where", ["labels", "p31", "labels-record"])
+    def test_a_cached_label_that_is_not_a_string_is_corrupt(self, tmp_path, where):
+        path = tmp_path / "c.jsonl"
+        source, value = "wikidata-label", {"labels": {"de": "Paris", "en": 5}}
+        if where != "labels-record":
+            source = "wikidata"
+            value = WikidataItem("Q90", {"en": "Paris"}, [], [("Q515", "city")], []).to_json()
+            if where == "labels":
+                value["labels"]["en"] = 5
+            else:
+                value["p31"][0][1] = 5
+        path.write_text(
+            json.dumps({"source": source, "key": "Q90", "value": value}) + "\n", encoding="utf-8"
+        )
+        client = WikidataClient(KbCache(path), policy=CACHE_ONLY, transport=forbidden_transport)
+        lookup = client.fetch if source == "wikidata" else client.label
+        message = re.escape(f"{path}:1: bad cache record (label must be a string, got 5)")
+        with pytest.raises(KbCacheCorrupt, match=message):
+            lookup("Q90")
 
 
 class TestConcurrentFetches:

@@ -148,6 +148,44 @@ class TestWikipediaLinker:
         assert linker.link("Paris", "fr").qid == "Q90"
         assert transport.calls == [search_url, props_url, props_url]
 
+    @pytest.mark.parametrize("qid", ["X9", "Q90\n", 90])
+    def test_a_pageprops_id_that_is_not_an_item_id_is_a_remote_error(self, tmp_path, qid):
+        props_url = pageprops_url("fr", "Paris")
+        transport = RecordingTransport(
+            {search_url("fr", "Paris"): search_payload("Paris"), props_url: pageprops_payload(qid)}
+        )
+        cache = KbCache(tmp_path)
+        linker = WikipediaLinker(cache, policy=ONLINE, transport=transport)
+        message = f"^{re.escape(props_url)}: malformed payload .*malformed WikiData id "
+        with pytest.raises(KbRemoteError, match=message + re.escape(repr(qid))):
+            linker.link("Paris", "fr")
+        assert cache.keys() == [("wptitle", "fr:Paris")]
+        assert transport.calls == [search_url("fr", "Paris"), props_url]
+
+    def test_a_cached_qid_that_is_not_an_item_id_is_corrupt(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        KbCache(path).put("wplink", "fr:Paris", LinkResult("Paris", "fr", "Paris", "Q90").to_json())
+        KbCache(path).put("wplink", "fr:Lyon", LinkResult("Lyon", "fr", "Lyon", "X9").to_json())
+        linker = WikipediaLinker(KbCache(path), policy=CACHE_ONLY, transport=forbidden_transport)
+        assert linker.link("Paris", "fr").qid == "Q90"
+        message = re.escape(f"{path}:2: bad cache record (malformed WikiData id 'X9')")
+        with pytest.raises(KbCacheCorrupt, match=message):
+            linker.link("Lyon", "fr")
+
+    def test_a_page_without_an_item_is_cached_without_a_qid(self, tmp_path):
+        transport = RecordingTransport(
+            {
+                search_url("fr", "Atlantide"): search_payload("Atlantide"),
+                pageprops_url("fr", "Atlantide"): pageprops_payload(None),
+            }
+        )
+        linked = WikipediaLinker(KbCache(tmp_path), policy=ONLINE, transport=transport).link(
+            "Atlantide", "fr"
+        )
+        assert linked == LinkResult("Atlantide", "fr", "Atlantide", None, 0)
+        offline = WikipediaLinker(KbCache(tmp_path), transport=forbidden_transport)
+        assert offline.link("Atlantide", "fr") == linked
+
     @pytest.mark.parametrize("lookup", ["link", "title"])
     def test_malformed_search_caches_nothing_under_either_source(self, tmp_path, lookup):
         malformed = {"query": {"search": [{"pageid": 1}]}}
