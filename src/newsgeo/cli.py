@@ -18,7 +18,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .config import (
     LOCATED_NON_LOCATIONS,
@@ -31,20 +31,23 @@ from .config import (
 from .corpus import (
     SUPPORTED_LANGUAGES,
     Article,
+    LocationTuple,
     compute_stats,
     format_stats_table,
     load_corpus,
     load_gold,
     save_corpus,
 )
-from .kb import KbCacheCorrupt, KbCacheMiss, KbRemoteError
-from .locations import LocationTuple, Resolver
 from .memo import map_articles
 from .pairs import TrainingPair, generate_pairs, load_pairs, save_pairs
 
-# The commands that embed import evaluation, ranking or training (and with
-# them numpy) when they run: each command starts in a fresh interpreter, and
-# the KB-only commands would otherwise spend most of their time importing.
+if TYPE_CHECKING:
+    from .locations import Resolver
+
+# Each command imports the layers it runs when it runs, through the config's
+# builders or its own imports: each command starts in a fresh interpreter, and
+# most of a short command's time would otherwise go to importing. `train
+# --pairs` loads no KB layer, and only the commands that embed load numpy.
 
 logger = logging.getLogger(__name__)
 
@@ -64,24 +67,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args, config)
     except ConfigError as exc:
         return _fail("config", exc.problems)
-    except KbCacheMiss as exc:
-        return _fail(
-            "cache-miss",
-            [f"{exc.source}:{exc.key}"],
-            hint="run with --network online to fill the cache, or warm it first",
-        )
-    except KbRemoteError as exc:
-        return _fail(
-            "remote-error",
-            [str(exc)],
-            hint="the knowledge base could not be reached; records fetched so far are cached",
-        )
-    except KbCacheCorrupt as exc:
-        return _fail("valueerror", [str(exc)])
-    except FileNotFoundError as exc:
-        return _fail("missing-file", [str(exc)])
-    except (ValueError, OSError) as exc:
-        return _fail(type(exc).__name__.lower(), [str(exc)])
+    except Exception as exc:
+        # Imported here: no KbError exists before a command has loaded newsgeo.kb.
+        from .kb import KbCacheCorrupt, KbCacheMiss, KbRemoteError
+
+        if isinstance(exc, KbCacheMiss):
+            return _fail(
+                "cache-miss",
+                [f"{exc.source}:{exc.key}"],
+                hint="run with --network online to fill the cache, or warm it first",
+            )
+        if isinstance(exc, KbRemoteError):
+            return _fail(
+                "remote-error",
+                [str(exc)],
+                hint="the knowledge base could not be reached; records fetched so far are cached",
+            )
+        if isinstance(exc, KbCacheCorrupt):
+            return _fail("valueerror", [str(exc)])
+        if isinstance(exc, FileNotFoundError):
+            return _fail("missing-file", [str(exc)])
+        if isinstance(exc, (ValueError, OSError)):
+            return _fail(type(exc).__name__.lower(), [str(exc)])
+        raise
 
 
 def _fail(kind: str, details: list[str], hint: str | None = None) -> int:

@@ -10,12 +10,13 @@ file's directory; the cache directory can also come from the
 > defaults.
 
 This module also holds the training settings (:class:`LossConfig`) and the
-names a configuration chooses from: chunking modes, representation modes and
-training losses. The embedding, ranking and training functions take a
-chunking mode by its name, the string in ``chunking_mode``. It imports no
-numpy; the encoder and ranking modules load only when
-:meth:`PipelineConfig.build_embedder` or
-:meth:`PipelineConfig.build_pipeline` runs.
+names a configuration chooses from: network policies, chunking modes,
+representation modes and training losses. The KB clients take a policy, and
+the embedding, ranking and training functions a chunking mode, by its name,
+the string in ``network`` or ``chunking_mode``. It imports no other layer:
+each ``build_*`` method loads the modules of what it builds when it runs, so
+a command loads the KB clients, the resolver, NER or the encoder only if it
+uses them.
 """
 
 from __future__ import annotations
@@ -28,16 +29,19 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .corpus import SUPPORTED_LANGUAGES
-from .kb import CACHE_ONLY, ONLINE, DbpediaClient, KbCache, WikidataClient
-from .linking import WikipediaLinker
-from .locations import Resolver
-from .ner import GazetteerNer, NerProvider, SpacyNer
 
 if TYPE_CHECKING:
     from .embedding import EmbeddingProvider
     from .evaluation import Pipeline
+    from .kb import KbCache
+    from .locations import Resolver
+    from .ner import NerProvider
 
 CACHE_DIR_ENV = "NEWSGEO_CACHE_DIR"
+
+# Network policies: fetch what the cache misses and record it, or never fetch.
+ONLINE = "online-then-cache"
+CACHE_ONLY = "cache-only"
 
 # "online" is accepted as shorthand for the full policy name.
 _NETWORK_ALIASES = {"online": ONLINE, ONLINE: ONLINE, CACHE_ONLY: CACHE_ONLY}
@@ -186,9 +190,15 @@ class PipelineConfig:
         return Path(path)
 
     def build_cache(self) -> KbCache:
+        from .kb import KbCache
+
         return KbCache(self.cache_path())
 
     def build_resolver(self, cache: KbCache | None = None) -> Resolver:
+        from .kb import DbpediaClient, WikidataClient
+        from .linking import WikipediaLinker
+        from .locations import Resolver
+
         cache = cache or self.build_cache()
         policy = _NETWORK_ALIASES.get(self.network, self.network)
         return Resolver(
@@ -223,6 +233,8 @@ class PipelineConfig:
         )
 
     def build_ner_providers(self) -> list[NerProvider]:
+        from .ner import GazetteerNer, SpacyNer
+
         providers: list[NerProvider] = []
         for spec in self.ner_providers:
             kind, _, argument = spec.partition(":")

@@ -10,6 +10,11 @@ line:
 The loader validates every record against the invariants below and skips (with
 a warning) anything that does not hold, so downstream stages can assume clean
 data.
+
+The (city, country) :class:`LocationTuple`, its rendering and the WikiData id
+check live here too: gold rows and mentions use them, and the KB layers
+(``kb``, ``linking``, ``locations``) and ``pairs`` import them from here, so a
+command that only reads a corpus or a pairs file loads none of those layers.
 """
 
 from __future__ import annotations
@@ -18,17 +23,73 @@ import dataclasses
 import json
 import logging
 import random
+import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TypeVar
-
-from .kb import _check_qid
-from .locations import LocationTuple
 
 logger = logging.getLogger(__name__)
 
 SUPPORTED_LANGUAGES = ("de", "en", "es", "fr", "it")
 
 T = TypeVar("T")
+
+_QID_RE = re.compile(r"^Q[0-9]+\Z")
+
+
+def _check_qid(qid: Any) -> str:
+    """`qid` itself; ValueError unless it is a WikiData item id."""
+    if type(qid) is not str or not _QID_RE.match(qid):
+        raise ValueError(f"malformed WikiData id {qid!r}")
+    return qid
+
+
+@dataclasses.dataclass(frozen=True)
+class LocationTuple:
+    """The (city, country) output unit. A tuple always carries a country."""
+
+    country: str
+    country_qid: str | None = None
+    city: str | None = None
+    city_qid: str | None = None
+
+    def validate(self) -> None:
+        if type(self.country) is not str or not self.country:
+            raise ValueError(f"country must be a non-empty string, got {self.country!r}")
+        if self.city is not None and type(self.city) is not str:
+            raise ValueError(f"city must be a string or null, got {self.city!r}")
+        if self.city_qid and not self.city:
+            raise ValueError("city_qid without a city name")
+        for qid in (self.country_qid, self.city_qid):
+            if qid is not None:
+                _check_qid(qid)
+
+    @staticmethod
+    def from_json(d: dict[str, Any]) -> "LocationTuple":
+        return LocationTuple(
+            country=d["country"],
+            country_qid=d.get("country_qid"),
+            city=d.get("city"),
+            city_qid=d.get("city_qid"),
+        )
+
+    def to_json(self) -> dict[str, Any]:
+        return dict(
+            city=self.city,
+            city_qid=self.city_qid,
+            country=self.country,
+            country_qid=self.country_qid,
+        )
+
+
+def render_location(location: LocationTuple, anchor: str | None = None) -> str:
+    """Render "City, Country" (or "Country"), prefixed by a distinct anchor."""
+    parts = []
+    seen = set()
+    for part in (anchor, location.city, location.country):
+        if part and part.casefold() not in seen:
+            parts.append(part)
+            seen.add(part.casefold())
+    return ", ".join(parts)
 
 
 @dataclasses.dataclass(frozen=True)

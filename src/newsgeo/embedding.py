@@ -9,7 +9,6 @@ back to the original text byte-for-byte, so nothing is silently dropped.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 from typing import Protocol
@@ -17,6 +16,11 @@ from typing import Protocol
 import numpy as np
 
 from .config import AVERAGE, TRUNCATE
+
+try:  # hashlib's own sha256, without the OpenSSL bindings `import hashlib` loads
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 logger = logging.getLogger(__name__)
 
@@ -166,7 +170,7 @@ class MockEmbedder:
         return len(text.split())
 
     def embed(self, text: str) -> np.ndarray:
-        digest = hashlib.sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
+        digest = sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
         vector = rng.standard_normal(self.dimension)
         norm = np.linalg.norm(vector)

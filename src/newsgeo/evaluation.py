@@ -116,7 +116,6 @@ class TraceEntry:
     gold: tuple[LocationTuple, ...]
     country_hit: bool
     city_hit: bool
-    error: str | None = None
 
     def to_json(self) -> dict[str, Any]:
         return dict(
@@ -126,7 +125,9 @@ class TraceEntry:
             gold=[location.to_json() for location in self.gold],
             country_hit=self.country_hit,
             city_hit=self.city_hit,
-            error=self.error,
+            # Always null: a prediction that raises fails the run. The key
+            # stays, so reports keep the layout their readers parse.
+            error=None,
         )
 
 
@@ -155,12 +156,12 @@ def run_experiment(
 ) -> EvalReport:
     """Predict every gold document and score both levels.
 
-    A document whose prediction raises is recorded as a miss with the error in
-    its trace entry, except that a KB failure (a cache miss, a remote error or
-    a corrupt cache record) or an `OSError` (a cache write that failed) aborts
-    the run: an unreachable KB is not a wrong prediction. Documents are
-    processed by a thread pool in corpus order, so reports are identical for
-    any worker count.
+    A prediction that raises fails the run, as in `rank`, so neither an
+    unreachable KB nor a program defect is scored as a wrong prediction. The
+    exception passes unchanged, except that a `ValueError` other than a KB
+    failure is raised again with the failing article's id in its message.
+    Documents are processed by a thread pool in corpus order, so reports are
+    identical for any worker count.
     """
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
@@ -172,18 +173,16 @@ def run_experiment(
     if missing:
         raise ValueError(f"gold articles missing from the corpus: {missing}")
 
-    def predict_one(article: Article) -> tuple[str, LocationTuple | None, str | None]:
+    def predict_one(article: Article) -> LocationTuple | None:
         try:
-            return article.id, predictor(article), None
-        except (KbError, OSError):
+            return predictor(article)
+        except KbError:
             raise
-        except Exception as exc:  # hard per-document failure -> miss, not abort
-            logger.exception("prediction failed for article %s", article.id)
-            return article.id, None, f"{type(exc).__name__}: {exc}"
+        except ValueError as exc:
+            raise ValueError(f"article {article.id}: {exc}") from exc
 
-    outcomes = map_articles(predict_one, articles, workers)
-    predictions = {article_id: prediction for article_id, prediction, _ in outcomes}
-    errors = {article_id: error for article_id, _, error in outcomes}
+    found = map_articles(predict_one, articles, workers)
+    predictions = {article.id: prediction for article, prediction in zip(articles, found)}
     languages = {article.id: article.language for article in articles}
     country = precision_at_1(predictions, gold, languages, "country")
     city = precision_at_1(predictions, gold, languages, "city")
@@ -203,7 +202,6 @@ def run_experiment(
                 city_hit=any(
                     normalized_match(prediction, g, "city") for g in annotation.locations
                 ),
-                error=errors[article.id],
             )
         )
     return EvalReport(system=system, country=country, city=city, trace=trace)

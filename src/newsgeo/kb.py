@@ -4,7 +4,9 @@ Both clients share a persistent key-value cache so that a warmed cache makes
 every lookup reproducible offline: with the ``cache-only`` policy no network
 call is ever issued and a miss raises :class:`KbCacheMiss` naming the missing
 key. The ``online-then-cache`` policy fetches through a rate-limited transport
-and records results (including confirmed absences) for later runs.
+and records results (including confirmed absences) for later runs. The
+policies are named in ``config``, and the WikiData id check that every id
+passes is in ``corpus``, which mentions and gold rows use too.
 
 A lookup ends in one of three ways. The KB answered, and the client returns
 the record. The entity has no record (a 404, or a payload that holds nothing
@@ -40,9 +42,12 @@ import threading
 import time
 import urllib.parse
 import zlib
+from array import array
 from pathlib import Path
 from typing import Any, Callable
 
+from .config import CACHE_ONLY, ONLINE
+from .corpus import _check_qid
 from .memo import Memo
 
 try:  # hashlib's own blake2b, without the OpenSSL bindings `import hashlib` loads (3 ms)
@@ -52,13 +57,8 @@ except ImportError:
 
 logger = logging.getLogger(__name__)
 
-ONLINE = "online-then-cache"
-CACHE_ONLY = "cache-only"
-
 WIKIDATA_ENTITY_URL = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"
 DBPEDIA_DATA_URL = "https://{lang}.dbpedia.org/data/{title}.json"
-
-_QID_RE = re.compile(r"^Q[0-9]+\Z")
 
 # Marker stored as a cache value when the remote endpoint confirmed absence.
 _MISSING = {"__missing__": True}
@@ -116,8 +116,9 @@ class KbCache:
     decoding nothing per key. A hit counts only when the line at its offset,
     read by the load's rule, holds that source and key, and the last such
     line wins, so neither a hash collision nor a damaged index can answer
-    with another key's record. A load that indexes any line rewrites the
-    index with their entries merged in (a temporary file, then a rename).
+    with another key's record. A load that indexes any line merges their
+    entries into the index, searches the merged index from then on, and
+    rewrites the file with it (a temporary file, then a rename).
     The index is disposable: a failed write is ignored, and a missing,
     unreadable or stale index only makes the pass start at 0.
 
@@ -137,34 +138,37 @@ class KbCache:
         self._data = path.read_bytes() if path.exists() else b""
         end = self._data.rfind(b"\n") + 1
         # source -> key -> offset of its last line in `_data`, or its `put`
-        # line: the keys of the lines after the index, of `put`s, and those
-        # found in the index
+        # line: the keys of `put`s, and those found in the index
         self._entries: dict[str, dict[str, int | str]] = {}
         # the index's hashes and offsets, and its count of distinct keys
         self._hashes, self._offsets, self._len, start, crc = self._load_index(end)
-        keys_of: dict[bytes, dict[str, int | str]] = {}  # by the source's bytes
+        # source -> key -> offset of the last line, both in UTF-8, so that a
+        # line in `put`'s form is hashed from the bytes its match holds
+        keys_of: dict[bytes, dict[bytes, int]] = {}
         offset = -1  # of the last line indexed
         try:
             for match in _LINE.finditer(self._data, start, end):
                 offset = match.start()
                 source, key = match.group(1, 2)
                 if source is None:
-                    source, key = self._read(offset)[0]
-                    self._entries.setdefault(source, {})[key] = offset
-                else:
+                    source, key = map(_utf8, self._read(offset)[0])
+                else:  # invalid UTF-8 fails at its own line
+                    key.decode("utf-8")
                     if source not in keys_of:
-                        keys_of[source] = self._entries.setdefault(source.decode("utf-8"), {})
-                    keys_of[source][key.decode("utf-8")] = offset
+                        source.decode("utf-8")
+                keys_of.setdefault(source, {})[key] = offset
         except (ValueError, KeyError, TypeError) as exc:
             raise _corrupt(path, self._number(offset), exc) from exc
         added = []  # (hash, offset) of each key of the lines after the index
-        for source, keys in self._entries.items():
-            for key, line in keys.items():
+        for source, keys in keys_of.items():
+            for key, offset in keys.items():
                 digest = _key_hash(source, key)
-                added.append((digest, line))
-                self._len += self._search(digest, source, key) is None
+                added.append((digest, offset))
+                # every key is new to an empty index; `_search` finds the others
+                if not start or self._search(digest, _text(source), _text(key)) is None:
+                    self._len += 1
         if added:
-            self._save_index(end, zlib.crc32(memoryview(self._data)[start:end], crc), added)
+            self._merge_index(end, zlib.crc32(memoryview(self._data)[start:end], crc), added)
         # A crash in the middle of `put` leaves a torn last line without its
         # newline: it is skipped here and cut off by the next `put`.
         self._torn_at: int | None = None
@@ -219,7 +223,7 @@ class KbCache:
         found = {(source, key) for source, keys in self._entries.items() for key in keys}
         for digest, offset in zip(self._hashes, self._offsets):
             source_key = self._key_at(offset)
-            if source_key is not None and _key_hash(*source_key) == digest:
+            if source_key is not None and _key_hash(*map(_utf8, source_key)) == digest:
                 found.add(source_key)
         return sorted(found)
 
@@ -243,7 +247,7 @@ class KbCache:
         keys = self._entries.get(source)
         if keys is not None and key in keys:
             return keys[key]
-        offset = self._search(_key_hash(source, key), source, key)
+        offset = self._search(_key_hash(_utf8(source), _utf8(key)), source, key)
         if offset is None:
             return None
         # unless a `put` of the key came first
@@ -307,26 +311,34 @@ class KbCache:
         hashes, offsets = body[: 8 * entries].cast("Q"), body[8 * entries :].cast("Q")
         return hashes, offsets, keys, covered, crc
 
-    def _save_index(self, covered: int, crc: int, added: list[tuple[int, int]]) -> None:
-        """Write the index of the first `covered` bytes of `_data`: the loaded
-        one with the (hash, offset) entries `added` merged in, in one pass.
+    def _merge_index(self, covered: int, crc: int, added: list[tuple[int, int]]) -> None:
+        """Merge the (hash, offset) entries `added` into the loaded index in
+        one pass, search the result from now on, and write it as the index of
+        the first `covered` bytes of `_data`, whose CRC is `crc`.
 
         The cache file stays the only authority, so a failed write is ignored.
         """
-        hashes, offsets = [], []  # the pieces of the two arrays' bytes
-        start = 0
-        for digest, offset in sorted(added):
-            # after the loaded entries of an equal hash, whose lines come first
-            cut = bisect.bisect_right(self._hashes, digest, start)
-            if cut > start:
-                hashes.append(self._hashes[start:cut].cast("B"))
-                offsets.append(self._offsets[start:cut].cast("B"))
-            hashes.append(_INDEX_ITEM.pack(digest))
-            offsets.append(_INDEX_ITEM.pack(offset))
-            start = cut
-        hashes.append(self._hashes[start:].cast("B"))
-        offsets.append(self._offsets[start:].cast("B"))
-        body = b"".join(hashes + offsets)
+        added.sort()
+        if not self._hashes:  # no index was loaded: `added` is the whole index
+            hashes, offsets = zip(*added)
+            body = array("Q", hashes).tobytes() + array("Q", offsets).tobytes()
+        else:
+            hashes, offsets = [], []  # the pieces of the two arrays' bytes
+            start = 0
+            for digest, offset in added:
+                # after the loaded entries of an equal hash, whose lines come first
+                cut = bisect.bisect_right(self._hashes, digest, start)
+                if cut > start:
+                    hashes.append(self._hashes[start:cut].cast("B"))
+                    offsets.append(self._offsets[start:cut].cast("B"))
+                hashes.append(_INDEX_ITEM.pack(digest))
+                offsets.append(_INDEX_ITEM.pack(offset))
+                start = cut
+            hashes.append(self._hashes[start:].cast("B"))
+            offsets.append(self._offsets[start:].cast("B"))
+            body = b"".join(hashes + offsets)
+        view, half = memoryview(body), len(body) // 2
+        self._hashes, self._offsets = view[:half].cast("Q"), view[half:].cast("Q")
         header = _INDEX_HEADER.pack(
             _INDEX_MAGIC, covered, crc, self._len, len(body) // 16, zlib.crc32(body)
         )
@@ -353,10 +365,20 @@ _INDEX_HEADER = struct.Struct("=16sQIQQI")
 _INDEX_ITEM = struct.Struct("=Q")
 
 
-def _key_hash(source: str, key: str) -> int:
-    """A 64-bit hash of (source, key), the same in every process (unlike `hash`)."""
-    text = f"{source}\0{key}".encode("utf-8", "surrogatepass")
-    return int.from_bytes(blake2b(text, digest_size=8).digest(), "little")
+def _key_hash(source: bytes, key: bytes) -> int:
+    """A 64-bit hash of (source, key), each in UTF-8, the same in every
+    process (unlike `hash`); a line in `put`'s form holds both bytes."""
+    return int.from_bytes(blake2b(source + b"\0" + key, digest_size=8).digest(), "little")
+
+
+def _utf8(text: str) -> bytes:
+    """`text` in UTF-8, a lone surrogate included."""
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _text(utf8: bytes) -> str:
+    """The inverse of `_utf8`."""
+    return utf8.decode("utf-8", "surrogatepass")
 
 
 # A line of `_data` that is not blank; one in the form `put` writes, with a
@@ -605,13 +627,6 @@ class WikidataClient(_CachedClient):
         for target in _claim_targets(claims.get("P31", [])):
             p31.append((target, self.label(target) or ""))
         return WikidataItem(qid=qid, labels=labels, p17=p17, p31=p31, p131=p131).to_json()
-
-
-def _check_qid(qid: Any) -> str:
-    """`qid` itself; ValueError unless it is a WikiData item id."""
-    if type(qid) is not str or not _QID_RE.match(qid):
-        raise ValueError(f"malformed WikiData id {qid!r}")
-    return qid
 
 
 def _check_label(label: Any) -> str:

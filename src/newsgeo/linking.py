@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 import urllib.parse
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from .kb import CACHE_ONLY, _CachedClient, _check_qid
-
-if TYPE_CHECKING:
-    from .locations import LocationTuple
+from .config import CACHE_ONLY
+from .corpus import LocationTuple, _check_qid
+from .kb import _CachedClient
 
 SEARCH_URL = (
     "https://{lang}.wikipedia.org/w/api.php"

@@ -10,6 +10,10 @@ Three capabilities live here:
 * locating non-location entities through the geographic properties of their
   DBpedia page (the "birthPlace" route), so a document can be placed even
   when no location is mentioned explicitly.
+
+The (city, country) tuple these produce, :class:`~newsgeo.corpus.LocationTuple`,
+lives in ``corpus`` with the gold rows that hold it, so that reading a gold
+or pairs file loads no KB layer; it is importable from here too.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
-from typing import Any, Callable
+from typing import Callable
 
-from .kb import DbpediaClient, DbpediaRecord, WikidataClient, WikidataItem, _check_qid
+from .corpus import LocationTuple, render_location
+from .kb import DbpediaClient, DbpediaRecord, WikidataClient, WikidataItem
 from .linking import WikipediaLinker
 from .memo import Memo
 
@@ -30,44 +35,6 @@ CITY_CLASS_MARKERS = ("city", "capital", "municipality", "town", "village", "com
 
 # Keywords scanned for in DBpedia property names, in priority order.
 PROPERTY_KEYWORDS = ("location", "city", "country", "place")
-
-
-@dataclasses.dataclass(frozen=True)
-class LocationTuple:
-    """The (city, country) output unit. A tuple always carries a country."""
-
-    country: str
-    country_qid: str | None = None
-    city: str | None = None
-    city_qid: str | None = None
-
-    def validate(self) -> None:
-        if type(self.country) is not str or not self.country:
-            raise ValueError(f"country must be a non-empty string, got {self.country!r}")
-        if self.city is not None and type(self.city) is not str:
-            raise ValueError(f"city must be a string or null, got {self.city!r}")
-        if self.city_qid and not self.city:
-            raise ValueError("city_qid without a city name")
-        for qid in (self.country_qid, self.city_qid):
-            if qid is not None:
-                _check_qid(qid)
-
-    @staticmethod
-    def from_json(d: dict[str, Any]) -> "LocationTuple":
-        return LocationTuple(
-            country=d["country"],
-            country_qid=d.get("country_qid"),
-            city=d.get("city"),
-            city_qid=d.get("city_qid"),
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        return dict(
-            city=self.city,
-            city_qid=self.city_qid,
-            country=self.country,
-            country_qid=self.country_qid,
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,17 +53,6 @@ class LocatedEntity:
 
     def location_text(self) -> str:
         return render_location(self.location, anchor=self.anchor)
-
-
-def render_location(location: LocationTuple, anchor: str | None = None) -> str:
-    """Render "City, Country" (or "Country"), prefixed by a distinct anchor."""
-    parts = []
-    seen = set()
-    for part in (anchor, location.city, location.country):
-        if part and part.casefold() not in seen:
-            parts.append(part)
-            seen.add(part.casefold())
-    return ", ".join(parts)
 
 
 def resolve_country(

@@ -12,11 +12,13 @@ import dataclasses
 import json
 import random
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .corpus import Article, read_strict_jsonl
-from .locations import LocationTuple, Resolver, render_location
+from .corpus import Article, LocationTuple, read_strict_jsonl, render_location
 from .memo import map_articles
+
+if TYPE_CHECKING:
+    from .locations import Resolver
 
 
 @dataclasses.dataclass(frozen=True)

@@ -21,6 +21,7 @@ import pytest
 from newsgeo.cli import main
 from newsgeo.embedding import MockEmbedder
 from newsgeo.kb import KbCache
+from newsgeo.locations import Resolver
 
 from conftest import count_calls
 from test_kb import wikidata_payload
@@ -317,6 +318,28 @@ class TestEvaluate:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    def test_program_defect_fails_the_command(
+        self, tmp_path, fixture_tree, monkeypatch, command, capsys
+    ):
+        """A prediction that raises is a failed run, never a scored miss."""
+        original = Resolver.locate_qid
+
+        def broken(self, qid):
+            if qid == "Q90":
+                raise ValueError("injected defect")
+            return original(self, qid)
+
+        monkeypatch.setattr(Resolver, "locate_qid", broken)
+        output = tmp_path / "out.json"
+        argv = [command, "--config", str(fixture_tree["config"]), "--output", str(output)]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "valueerror"
+        detail = "article en-001: injected defect" if command == "evaluate" else "injected defect"
+        assert error["details"] == [detail]
+        assert not output.exists()
 
 
 class TestTrain:
@@ -996,25 +1019,39 @@ class TestKbFailures:
 
 
 # Run `newsgeo.cli.main` on the arguments after the first in a fresh
-# interpreter and report, as the last line of stdout, whether the module the
-# first argument names was imported.
+# interpreter and report, as the last line of stdout, which of the modules the
+# first argument names (comma-separated) were imported.
 IMPORT_PROBE = """
-import sys
+import json, sys
 from newsgeo.cli import main
 code = main(sys.argv[2:])
-print(sys.argv[1] in sys.modules)
+print(json.dumps([name for name in sys.argv[1].split(",") if name in sys.modules]))
 sys.exit(code)
 """
 
+# The modules of the KB clients, the linker, the resolver and NER.
+KB_LAYERS = ("newsgeo.kb", "newsgeo.linking", "newsgeo.locations")
+LAYERS = (*KB_LAYERS, "newsgeo.ner")
 
-def loads_module(tmp_path, fixture_tree, command, module):
-    paths = {"out": tmp_path / "out", "articles_en": fixture_tree["articles_en"]}
+
+def loaded_modules(tmp_path, fixture_tree, command, modules) -> set[str]:
+    paths = {
+        "out": tmp_path / "out",
+        "articles_en": fixture_tree["articles_en"],
+        "pairs": tmp_path / "pairs.jsonl",
+    }
     argv = [part.format(**paths) for part in command]
+    if "{pairs}" in command:
+        config = str(fixture_tree["config"])
+        assert main(["generate-pairs", "--config", config, "--output", str(paths["pairs"])]) == 0
     env = dict(os.environ)
     root = Path(__file__).resolve().parent.parent
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, module, *argv, "--config", str(fixture_tree["config"])],
+        [
+            sys.executable, "-c", IMPORT_PROBE, ",".join(modules),
+            *argv, "--config", str(fixture_tree["config"]),
+        ],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -1022,12 +1059,17 @@ def loads_module(tmp_path, fixture_tree, command, module):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1] == "True"
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def loads_module(tmp_path, fixture_tree, command, module) -> bool:
+    return module in loaded_modules(tmp_path, fixture_tree, command, [module])
 
 
 class TestImports:
-    """Commands that only read the corpus and the KB never load numpy, and
-    serial commands never load the thread pool."""
+    """Commands that only read the corpus and the KB never load numpy,
+    serial commands never load the thread pool, and each command loads only
+    the KB and NER layers it runs."""
 
     @pytest.mark.parametrize(
         "command, loads_numpy",
@@ -1052,6 +1094,23 @@ class TestImports:
     def test_thread_pool_only_with_workers(self, tmp_path, fixture_tree, command, workers):
         argv = [command, "--workers", str(workers), "--output", "{out}"]
         assert loads_module(tmp_path, fixture_tree, argv, "concurrent.futures") == (workers > 1)
+
+    @pytest.mark.parametrize(
+        "command, layers",
+        [
+            (["train", "--pairs", "{pairs}", "--epochs", "1", "--output", "{out}"], ()),
+            (["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"], ()),
+            (["cache-export", "--output", "{out}"], ("newsgeo.kb",)),
+            (["generate-pairs", "--output", "{out}"], KB_LAYERS),
+            (["classify-categories", "--output", "{out}"], KB_LAYERS),
+            (["train", "--epochs", "1", "--output", "{out}"], KB_LAYERS),
+            (["evaluate", "--output", "{out}"], LAYERS),
+            (["rank", "--output", "{out}"], LAYERS),
+        ],
+        ids=lambda value: "-".join(p.lstrip("-") for p in value[:2]) if isinstance(value, list) else None,
+    )
+    def test_layers_only_in_commands_that_run_them(self, tmp_path, fixture_tree, command, layers):
+        assert loaded_modules(tmp_path, fixture_tree, command, LAYERS) == set(layers)
 
 
 # Boundaries the benchmark's tracer wraps that the program no longer has at

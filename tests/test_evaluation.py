@@ -152,7 +152,7 @@ class TestRunExperiment:
         entry = {t.article_id: t for t in report.trace}
         assert entry["en-1"].country_hit is False
         assert entry["en-0"].city_hit is True
-        assert entry["en-0"].error is None
+        assert entry["en-0"].to_json()["error"] is None
 
     def test_city_hit_implies_country_hit_on_consistent_gold(self):
         corpus, gold = self.make_world()
@@ -162,7 +162,7 @@ class TestRunExperiment:
             if entry.city_hit:
                 assert entry.country_hit
 
-    def test_predictor_exception_is_a_miss_not_an_abort(self):
+    def test_predictor_exception_fails_the_run(self):
         corpus, gold = self.make_world()
 
         def moody(article):
@@ -170,12 +170,20 @@ class TestRunExperiment:
                 raise RuntimeError("provider exploded")
             return PARIS
 
-        report = run_experiment(corpus, gold, moody)
-        entry = {t.article_id: t for t in report.trace}["fr-0"]
-        assert entry.prediction is None
-        assert entry.country_hit is False
-        assert entry.error == "RuntimeError: provider exploded"
-        assert report.country.per_language["fr"] == 0.5
+        with pytest.raises(RuntimeError, match="^provider exploded$"):
+            run_experiment(corpus, gold, moody)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_predictor_value_error_names_the_article(self, workers):
+        corpus, gold = self.make_world()
+
+        def moody(article):
+            if article.id == "fr-0":
+                raise ValueError("bad value")
+            return PARIS
+
+        with pytest.raises(ValueError, match="^article fr-0: bad value$"):
+            run_experiment(corpus, gold, moody, workers=workers)
 
     def test_gold_article_absent_from_corpus_rejected(self):
         corpus, gold = self.make_world()

@@ -346,6 +346,27 @@ class TestKbCacheIndex:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.index"]
 
+    def test_the_first_index_hashes_each_key_as_its_text(self, tmp_path):
+        """A line in `put`'s form and one decoded in full (an escape, another
+        field order) give a key the same hash, and its last line wins."""
+        path = tmp_path / "c.jsonl"
+        records = [
+            ({"source": "dbpedia", "key": "de:Köln", "value": 1}, False),
+            ({"source": "dbpedia", "key": "de:Zürich", "value": 2}, False),
+            ({"source": "dbpedia", "key": "de:Zürich", "value": 3}, True),
+            ({"key": "de:Köln", "source": "dbpedia", "value": 4}, False),
+        ]
+        lines = [json.dumps(record, ensure_ascii=escaped) + "\n" for record, escaped in records]
+        path.write_text("".join(lines), encoding="utf-8")
+        starts = [len("".join(lines[:i]).encode("utf-8")) for i in range(len(lines))]
+        cache = KbCache(path)
+        index = read_index(path)
+        assert index["keys"] == 2 and len(cache) == 2
+        assert index["entries"] == sorted(
+            [(key_hash("dbpedia", "de:Köln"), starts[3]), (key_hash("dbpedia", "de:Zürich"), starts[2])]
+        )
+        assert [KbCache(path).get("dbpedia", key) for key in ("de:Köln", "de:Zürich")] == [4, 3]
+
     def test_a_load_merges_the_appended_lines_into_the_index(self, tmp_path):
         path = tmp_path / "c.jsonl"
         self.write(path, *[(f"k{i}", i) for i in range(50)])
