@@ -18,7 +18,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .config import (
     LOCATED_NON_LOCATIONS,
@@ -250,6 +250,19 @@ def _category_locations(
     return {article.id: locations for article, locations in zip(articles, found)}
 
 
+def _write_json(path: str, value: Any) -> None:
+    """Write `value` as indented JSON with sorted keys."""
+    text = json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _write_jsonl(path: str, records: Iterable[Any]) -> None:
+    """Write each record as one line of JSON with sorted keys."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+
+
 def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
     articles, report = load_corpus(args.input, args.language)
     _note_sources(articles, report.path, {})
@@ -264,13 +277,11 @@ def cmd_classify_categories(args: argparse.Namespace, config: PipelineConfig) ->
     articles = _load_all(config)
     resolver = config.build_resolver()
     locations = _category_locations(articles, resolver, config.workers)
-    with Path(args.output).open("w", encoding="utf-8") as handle:
-        for article in articles:
-            record = {
-                "article_id": article.id,
-                "locations": [loc.to_json() for loc in locations[article.id]],
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    records = [
+        {"article_id": article.id, "locations": [loc.to_json() for loc in locations[article.id]]}
+        for article in articles
+    ]
+    _write_jsonl(args.output, records)
     located = sum(1 for article in articles if locations[article.id])
     print(f"classified {len(articles)} articles, {located} with category locations -> {args.output}")
     return 0
@@ -306,9 +317,7 @@ def cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
         articles,
         config.workers,
     )
-    with Path(args.output).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    _write_jsonl(args.output, records)
     print(f"ranked {len(records)} articles -> {args.output}")
     return 0
 
@@ -331,14 +340,9 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     report = run_experiment(articles, gold, predictor, system=system, workers=config.workers)
     print(format_report_table([report]))
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(report.to_json(), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(args.output, report.to_json())
     if args.trace:
-        with Path(args.trace).open("w", encoding="utf-8") as handle:
-            for entry in report.trace:
-                handle.write(json.dumps(entry.to_json(), ensure_ascii=False, sort_keys=True) + "\n")
+        _write_jsonl(args.trace, (entry.to_json() for entry in report.trace))
     return 0
 
 
@@ -351,16 +355,12 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
         report = train(adapter, pairs, config.loss, config.chunking_mode)
     except TrainingDiverged as exc:
         return _fail("training-diverged", [str(exc)])
-    summary = report.to_json()
     print(
         f"trained loss={report.loss} batch={report.batch_size} "
         f"epochs={report.epochs_run}/{report.epochs_requested} best={report.best_epoch}"
     )
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(args.output, report.to_json())
     if args.checkpoint:
         save_checkpoint(adapter, args.checkpoint)
     return 0

@@ -17,7 +17,6 @@ from typing import Any, Callable, Sequence
 from .config import AVERAGE
 from .corpus import Article, GoldAnnotation
 from .embedding import EmbeddingProvider
-from .kb import KbError
 from .linking import normalized_match
 from .locations import LocationTuple, Resolver
 from .memo import Memo, map_articles
@@ -33,8 +32,6 @@ from .ranking import (
 logger = logging.getLogger(__name__)
 
 Predictor = Callable[[Article], LocationTuple | None]
-
-LEVELS = ("country", "city")
 
 
 @dataclasses.dataclass
@@ -64,8 +61,6 @@ def precision_at_1(
     Missing or None predictions are misses; predictions for ids outside the
     gold set are ignored with a warning.
     """
-    if level not in LEVELS:
-        raise ValueError(f"unknown level {level!r}")
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
     for article_id in predictions:
@@ -81,11 +76,7 @@ def precision_at_1(
         language = languages[article_id]
         if article_id not in predictions:
             logger.warning("no prediction entry for article %r; counted as a miss", article_id)
-        prediction = predictions.get(article_id)
-        hit = any(
-            normalized_match(prediction, gold_location, level)
-            for gold_location in annotation.locations
-        )
+        hit = _hit(predictions.get(article_id), annotation, level)
         docs_by_language[language] = docs_by_language.get(language, 0) + 1
         if hit:
             hits_by_language[language] = hits_by_language.get(language, 0) + 1
@@ -104,6 +95,11 @@ def precision_at_1(
         hits=total_hits,
         documents=documents,
     )
+
+
+def _hit(prediction: LocationTuple | None, annotation: GoldAnnotation, level: str) -> bool:
+    """Whether `prediction` matches any gold location of `annotation` at `level`."""
+    return any(normalized_match(prediction, gold, level) for gold in annotation.locations)
 
 
 @dataclasses.dataclass
@@ -157,53 +153,31 @@ def run_experiment(
     """Predict every gold document and score both levels.
 
     A prediction that raises fails the run, as in `rank`, so neither an
-    unreachable KB nor a program defect is scored as a wrong prediction. The
-    exception passes unchanged, except that a `ValueError` other than a KB
-    failure is raised again with the failing article's id in its message.
-    Documents are processed by a thread pool in corpus order, so reports are
-    identical for any worker count.
+    unreachable KB nor a program defect is scored as a wrong prediction;
+    `map_articles` names the failing article. Documents are processed by a
+    thread pool in corpus order, so reports are identical for any worker count.
     """
-    if not gold:
-        raise ValueError("empty gold standard: nothing to evaluate")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     articles = [article for article in corpus if article.id in gold]
     known = {article.id for article in articles}
     missing = sorted(set(gold) - known)
     if missing:
         raise ValueError(f"gold articles missing from the corpus: {missing}")
-
-    def predict_one(article: Article) -> LocationTuple | None:
-        try:
-            return predictor(article)
-        except KbError:
-            raise
-        except ValueError as exc:
-            raise ValueError(f"article {article.id}: {exc}") from exc
-
-    found = map_articles(predict_one, articles, workers)
+    found = map_articles(predictor, articles, workers)
     predictions = {article.id: prediction for article, prediction in zip(articles, found)}
     languages = {article.id: article.language for article in articles}
     country = precision_at_1(predictions, gold, languages, "country")
     city = precision_at_1(predictions, gold, languages, "city")
-    trace = []
-    for article in articles:
-        prediction = predictions[article.id]
-        annotation = gold[article.id]
-        trace.append(
-            TraceEntry(
-                article_id=article.id,
-                language=article.language,
-                prediction=prediction,
-                gold=annotation.locations,
-                country_hit=any(
-                    normalized_match(prediction, g, "country") for g in annotation.locations
-                ),
-                city_hit=any(
-                    normalized_match(prediction, g, "city") for g in annotation.locations
-                ),
-            )
+    trace = [
+        TraceEntry(
+            article_id=article.id,
+            language=article.language,
+            prediction=prediction,
+            gold=gold[article.id].locations,
+            country_hit=_hit(prediction, gold[article.id], "country"),
+            city_hit=_hit(prediction, gold[article.id], "city"),
         )
+        for article, prediction in zip(articles, found)
+    ]
     return EvalReport(system=system, country=country, city=city, trace=trace)
 
 

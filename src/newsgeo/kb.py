@@ -63,6 +63,10 @@ DBPEDIA_DATA_URL = "https://{lang}.dbpedia.org/data/{title}.json"
 # Marker stored as a cache value when the remote endpoint confirmed absence.
 _MISSING = {"__missing__": True}
 
+# A failed request is retried RETRIES times, after BACKOFF_S seconds, doubled each time.
+RETRIES = 3
+BACKOFF_S = 0.5
+
 # GET of a URL that carries its whole query; the JSON payload, or LookupError on a 404.
 Transport = Callable[[str], Any]
 
@@ -448,13 +452,13 @@ class WikidataItem:
     p131: list[str]
 
     def __post_init__(self) -> None:
-        # Fetched payloads and cached records both become items here, so a
-        # claim target that is not an item id, or a label that is not a
-        # string, never reaches a lookup or a report.
-        for target in (*self.p17, *(qid for qid, _ in self.p31), *self.p131):
-            _check_qid(target)
+        # Fetched payloads and cached records both become items here, so an
+        # id or claim target that is not an item id, or a label that is not
+        # a string, never reaches a lookup or a report.
+        for qid in (self.qid, *self.p17, *(qid for qid, _ in self.p31), *self.p131):
+            _check_qid(qid)
         for label in (*self.labels.values(), *(label for _, label in self.p31)):
-            _check_label(label)
+            _check_string(label, "label")
 
     def label(self) -> str | None:
         return _pick_label(self.labels)
@@ -489,13 +493,27 @@ class DbpediaRecord:
     ontology_types: list[str]
     abstract: str | None = None
 
+    def __post_init__(self) -> None:
+        # Fetched payloads and cached records both become records here, so a
+        # field of the wrong JSON type never reaches a lookup; a string where
+        # a list belongs would read as its characters.
+        _check_string(self.title, "title")
+        _check_string(self.language, "language")
+        if self.abstract is not None:
+            _check_string(self.abstract, "abstract")
+        if type(self.properties) is not dict:
+            raise TypeError(f"properties must be an object, got {self.properties!r}")
+        for name, values in self.properties.items():
+            _check_strings(values, f"property {name!r}")
+        _check_strings(self.ontology_types, "ontology_types")
+
     @staticmethod
     def from_json(d: dict[str, Any]) -> "DbpediaRecord":
         return DbpediaRecord(
             title=d["title"],
             language=d["language"],
-            properties={name: list(values) for name, values in d["properties"].items()},
-            ontology_types=list(d["ontology_types"]),
+            properties=d["properties"],
+            ontology_types=d["ontology_types"],
             abstract=d.get("abstract"),
         )
 
@@ -516,19 +534,13 @@ class _CachedClient:
         policy: str = CACHE_ONLY,
         transport: Transport | None = None,
         rate_limiter: RateLimiter | None = None,
-        retries: int = 3,
-        backoff: float = 0.5,
     ):
         if policy not in (ONLINE, CACHE_ONLY):
             raise ValueError(f"unknown fetch policy {policy!r}")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.cache = cache
         self.policy = policy
         self.transport = transport or default_transport
         self.rate_limiter = rate_limiter or RateLimiter()
-        self.retries = retries
-        self.backoff = backoff
         # Fetches of this run by (source, key). It holds only a marker, since
         # the cache is the store; the second thread to miss a key waits for
         # the first one's fetch and reads its record.
@@ -564,7 +576,7 @@ class _CachedClient:
         """`reduce` of the payload at `url`; None on a 404. A transport that
         keeps failing after the retries, or a payload `reduce` cannot read,
         raises :class:`KbRemoteError` naming `url`; a `KbError` passes unchanged."""
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             self.rate_limiter.wait()
             try:
                 payload = self.transport(url)
@@ -572,9 +584,9 @@ class _CachedClient:
             except LookupError:
                 return None
             except Exception as exc:
-                if attempt == self.retries:
+                if attempt == RETRIES:
                     raise KbRemoteError(f"{url}: {exc}") from exc
-                delay = self.backoff * (2**attempt)
+                delay = BACKOFF_S * (2**attempt)
                 logger.warning("fetch failed (%s); retrying in %.1fs", exc, delay)
                 time.sleep(delay)
         try:
@@ -611,7 +623,7 @@ class WikidataClient(_CachedClient):
             self.LABEL_SOURCE, qid,
             lambda: self._fetch_reduced(url, lambda p: _labels_record(qid, p)),
             lambda value: _pick_label(
-                {lang: _check_label(label) for lang, label in value["labels"].items()}
+                {lang: _check_string(label, "label") for lang, label in value["labels"].items()}
             ),
         )
 
@@ -629,11 +641,17 @@ class WikidataClient(_CachedClient):
         return WikidataItem(qid=qid, labels=labels, p17=p17, p31=p31, p131=p131).to_json()
 
 
-def _check_label(label: Any) -> str:
-    """`label` itself; TypeError unless it is a string."""
-    if type(label) is not str:
-        raise TypeError(f"label must be a string, got {label!r}")
-    return label
+def _check_string(value: Any, field: str) -> str:
+    """`value` itself; TypeError unless it is a string."""
+    if type(value) is not str:
+        raise TypeError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _check_strings(values: Any, field: str) -> None:
+    """TypeError unless `values` is a list of strings."""
+    if type(values) is not list or any(type(value) is not str for value in values):
+        raise TypeError(f"{field} must be a list of strings, got {values!r}")
 
 
 def _pick_label(labels: dict[str, str]) -> str | None:
@@ -656,7 +674,7 @@ def _labels_record(qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
 
 def _entity_labels(entity: dict[str, Any]) -> dict[str, str]:
     labels = entity.get("labels", {})
-    return {lang: _check_label(record["value"]) for lang, record in labels.items()}
+    return {lang: _check_string(record["value"], "label") for lang, record in labels.items()}
 
 
 def _claim_targets(claims: list[dict[str, Any]]) -> list[str]:

@@ -24,7 +24,7 @@ from typing import Any
 
 from .config import CACHE_ONLY
 from .corpus import LocationTuple, _check_qid
-from .kb import _CachedClient
+from .kb import _CachedClient, _check_string
 
 SEARCH_URL = (
     "https://{lang}.wikipedia.org/w/api.php"
@@ -48,11 +48,11 @@ class LinkResult:
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "LinkResult":
-        qid = d.get("qid")
+        qid, title = d.get("qid"), d.get("page_title")
         return LinkResult(
             surface=d["surface"],
             language=d["language"],
-            page_title=d.get("page_title"),
+            page_title=None if title is None else _as_title(title),
             qid=None if qid is None else _check_qid(qid),
             rank_in_results=d.get("rank_in_results", -1),
         )
@@ -118,9 +118,7 @@ def _first_title(payload: Any) -> str | None:
 
 
 def _as_title(value: Any) -> str:
-    if type(value) is not str:
-        raise TypeError(f"page title must be a string, got {value!r}")
-    return value
+    return _check_string(value, "page title")
 
 
 def _pageprops_qid(payload: Any) -> str | None:

@@ -64,11 +64,28 @@ class Memo:
 def map_articles(
     fn: Callable[[Article], T], articles: Sequence[Article], workers: int = 1
 ) -> list[T]:
-    """`fn` of every article in corpus order: serially, or on a thread pool."""
+    """`fn` of every article in corpus order: serially, or on a thread pool.
+
+    An exception passes unchanged, except that a `ValueError` other than a
+    KB failure is raised again with the failing article's id in its message,
+    so every command names the article that failed.
+    """
+
+    def run(article: Article) -> T:
+        try:
+            return fn(article)
+        except ValueError as exc:
+            # Imported here: this module loads no KB layer.
+            from .kb import KbError
+
+            if isinstance(exc, KbError):
+                raise
+            raise ValueError(f"article {article.id}: {exc}") from exc
+
     if workers == 1:
-        return [fn(article) for article in articles]
+        return [run(article) for article in articles]
     # Imported here: a serial command never loads the thread pool's modules.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, articles))
+        return list(pool.map(run, articles))

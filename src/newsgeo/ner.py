@@ -62,10 +62,11 @@ class GazetteerNer:
     ``pattern.finditer(text)``.
     """
 
-    def __init__(self, entries: dict[str, str], name: str = "gazetteer"):
+    name = "gazetteer"
+
+    def __init__(self, entries: dict[str, str]):
         if "" in entries:
             raise ValueError("a gazetteer name must be non-empty")
-        self.name = name
         self._patterns = [
             (entry, re.compile(r"(?<!\w)" + re.escape(entry) + r"(?!\w)"), label)
             for entry, label in sorted(entries.items())
@@ -98,14 +99,15 @@ class GazetteerNer:
 class SpacyNer:
     """Adapter over a loaded spaCy pipeline (optional dependency)."""
 
-    def __init__(self, model: str = "en_core_web_sm", name: str = "spacy"):
+    name = "spacy"
+
+    def __init__(self, model: str = "en_core_web_sm"):
         try:
             import spacy
         except ImportError as exc:
             raise ImportError(
                 "spaCy is not installed; install it or use another provider"
             ) from exc
-        self.name = name
         self._nlp = spacy.load(model)
 
     def spans(self, text: str, language: str) -> list[NerSpan]:

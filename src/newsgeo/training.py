@@ -84,7 +84,7 @@ def loss_contrastive_grad(
     u: np.ndarray,
     v: np.ndarray,
     y: Any,
-    margin: float = 0.5,
+    margin: float,
     literal_cosine: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Margin contrastive loss on cosine distance d = 1 - cos(u, v).
@@ -106,7 +106,7 @@ def loss_contrastive_grad(
 
 
 def loss_triplet_grad(
-    u: np.ndarray, v_pos: np.ndarray, v_neg: np.ndarray, margin: float = 1.0
+    u: np.ndarray, v_pos: np.ndarray, v_neg: np.ndarray, margin: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Euclidean triplet loss on L2-normalized embeddings."""
     if margin < 0:
@@ -383,13 +383,12 @@ def _batch_step(
     x = features[texts]
     u = x @ weights.T
     us = [u[column] for column in where.T]
-    margin = config.resolved_margin
     if config.loss == COSINE_MSE:
         loss, *grads = loss_cosine_grad(*us, labels)
     elif config.loss == CONTRASTIVE:
-        loss, *grads = loss_contrastive_grad(*us, labels, margin)
+        loss, *grads = loss_contrastive_grad(*us, labels, config.resolved_margin)
     elif config.loss == TRIPLET:
-        loss, *grads = loss_triplet_grad(*us, margin)
+        loss, *grads = loss_triplet_grad(*us, config.resolved_margin)
     else:
         loss, *grads = loss_infonce_grad(*us)
     if not gradient:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsgeo.cli import main
+from newsgeo.cli import _effective_config, build_parser, main
 from newsgeo.embedding import MockEmbedder
 from newsgeo.kb import KbCache
 from newsgeo.locations import Resolver
@@ -319,11 +319,13 @@ class TestEvaluate:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["rank", "evaluate", "generate-pairs"])
     def test_program_defect_fails_the_command(
-        self, tmp_path, fixture_tree, monkeypatch, command, capsys
+        self, tmp_path, fixture_tree, monkeypatch, command, workers, capsys
     ):
-        """A prediction that raises is a failed run, never a scored miss."""
+        """A prediction that raises is a failed run, never a scored miss, and
+        every command names the article it failed on."""
         original = Resolver.locate_qid
 
         def broken(self, qid):
@@ -333,12 +335,12 @@ class TestEvaluate:
 
         monkeypatch.setattr(Resolver, "locate_qid", broken)
         output = tmp_path / "out.json"
-        argv = [command, "--config", str(fixture_tree["config"]), "--output", str(output)]
-        assert main(argv) == 1
-        error = json.loads(capsys.readouterr().err)
-        assert error["error"] == "valueerror"
-        detail = "article en-001: injected defect" if command == "evaluate" else "injected defect"
-        assert error["details"] == [detail]
+        argv = [command, "--config", str(fixture_tree["config"]), "--workers", workers]
+        assert main([*argv, "--output", str(output)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "valueerror",
+            "details": ["article en-001: injected defect"],
+        }
         assert not output.exists()
 
 
@@ -598,6 +600,48 @@ class TestFailureModes:
         assert error["details"][0].startswith(f"{cache}:{number}: bad cache record (no field ")
         assert not output.exists() and not trace.exists()
 
+    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    @pytest.mark.parametrize(
+        "source, key, edit, problem",
+        [
+            ("wikidata", "Q90", lambda v: v.update(qid="X9"), "malformed WikiData id 'X9'"),
+            (
+                "dbpedia",
+                "en:Eiffel Tower",
+                lambda v: v["properties"].update(location="Paris"),
+                "property 'location' must be a list of strings, got 'Paris'",
+            ),
+            (
+                "wplink",
+                "en:Eiffel Tower",
+                lambda v: v.update(page_title=5),
+                "page title must be a string, got 5",
+            ),
+        ],
+        ids=["wikidata-qid", "dbpedia-property", "wplink-title"],
+    )
+    def test_a_field_of_the_wrong_type_fails_the_command(
+        self, tmp_path, fixture_tree, command, source, key, edit, problem, capsys
+    ):
+        """A cached record whose field has the wrong type is corrupt: it is
+        neither scored nor read as something else."""
+        cache = tmp_path / "kb_cache.jsonl"
+        lines = read_lines(fixture_tree["cache"])
+        wanted = f'{{"source": "{source}", "key": "{key}",'
+        number = next(i for i, line in enumerate(lines, 1) if line.startswith(wanted))
+        record = json.loads(lines[number - 1])
+        edit(record["value"])
+        lines[number - 1] = json.dumps(record, ensure_ascii=False)
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        output = tmp_path / "out.json"
+        argv = [command, "--config", str(fixture_tree["config"]), "--cache", str(cache)]
+        assert main([*argv, "--output", str(output)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "valueerror",
+            "details": [f"{cache}:{number}: bad cache record ({problem})"],
+        }
+        assert not output.exists()
+
     @pytest.mark.parametrize(
         "raw, problem",
         [
@@ -632,8 +676,20 @@ class TestFailureModes:
             ("corpus", {"pt": "articles_en.jsonl"}, f"corpus[pt]: {UNSUPPORTED_LANGUAGE}"),
             ("loss", {"learning_rate": math.nan}, "loss: learning_rate must be finite and > 0, got nan"),
             ("loss", {"margin": math.inf}, "loss: margin must be finite and >= 0, got inf"),
+            ("corpus", {"en": "missing.jsonl"}, "corpus[en]: no such file '{dir}/missing.jsonl'"),
+            ("gold", "missing.jsonl", "gold: no such file '{dir}/missing.jsonl'"),
+            ("chunking_mode", "sentences", "chunking_mode: unknown mode 'sentences'"),
+            ("representation_modes", ["all"], "representation_modes: unknown mode 'all'"),
+            ("representation_modes", [], "representation_modes: at least one mode required"),
+            ("max_depth", 0, "max_depth: must be >= 1"),
+            ("embedder", "openai:x", "embedder: unknown provider kind 'openai'"),
+            ("ner_providers", ["flair"], "ner_providers: unknown provider kind 'flair'"),
         ],
-        ids=["mock-abc", "mock-1", "missing-gazetteer", "corpus-pt", "loss-nan", "loss-inf"],
+        ids=[
+            "mock-abc", "mock-1", "missing-gazetteer", "corpus-pt", "loss-nan", "loss-inf",
+            "missing-corpus", "missing-gold", "chunking-mode", "representation-mode",
+            "no-representation-mode", "max-depth-0", "embedder-kind", "ner-kind",
+        ],
     )
     def test_unusable_component_is_a_config_error(
         self, tmp_path, fixture_tree, field, value, problem, capsys
@@ -647,6 +703,12 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)
         assert error == {"error": "config", "details": [problem.format(dir=path.parent)]}
         assert not output.exists()
+
+    def test_seed_and_embedder_flags_override_the_config(self, fixture_tree):
+        argv = ["rank", "--config", str(fixture_tree["config"]), "--output", "out.jsonl"]
+        args = build_parser().parse_args([*argv, "--seed", "7", "--embedder", "mock:8"])
+        config = _effective_config(args)
+        assert (config.seed, config.loss.seed, config.embedder) == (7, 7, "mock:8")
 
     @pytest.mark.parametrize(
         "command, module",
@@ -990,17 +1052,19 @@ class TestKbFailures:
         assert online.read_bytes() == offline.read_bytes()
         assert not any(key[0] == "dbpedia" for key in KbCache(cache).keys())
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("command", sorted(KB_COMMANDS))
     def test_cache_without_link_records_is_a_cache_miss(
-        self, tmp_path, fixture_tree, command, capsys
+        self, tmp_path, fixture_tree, command, workers, capsys
     ):
+        """A KB error keeps its own error and detail at any worker count."""
         cache = tmp_path / "no_links.jsonl"
         lines = read_lines(fixture_tree["cache"])
         cache.write_text(
             "".join(line + "\n" for line in lines if '"source": "wplink"' not in line),
             encoding="utf-8",
         )
-        self.run(tmp_path, fixture_tree, command, cache)
+        self.run(tmp_path, fixture_tree, command, cache, "--workers", workers)
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "cache-miss"
         assert error["details"][0].startswith("wplink:")

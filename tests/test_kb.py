@@ -756,9 +756,11 @@ class TestPolicies:
             (DbpediaClient, "base_url"),
             (WikipediaLinker, "search_url"),
             (WikipediaLinker, "pageprops_url"),
+            (WikidataClient, "retries"),
+            (WikidataClient, "backoff"),
         ],
     )
-    def test_endpoint_urls_are_not_options(self, tmp_path, client, keyword):
+    def test_endpoints_and_retries_are_not_options(self, tmp_path, client, keyword):
         with pytest.raises(TypeError):
             client(KbCache(tmp_path), **{keyword: "https://example.org/{qid}"})
 
@@ -772,7 +774,8 @@ class TestPolicies:
 
 
 class TestRetries:
-    def test_transient_failures_are_retried(self, tmp_path):
+    def test_transient_failures_are_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("newsgeo.kb.time.sleep", lambda seconds: None)
         url = "https://www.wikidata.org/wiki/Special:EntityData/Q90.json"
         transport = FakeTransport(
             {
@@ -783,25 +786,18 @@ class TestRetries:
                 ]
             }
         )
-        client = WikidataClient(
-            KbCache(tmp_path), policy=ONLINE, transport=transport, backoff=0.0
-        )
+        client = WikidataClient(KbCache(tmp_path), policy=ONLINE, transport=transport)
         assert client.fetch("Q90").labels["en"] == "Paris"
         assert len(transport.calls) == 3
 
-    def test_persistent_failure_raises_after_retries(self, tmp_path):
+    def test_persistent_failure_raises_after_retries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("newsgeo.kb.time.sleep", lambda seconds: None)
         url = "https://www.wikidata.org/wiki/Special:EntityData/Q90.json"
         transport = FakeTransport({url: ConnectionError("down")})
-        client = WikidataClient(
-            KbCache(tmp_path), policy=ONLINE, transport=transport, retries=2, backoff=0.0
-        )
+        client = WikidataClient(KbCache(tmp_path), policy=ONLINE, transport=transport)
         with pytest.raises(KbRemoteError):
             client.fetch("Q90")
-        assert len(transport.calls) == 3  # initial attempt + 2 retries
-
-    def test_negative_retries_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="retries"):
-            WikidataClient(KbCache(tmp_path), retries=-1)
+        assert len(transport.calls) == 4  # initial attempt + 3 retries
 
     def test_backs_off_only_between_attempts(self, tmp_path, monkeypatch):
         sleeps = []
@@ -812,7 +808,6 @@ class TestRetries:
             policy=ONLINE,
             transport=FakeTransport({url: ConnectionError("down")}),
             rate_limiter=RateLimiter(per_second=float("inf")),
-            retries=3,
         )
         with pytest.raises(KbRemoteError):
             client.fetch("Q90")
@@ -975,11 +970,11 @@ class TestClaimTargets:
         assert transport.calls == [url]
         assert cache.keys() == []
 
-    @pytest.mark.parametrize("field", ["p17", "p31", "p131"])
+    @pytest.mark.parametrize("field", ["qid", "p17", "p31", "p131"])
     def test_a_cached_target_that_is_not_an_id_is_corrupt(self, tmp_path, field):
         path = tmp_path / "c.jsonl"
         value = WikidataItem("Q90", {"en": "Paris"}, [], [], []).to_json()
-        value[field] = [["X9", "city"]] if field == "p31" else ["X9"]
+        value[field] = {"qid": "X9", "p31": [["X9", "city"]]}.get(field, ["X9"])
         path.write_text(
             json.dumps({"source": "wikidata", "key": "Q90", "value": value}) + "\n",
             encoding="utf-8",
@@ -1084,14 +1079,13 @@ class TestConcurrentFetches:
             first, second = results[qid]
             assert first == second and first.labels == {"en": qid}
 
-    def test_a_failed_fetch_is_tried_again(self, tmp_path):
+    def test_a_failed_fetch_is_tried_again(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("newsgeo.kb.RETRIES", 0)
         url = "https://www.wikidata.org/wiki/Special:EntityData/Q90.json"
         transport = FakeTransport(
             {url: [RuntimeError("down"), wikidata_payload("Q90", labels={"en": "Paris"})]}
         )
-        client = WikidataClient(
-            KbCache(tmp_path), policy=ONLINE, transport=transport, retries=0
-        )
+        client = WikidataClient(KbCache(tmp_path), policy=ONLINE, transport=transport)
         with pytest.raises(KbRemoteError):
             client.fetch("Q90")
         assert client.fetch("Q90").labels == {"en": "Paris"}
@@ -1121,7 +1115,8 @@ class TestMalformedPayloads:
         assert len(transport.calls) == 2
 
     @pytest.mark.parametrize("nested", ["remote-error", "corrupt-record"])
-    def test_a_kb_error_inside_the_reduction_passes_unchanged(self, tmp_path, nested):
+    def test_a_kb_error_inside_the_reduction_passes_unchanged(self, tmp_path, monkeypatch, nested):
+        monkeypatch.setattr("newsgeo.kb.RETRIES", 0)
         city, target = self.URL.format(qid="Q90"), self.URL.format(qid="Q515")
         transport = FakeTransport(
             {city: wikidata_payload("Q90", p31=["Q515"]), target: ConnectionError("down")}
@@ -1129,7 +1124,7 @@ class TestMalformedPayloads:
         cache = KbCache(tmp_path)
         if nested == "corrupt-record":
             cache.put("wikidata-label", "Q515", {"no-labels": {}})
-        client = WikidataClient(cache, policy=ONLINE, transport=transport, retries=0)
+        client = WikidataClient(cache, policy=ONLINE, transport=transport)
         error = KbRemoteError if nested == "remote-error" else KbCacheCorrupt
         with pytest.raises(error) as excinfo:
             client.fetch("Q90")
@@ -1206,6 +1201,60 @@ class TestDbpediaClient:
         client = DbpediaClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
         assert client.fetch("Thing", "fr").properties["location"] == ["Paris"]
         assert client.fetch("Thing", "fr", english_fallback=False) is None
+
+    RECORD = {
+        "title": "Thing",
+        "language": "en",
+        "properties": {"location": ["Paris"]},
+        "ontology_types": ["Place"],
+        "abstract": None,
+    }
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("title", 5, "title must be a string, got 5"),
+            ("language", None, "language must be a string, got None"),
+            ("abstract", ["A"], "abstract must be a string, got ['A']"),
+            ("properties", ["location"], "properties must be an object, got ['location']"),
+            (
+                "properties",
+                {"location": "Paris"},
+                "property 'location' must be a list of strings, got 'Paris'",
+            ),
+            ("ontology_types", "Place", "ontology_types must be a list of strings, got 'Place'"),
+            ("ontology_types", [5], "ontology_types must be a list of strings, got [5]"),
+        ],
+    )
+    def test_a_cached_field_of_the_wrong_type_is_corrupt(self, tmp_path, field, value, problem):
+        path = tmp_path / "c.jsonl"
+        record = {**self.RECORD, field: value}
+        path.write_text(
+            json.dumps({"source": "dbpedia", "key": "en:Thing", "value": record}) + "\n",
+            encoding="utf-8",
+        )
+        client = DbpediaClient(KbCache(path), policy=CACHE_ONLY, transport=forbidden_transport)
+        message = re.escape(f"{path}:1: bad cache record ({problem})")
+        with pytest.raises(KbCacheCorrupt, match=message):
+            client.fetch("Thing", "en")
+
+    def test_a_fetched_field_of_the_wrong_type_is_a_remote_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("newsgeo.kb._resource_title", lambda uri: 5)
+        url = "https://en.dbpedia.org/data/Thing.json"
+        payload = dbpedia_payload(
+            "Thing",
+            properties={
+                "http://dbpedia.org/ontology/location": [
+                    {"type": "uri", "value": "http://dbpedia.org/resource/Paris"}
+                ]
+            },
+        )
+        cache = KbCache(tmp_path)
+        client = DbpediaClient(cache, policy=ONLINE, transport=FakeTransport({url: payload}))
+        message = f"^{re.escape(url)}: malformed payload .*'location' must be a list of strings"
+        with pytest.raises(KbRemoteError, match=message):
+            client.fetch("Thing", "en")
+        assert cache.keys() == []
 
     def test_empty_title_rejected(self, tmp_path):
         client = DbpediaClient(KbCache(tmp_path), transport=forbidden_transport)

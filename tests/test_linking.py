@@ -372,6 +372,23 @@ class TestRequestCounts:
         with pytest.raises(KbCacheCorrupt, match="page title must be a string"):
             linker.title("Paris", "fr")
 
+    @pytest.mark.parametrize("title", [5, ["Paris"]])
+    def test_a_link_record_whose_title_is_not_a_string_is_corrupt(self, tmp_path, title):
+        cache = KbCache(tmp_path)
+        record = {"surface": "Paris", "language": "fr", "page_title": title, "qid": "Q90"}
+        cache.put("wplink", "fr:Paris", record)
+        linker = WikipediaLinker(cache, policy=CACHE_ONLY, transport=forbidden_transport)
+        for lookup in (linker.link, linker.title):
+            with pytest.raises(KbCacheCorrupt, match="page title must be a string"):
+                lookup("Paris", "fr")
+
+    def test_a_link_record_without_a_page_has_no_title(self, tmp_path):
+        cache = KbCache(tmp_path)
+        record = {"surface": "Atlantide", "language": "fr", "page_title": None}
+        cache.put("wplink", "fr:Atlantide", record)
+        linker = WikipediaLinker(cache, policy=CACHE_ONLY, transport=forbidden_transport)
+        assert linker.link("Atlantide", "fr") == LinkResult("Atlantide", "fr")
+
 
 PARIS = LocationTuple("France", "Q142", "Paris", "Q90")
 

@@ -375,7 +375,7 @@ class TestBatchedTraining:
     def test_triplet_rows_without_a_smooth_hinge_get_zero_gradients(self):
         features, rows, _ = batch_case(TRIPLET)
         us, ps, ns = (features[column] @ near_identity().T for column in rows.T)
-        _, gu, gp, gn = loss_triplet_grad(us, ps, ns)
+        _, gu, gp, gn = loss_triplet_grad(us, ps, ns, 1.0)
         assert not np.any(gu[0]) and not np.any(gp[0]) and not np.any(gn[0])
         assert not np.any(gp[1]) and np.any(gu[1]) and np.any(gn[1])
 
@@ -414,11 +414,11 @@ class TestBatchedTraining:
         with pytest.raises(ValueError):
             loss_cosine_grad(rows, zero_row, np.ones(3))
         with pytest.raises(ValueError):
-            loss_contrastive_grad(rows, rows, np.array([1, 2, 0]))
+            loss_contrastive_grad(rows, rows, np.array([1, 2, 0]), 0.5)
         with pytest.raises(ValueError):
             loss_contrastive_grad(rows, rows, np.ones(3), margin=-0.1)
         with pytest.raises(ValueError):
-            loss_triplet_grad(rows, rows, zero_row)
+            loss_triplet_grad(rows, rows, zero_row, 1.0)
         with pytest.raises(ValueError):
             loss_triplet_grad(rows, rows, rows, margin=-1.0)
         with pytest.raises(ValueError):
