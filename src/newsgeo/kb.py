@@ -48,7 +48,7 @@ from typing import Any, Callable
 
 from .config import CACHE_ONLY, ONLINE
 from .corpus import _check_qid
-from .memo import Memo
+from .memo import Memo, waiting
 
 try:  # hashlib's own blake2b, without the OpenSSL bindings `import hashlib` loads (3 ms)
     from _blake2 import blake2b
@@ -452,9 +452,20 @@ class WikidataItem:
     p131: list[str]
 
     def __post_init__(self) -> None:
-        # Fetched payloads and cached records both become items here, so an
-        # id or claim target that is not an item id, or a label that is not
-        # a string, never reaches a lookup or a report.
+        # Fetched payloads and cached records both become items here, so a
+        # field of the wrong JSON type, an id or claim target that is not an
+        # item id, or a label that is not a string never reaches a lookup or
+        # a report; a string where a list belongs would read as its characters.
+        if type(self.labels) is not dict:
+            raise TypeError(f"labels must be an object, got {self.labels!r}")
+        for field, ids in (("p17", self.p17), ("p131", self.p131)):
+            if type(ids) is not list:
+                raise TypeError(f"{field} must be a list of item ids, got {ids!r}")
+        if type(self.p31) is not list or any(
+            type(pair) not in (list, tuple) or len(pair) != 2 for pair in self.p31
+        ):
+            raise TypeError(f"p31 must be a list of [qid, label] pairs, got {self.p31!r}")
+        self.p31 = [tuple(pair) for pair in self.p31]
         for qid in (self.qid, *self.p17, *(qid for qid, _ in self.p31), *self.p131):
             _check_qid(qid)
         for label in (*self.labels.values(), *(label for _, label in self.p31)):
@@ -467,10 +478,10 @@ class WikidataItem:
     def from_json(d: dict[str, Any]) -> "WikidataItem":
         return WikidataItem(
             qid=d["qid"],
-            labels=dict(d["labels"]),
-            p17=list(d["p17"]),
-            p31=[(qid, label) for qid, label in d["p31"]],
-            p131=list(d["p131"]),
+            labels=d["labels"],
+            p17=d["p17"],
+            p31=d["p31"],
+            p131=d["p131"],
         )
 
     def to_json(self) -> dict[str, Any]:
@@ -576,6 +587,7 @@ class _CachedClient:
         """`reduce` of the payload at `url`; None on a 404. A transport that
         keeps failing after the retries, or a payload `reduce` cannot read,
         raises :class:`KbRemoteError` naming `url`; a `KbError` passes unchanged."""
+        waiting()  # another thread may take the map's next article meanwhile
         for attempt in range(RETRIES + 1):
             self.rate_limiter.wait()
             try:

@@ -4,6 +4,11 @@ and the map that runs a command's articles on those threads.
 A command's `Resolver` and `Pipeline` each own one, and the KB clients use
 one to fetch each missing key once. Once per key keeps a run's work, and so
 its counters, the same at any worker count.
+
+`workers` is the most articles in flight while some wait on the KB: the map
+starts a thread only when an article is about to wait on the network, so a
+run that the KB cache answers stays on one thread. No article starts after
+one has failed.
 """
 
 from __future__ import annotations
@@ -61,15 +66,79 @@ class Memo:
             mine.set()
 
 
+# The map whose article the current thread runs, for `waiting`.
+_current = threading.local()
+
+
+def waiting() -> None:
+    """Say that this thread is about to wait on the network. If it runs an
+    article of `map_articles`, one more thread starts on the map's later
+    articles, up to the map's `workers`; otherwise nothing happens."""
+    articles = getattr(_current, "map", None)
+    if articles is not None:
+        articles.add_thread()
+
+
+class _ArticleMap:
+    """The articles of one `map_articles` call. Each of its threads takes the
+    next article from one counter until none is left or one has failed."""
+
+    def __init__(self, run: Callable[[Article], Any], articles: Sequence[Article], workers: int):
+        self._run, self._articles, self._workers = run, articles, workers
+        self._lock = threading.Lock()
+        self._next = 0
+        self.threads: list[threading.Thread] = []
+        self.results: list[Any] = [None] * len(articles)
+        self.errors: dict[int, BaseException] = {}
+
+    def _open(self) -> bool:
+        """Whether an article may still start; asked under the lock."""
+        return not self.errors and self._next < len(self._articles)
+
+    def work(self) -> None:
+        """Run articles until none is left or one has failed."""
+        outer = getattr(_current, "map", None)
+        _current.map = self
+        try:
+            while True:
+                with self._lock:
+                    if not self._open():
+                        return
+                    index, self._next = self._next, self._next + 1
+                try:
+                    self.results[index] = self._run(self._articles[index])
+                except BaseException as exc:
+                    with self._lock:
+                        self.errors[index] = exc
+        finally:
+            _current.map = outer
+
+    def add_thread(self) -> None:
+        """Start one more thread on `work`, unless `workers` already run."""
+        with self._lock:
+            if self._open() and len(self.threads) + 1 < self._workers:
+                # Started before it is listed, so no join finds it unstarted.
+                thread = threading.Thread(target=self.work)
+                thread.start()
+                self.threads.append(thread)
+
+
 def map_articles(
     fn: Callable[[Article], T], articles: Sequence[Article], workers: int = 1
 ) -> list[T]:
-    """`fn` of every article in corpus order: serially, or on a thread pool.
+    """`fn` of every article, in corpus order.
 
-    An exception passes unchanged, except that a `ValueError` other than a
-    KB failure is raised again with the failing article's id in its message,
-    so every command names the article that failed.
+    The articles run in corpus order on the calling thread. Each time an
+    article is about to wait on the network (`waiting`), one more thread
+    starts on the later articles, up to `workers` threads in all, so a run
+    that the KB cache answers stays on one thread. No article starts after
+    one has failed. The exception of the earliest failed article in corpus
+    order is raised, unchanged except that a `ValueError` other than a KB
+    failure is raised again with the article's id in its message, so every
+    command names the article that failed.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
     def run(article: Article) -> T:
         try:
@@ -82,10 +151,11 @@ def map_articles(
                 raise
             raise ValueError(f"article {article.id}: {exc}") from exc
 
-    if workers == 1:
-        return [run(article) for article in articles]
-    # Imported here: a serial command never loads the thread pool's modules.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, articles))
+    mapped = _ArticleMap(run, articles, workers)
+    mapped.work()
+    # The list grows only while one of its threads, not yet joined, runs.
+    for thread in mapped.threads:
+        thread.join()
+    if mapped.errors:
+        raise mapped.errors[min(mapped.errors)]
+    return mapped.results

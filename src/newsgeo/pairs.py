@@ -71,7 +71,8 @@ def generate_pairs(
     the document's positive count by a sample seeded with `seed` and the
     article id. Mentions that cannot be resolved are never used as
     negatives, since their unrelatedness is unverifiable. The articles run
-    on `workers` threads; their pairs come in corpus order.
+    on up to `workers` threads while some wait on the KB; their pairs come
+    in corpus order.
     """
     per_article = map_articles(
         lambda article: _article_pairs(

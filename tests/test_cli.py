@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import urllib.parse
 from pathlib import Path
 
@@ -605,6 +606,13 @@ class TestFailureModes:
         "source, key, edit, problem",
         [
             ("wikidata", "Q90", lambda v: v.update(qid="X9"), "malformed WikiData id 'X9'"),
+            ("wikidata", "Q90", lambda v: v.update(p17=""), "p17 must be a list of item ids, got ''"),
+            (
+                "wikidata",
+                "Q90",
+                lambda v: v.update(p17="Q142"),
+                "p17 must be a list of item ids, got 'Q142'",
+            ),
             (
                 "dbpedia",
                 "en:Eiffel Tower",
@@ -618,7 +626,9 @@ class TestFailureModes:
                 "page title must be a string, got 5",
             ),
         ],
-        ids=["wikidata-qid", "dbpedia-property", "wplink-title"],
+        ids=[
+            "wikidata-qid", "wikidata-p17-empty", "wikidata-p17-id", "dbpedia-property", "wplink-title"
+        ],
     )
     def test_a_field_of_the_wrong_type_fails_the_command(
         self, tmp_path, fixture_tree, command, source, key, edit, problem, capsys
@@ -1084,12 +1094,17 @@ class TestKbFailures:
 
 # Run `newsgeo.cli.main` on the arguments after the first in a fresh
 # interpreter and report, as the last line of stdout, which of the modules the
-# first argument names (comma-separated) were imported.
+# first argument names (comma-separated) were imported and how many threads
+# the command started.
 IMPORT_PROBE = """
-import json, sys
+import json, sys, threading
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda thread: (started.append(thread.name), start(thread))[-1]
 from newsgeo.cli import main
 code = main(sys.argv[2:])
-print(json.dumps([name for name in sys.argv[1].split(",") if name in sys.modules]))
+loaded = [name for name in sys.argv[1].split(",") if name in sys.modules]
+print(json.dumps({"modules": loaded, "threads": len(started)}))
 sys.exit(code)
 """
 
@@ -1098,7 +1113,8 @@ KB_LAYERS = ("newsgeo.kb", "newsgeo.linking", "newsgeo.locations")
 LAYERS = (*KB_LAYERS, "newsgeo.ner")
 
 
-def loaded_modules(tmp_path, fixture_tree, command, modules) -> set[str]:
+def run_probe(tmp_path, fixture_tree, command, modules) -> dict:
+    """The `modules` a command loaded and the threads it started, in a fresh interpreter."""
     paths = {
         "out": tmp_path / "out",
         "articles_en": fixture_tree["articles_en"],
@@ -1123,7 +1139,11 @@ def loaded_modules(tmp_path, fixture_tree, command, modules) -> set[str]:
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def loaded_modules(tmp_path, fixture_tree, command, modules) -> set[str]:
+    return set(run_probe(tmp_path, fixture_tree, command, modules)["modules"])
 
 
 def loads_module(tmp_path, fixture_tree, command, module) -> bool:
@@ -1131,9 +1151,8 @@ def loads_module(tmp_path, fixture_tree, command, module) -> bool:
 
 
 class TestImports:
-    """Commands that only read the corpus and the KB never load numpy,
-    serial commands never load the thread pool, and each command loads only
-    the KB and NER layers it runs."""
+    """Commands that only read the corpus and the KB never load numpy, and
+    each command loads only the KB and NER layers it runs."""
 
     @pytest.mark.parametrize(
         "command, loads_numpy",
@@ -1153,12 +1172,6 @@ class TestImports:
     def test_numpy_only_in_commands_that_embed(self, tmp_path, fixture_tree, command, loads_numpy):
         assert loads_module(tmp_path, fixture_tree, command, "numpy") == loads_numpy
 
-    @pytest.mark.parametrize("command", ["rank", "evaluate", "generate-pairs", "classify-categories"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_thread_pool_only_with_workers(self, tmp_path, fixture_tree, command, workers):
-        argv = [command, "--workers", str(workers), "--output", "{out}"]
-        assert loads_module(tmp_path, fixture_tree, argv, "concurrent.futures") == (workers > 1)
-
     @pytest.mark.parametrize(
         "command, layers",
         [
@@ -1175,6 +1188,65 @@ class TestImports:
     )
     def test_layers_only_in_commands_that_run_them(self, tmp_path, fixture_tree, command, layers):
         assert loaded_modules(tmp_path, fixture_tree, command, LAYERS) == set(layers)
+
+
+class TestThreads:
+    """`workers` is the most articles in flight while some wait on the KB: a
+    run that the cache answers stays on one thread, and one that fetches
+    starts more without changing its output."""
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate", "generate-pairs", "classify-categories"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_warm_run_starts_no_thread(self, tmp_path, fixture_tree, command, workers):
+        argv = [command, "--workers", workers, "--output", "{out}"]
+        probe = run_probe(tmp_path, fixture_tree, argv, ["concurrent.futures"])
+        assert probe == {"modules": [], "threads": 0}
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate-1", "generate-pairs"])
+    def test_an_online_run_starts_threads_and_keeps_its_output(
+        self, tmp_path, fixture_tree, command, monkeypatch
+    ):
+        """The WikiData records are fetched again, from payloads that hold
+        what the fixture records hold."""
+        payloads = {}
+        for line in read_lines(fixture_tree["cache"]):
+            record = json.loads(line)
+            if record["source"] == "wikidata":
+                item = record["value"]
+                for qid, label in item["p31"]:
+                    payloads.setdefault(qid, wikidata_payload(qid, {"en": label}))
+                payloads[item["qid"]] = wikidata_payload(
+                    item["qid"], item["labels"], item["p17"], [qid for qid, _ in item["p31"]],
+                    item["p131"],
+                )
+
+        def transport(url):
+            qid = url.rsplit("/", 1)[1].removesuffix(".json")
+            if "wikidata.org" not in url or qid not in payloads:
+                raise LookupError(url)
+            return payloads[qid]
+
+        monkeypatch.setattr("newsgeo.kb.default_transport", transport)
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        started = count_calls(monkeypatch, threading.Thread, "start")
+        warm = tmp_path / "warm"
+        flags = ["--config", str(fixture_tree["config"])]
+        argv = [arg.format(out=warm) for arg in KB_COMMANDS[command]]
+        assert main([*argv, *flags]) == 0
+        assert started == []
+        lines = read_lines(fixture_tree["cache"])
+        for workers in ("1", "2"):
+            cache = tmp_path / f"cache-{workers}.jsonl"
+            cache.write_text(
+                "".join(line + "\n" for line in lines if '"source": "wikidata",' not in line),
+                encoding="utf-8",
+            )
+            out = tmp_path / f"out-{workers}"
+            argv = [arg.format(out=out) for arg in KB_COMMANDS[command]]
+            online = ["--cache", str(cache), "--network", "online", "--workers", workers]
+            assert main([*argv, *flags, *online]) == 0
+            assert bool(started) == (workers == "2")
+            assert out.read_bytes() == warm.read_bytes()
 
 
 # Boundaries the benchmark's tracer wraps that the program no longer has at

@@ -18,7 +18,7 @@ from newsgeo.evaluation import (
 )
 from newsgeo.kb import KbCache
 from newsgeo.locations import LocationTuple
-from newsgeo.memo import map_articles
+from newsgeo.memo import map_articles, waiting
 from newsgeo.ner import GazetteerNer
 
 from conftest import count_calls
@@ -216,6 +216,7 @@ class TestRunExperiment:
         delays = {"en-0": 0.03, "en-1": 0.0, "fr-0": 0.02, "fr-1": 0.0}
 
         def slow_id(article):
+            waiting()  # as a KB fetch does; without it the map stays on one thread
             time.sleep(delays[article.id])
             return article.id
 

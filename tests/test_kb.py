@@ -1041,6 +1041,44 @@ class TestLabels:
             lookup("Q90")
 
 
+class TestWikidataFields:
+    """Every field of a cached WikiData item has its JSON type: a string
+    where a list belongs would read as its characters."""
+
+    CASES = [
+        ("labels", "Paris", "labels must be an object, got 'Paris'"),
+        ("labels", [["en", "Paris"]], "labels must be an object, got [['en', 'Paris']]"),
+        ("p17", "", "p17 must be a list of item ids, got ''"),
+        ("p17", "Q142", "p17 must be a list of item ids, got 'Q142'"),
+        ("p131", {"Q1": "Region"}, "p131 must be a list of item ids, got {'Q1': 'Region'}"),
+        ("p31", "Q515", "p31 must be a list of [qid, label] pairs, got 'Q515'"),
+        ("p31", ["Q515"], "p31 must be a list of [qid, label] pairs, got ['Q515']"),
+        (
+            "p31",
+            [["Q515", "city", "x"]],
+            "p31 must be a list of [qid, label] pairs, got [['Q515', 'city', 'x']]",
+        ),
+    ]
+    IDS = [
+        "labels-string", "labels-list", "p17-empty", "p17-id", "p131-object",
+        "p31-string", "p31-unpaired", "p31-triple",
+    ]
+
+    @pytest.mark.parametrize("field, value, problem", CASES, ids=IDS)
+    def test_a_cached_field_of_the_wrong_type_is_corrupt(self, tmp_path, field, value, problem):
+        path = tmp_path / "c.jsonl"
+        record = WikidataItem("Q90", {"en": "Paris"}, ["Q142"], [("Q515", "city")], []).to_json()
+        record[field] = value
+        path.write_text(
+            json.dumps({"source": "wikidata", "key": "Q90", "value": record}) + "\n",
+            encoding="utf-8",
+        )
+        client = WikidataClient(KbCache(path), policy=CACHE_ONLY, transport=forbidden_transport)
+        message = re.escape(f"{path}:1: bad cache record ({problem})")
+        with pytest.raises(KbCacheCorrupt, match=message):
+            client.fetch("Q90")
+
+
 class TestConcurrentFetches:
     def test_threads_missing_one_key_fetch_and_write_it_once(self, tmp_path, monkeypatch):
         url = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"

@@ -1,12 +1,15 @@
-"""Memo: each key computed once, also across threads."""
+"""Memo: each key computed once, also across threads; the article map."""
 
+import contextlib
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from newsgeo.memo import Memo
+import newsgeo.memo
+from newsgeo.memo import Memo, map_articles, waiting
 
 
 class TestMemo:
@@ -91,3 +94,109 @@ class TestMemo:
         assert sorted(computed) == list(keys)
         for key in keys:
             assert len({id(values[key]) for values in seen}) == 1
+
+
+def articles(count):
+    return [SimpleNamespace(id=f"a-{index}") for index in range(count)]
+
+
+class TestMapArticles:
+    def test_a_run_that_never_waits_stays_on_the_calling_thread(self):
+        threads = []
+
+        def fn(article):
+            threads.append(threading.get_ident())
+            return article.id
+
+        corpus = articles(20)
+        assert map_articles(fn, corpus, workers=4) == [a.id for a in corpus]
+        assert set(threads) == {threading.get_ident()}
+
+    def test_waits_start_threads_up_to_workers(self):
+        lock = threading.Lock()
+        threads, running, most = set(), [0], [0]
+
+        def fn(article):
+            with lock:
+                threads.add(threading.get_ident())
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            waiting()
+            time.sleep(0.02)
+            with lock:
+                running[0] -= 1
+            return article.id
+
+        corpus = articles(20)
+        assert map_articles(fn, corpus, workers=3) == [a.id for a in corpus]
+        assert 1 < len(threads) <= 3
+        assert most[0] <= 3
+
+    def test_threads_run_each_article_once(self):
+        runs = []
+
+        def fn(article):
+            runs.append(article.id)
+            waiting()
+            time.sleep(0)  # let the other threads take articles meanwhile
+            return article.id
+
+        corpus = articles(400)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert map_articles(fn, corpus, workers=8) == [a.id for a in corpus]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(runs) == sorted(a.id for a in corpus)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_the_earliest_failed_article_is_raised(self, workers):
+        def fn(article):
+            if article.id == "a-1":
+                waiting()
+                time.sleep(0.1)  # a-3 fails first on another thread
+                raise ValueError("first")
+            if article.id == "a-3":
+                raise ValueError("second")
+            return article.id
+
+        with pytest.raises(ValueError, match="^article a-1: first$"):
+            map_articles(fn, articles(6), workers)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_article_starts_after_a_failure(self, workers):
+        started = []
+
+        def fn(article):
+            started.append(article.id)
+            if article.id == "a-0":
+                waiting()
+                time.sleep(0.1)  # a-1 fails meanwhile on another thread
+            if article.id == "a-1":
+                raise RuntimeError("down")
+            return article.id
+
+        with pytest.raises(RuntimeError, match="^down$"):
+            map_articles(fn, articles(6), workers)
+        assert started == ["a-0", "a-1"]
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_the_map_is_forgotten_when_it_returns(self, monkeypatch, fails):
+        def fn(article):
+            waiting()
+            if fails:
+                raise RuntimeError("down")
+            return article.id
+
+        with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+            map_articles(fn, articles(3), workers=4)
+        assert getattr(newsgeo.memo._current, "map", None) is None
+        starts = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread))
+        waiting()  # outside a map: starts nothing
+        assert starts == []
+
+    def test_fewer_than_one_worker_is_rejected(self):
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            map_articles(lambda article: article.id, articles(2), workers=0)
