@@ -47,7 +47,9 @@ if TYPE_CHECKING:
 # Each command imports the layers it runs when it runs, through the config's
 # builders or its own imports: each command starts in a fresh interpreter, and
 # most of a short command's time would otherwise go to importing. `train
-# --pairs` loads no KB layer, and only the commands that embed load numpy.
+# --pairs` loads no KB layer, and numpy loads at a command's first vector, so
+# `evaluate --baseline`, and a run whose articles yield no candidate, never
+# load it.
 
 logger = logging.getLogger(__name__)
 

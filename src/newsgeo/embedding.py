@@ -5,15 +5,15 @@ longer. Two strategies are provided: truncate (embed the prefix) and
 average_subdivisions (split the article into sentence-boundary chunks that
 each fit, embed every chunk, average the vectors). Chunks always concatenate
 back to the original text byte-for-byte, so nothing is silently dropped.
+numpy is imported by the functions that make a vector, when the first one
+runs, so chunking and the commands that never embed do without it.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from typing import Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol
 
 from .config import AVERAGE, TRUNCATE
 
@@ -21,6 +21,9 @@ try:  # hashlib's own sha256, without the OpenSSL bindings `import hashlib` load
     from _sha256 import sha256
 except ImportError:
     from hashlib import sha256
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -136,6 +139,8 @@ def embed_document(
     truncate mode embeds the first ``max_tokens`` tokens; average mode embeds
     every chunk and returns their arithmetic mean, E = (1/p) sum_i f(S_i).
     """
+    import numpy as np
+
     if chunking == TRUNCATE:
         return np.asarray(provider.embed(truncate_text(text, provider)), dtype=float)
     if chunking != AVERAGE:
@@ -170,6 +175,8 @@ class MockEmbedder:
         return len(text.split())
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
         digest = sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
         vector = rng.standard_normal(self.dimension)
@@ -200,4 +207,6 @@ class SentenceTransformerProvider:
         return len(self._model.tokenizer.tokenize(text))
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self._model.encode(text), dtype=float)

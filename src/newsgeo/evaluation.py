@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .config import AVERAGE
 from .corpus import Article, GoldAnnotation
-from .embedding import EmbeddingProvider
 from .linking import normalized_match
 from .locations import LocationTuple, Resolver
 from .memo import Memo, map_articles
@@ -28,6 +27,9 @@ from .ranking import (
     predict_location,
     rank_candidates,
 )
+
+if TYPE_CHECKING:
+    from .embedding import EmbeddingProvider
 
 logger = logging.getLogger(__name__)
 

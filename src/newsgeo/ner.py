@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import re
 from typing import Protocol, Sequence
 
 # Entity classes that count as location mentions across the supported tagsets.
@@ -56,10 +55,11 @@ class GazetteerNer:
     Finds every whole-word occurrence of each gazetteer name, so its output is
     a pure function of (gazetteer, text). Longer names do not suppress shorter
     ones; deduplication is the ensemble's job. A name is found by literal
-    search, and each hit is kept only where the name's whole-word pattern
-    matches there; the scan goes on after a match, or one character past a
-    rejected hit, which gives exactly the non-overlapping matches of
-    ``pattern.finditer(text)``.
+    search, and a hit is kept only when neither the character before it nor
+    the one after it is a word character; the scan goes on after a kept hit,
+    or one character past a rejected one. That gives exactly the matches of
+    ``re.finditer(r"(?<!\\w)" + re.escape(name) + r"(?!\\w)", text)``, without
+    compiling a pattern per name.
     """
 
     name = "gazetteer"
@@ -67,33 +67,29 @@ class GazetteerNer:
     def __init__(self, entries: dict[str, str]):
         if "" in entries:
             raise ValueError("a gazetteer name must be non-empty")
-        self._patterns = [
-            (entry, re.compile(r"(?<!\w)" + re.escape(entry) + r"(?!\w)"), label)
-            for entry, label in sorted(entries.items())
-        ]
+        self._entries = sorted(entries.items())
 
     def spans(self, text: str, language: str) -> list[NerSpan]:
         found = []
-        for entry, pattern, label in self._patterns:
+        for entry, label in self._entries:
             start = text.find(entry)
             while start != -1:
-                # `match` at an offset still sees the character before it, so
-                # the lookbehind rejects a hit that follows a word character.
-                match = pattern.match(text, start)
-                if match is None:
+                end = start + len(entry)
+                if (start > 0 and _word_character(text[start - 1])) or (
+                    end < len(text) and _word_character(text[end])
+                ):
                     start = text.find(entry, start + 1)
                     continue
                 found.append(
-                    NerSpan(
-                        surface=match.group(0),
-                        start=start,
-                        end=match.end(),
-                        label=label,
-                        provider=self.name,
-                    )
+                    NerSpan(surface=entry, start=start, end=end, label=label, provider=self.name)
                 )
-                start = text.find(entry, match.end())
+                start = text.find(entry, end)
         return sorted(found, key=_span_order)
+
+
+def _word_character(c: str) -> bool:
+    """Whether `c` is a word character: what ``\\w`` matches in a str pattern."""
+    return c.isalnum() or c == "_"
 
 
 class SpacyNer:

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Any, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from .config import (
     AVERAGE,
@@ -30,6 +28,9 @@ from .embedding import EmbeddingProvider, embed_document
 from .locations import LocationTuple, Resolver
 from .memo import Memo
 from .ner import NerSpan, is_location_label
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -144,10 +145,14 @@ def rank_candidates(
     A zero-norm embedding cannot be scored; the candidate is kept with score
     -1 and a warning instead of aborting the ranking. `vectors` holds the
     embedding of each text under this provider and mode, with its norm: a
-    text it already holds is not embedded again.
+    text it already holds is not embedded again. numpy is imported here,
+    after the empty-pool return, so a command whose articles yield no
+    candidate never loads it.
     """
     if not candidates:
         return []
+    import numpy as np
+
     if vectors is None:
         vectors = Memo()
 

@@ -1119,7 +1119,18 @@ def run_probe(tmp_path, fixture_tree, command, modules) -> dict:
         "out": tmp_path / "out",
         "articles_en": fixture_tree["articles_en"],
         "pairs": tmp_path / "pairs.jsonl",
+        "nameless": tmp_path / "nameless.jsonl",
+        "nameless_gold": tmp_path / "nameless_gold.jsonl",
     }
+    # One article that names no gazetteer entry, so it yields no candidate,
+    # with the gold locations of another.
+    article = dict(
+        id="en-quiet", lang="en", title="Quiet day",
+        text="Quiet day\nnothing of note was reported today.", categories=[], mentions=[], url=None,
+    )
+    gold = json.loads(read_lines(fixture_tree["gold"])[0]) | {"article_id": article["id"]}
+    paths["nameless"].write_text(json.dumps(article) + "\n", encoding="utf-8")
+    paths["nameless_gold"].write_text(json.dumps(gold) + "\n", encoding="utf-8")
     argv = [part.format(**paths) for part in command]
     if "{pairs}" in command:
         config = str(fixture_tree["config"])
@@ -1163,6 +1174,23 @@ class TestImports:
             (["classify-categories", "--workers", "2", "--output", "{out}"], False),
             (["cache-export", "--output", "{out}"], False),
             (["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"], False),
+            pytest.param(
+                ["evaluate", "--baseline", "first-location", "--output", "{out}"], False,
+                id="evaluate-baseline-first-location-False",
+            ),
+            pytest.param(
+                ["evaluate", "--baseline", "first-location-located", "--output", "{out}"], False,
+                id="evaluate-baseline-first-location-located-False",
+            ),
+            pytest.param(
+                ["rank", "--corpus", "en={nameless}", "--output", "{out}"], False,
+                id="rank-no-candidate-False",
+            ),
+            pytest.param(
+                ["evaluate", "--corpus", "en={nameless}", "--gold", "{nameless_gold}", "--output", "{out}"],
+                False,
+                id="evaluate-no-candidate-False",
+            ),
             (["rank", "--output", "{out}"], True),
             (["evaluate", "--output", "{out}"], True),
             (["train", "--epochs", "1", "--output", "{out}"], True),
@@ -1170,7 +1198,12 @@ class TestImports:
         ids=lambda value: value[0] if isinstance(value, list) else None,
     )
     def test_numpy_only_in_commands_that_embed(self, tmp_path, fixture_tree, command, loads_numpy):
+        """numpy loads at a command's first vector: a baseline never embeds,
+        and an article that names no gazetteer entry yields no candidate."""
         assert loads_module(tmp_path, fixture_tree, command, "numpy") == loads_numpy
+        if "{nameless_gold}" in command:
+            report = json.loads((tmp_path / "out").read_text(encoding="utf-8"))
+            assert (report["country"]["macro"], report["city"]["macro"]) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "command, layers",
@@ -1183,6 +1216,7 @@ class TestImports:
             (["train", "--epochs", "1", "--output", "{out}"], KB_LAYERS),
             (["evaluate", "--output", "{out}"], LAYERS),
             (["rank", "--output", "{out}"], LAYERS),
+            (["evaluate", "--baseline", "first-location", "--output", "{out}"], LAYERS),
         ],
         ids=lambda value: "-".join(p.lstrip("-") for p in value[:2]) if isinstance(value, list) else None,
     )

@@ -10,6 +10,7 @@ from newsgeo.ner import (
     LOCATION_LABELS,
     GazetteerNer,
     NerSpan,
+    _word_character,
     ensemble_spans,
     is_location_label,
     normalize_label,
@@ -81,6 +82,15 @@ class TestGazetteerNer:
             # A Unicode letter next to the name is a word character.
             ({"Paris": "LOC"}, "éParis Parisé Paris"),
             ({"España": "LOC", "São Paulo": "LOC"}, "ñEspaña España, São Paulo São Pauloã"),
+            # An underscore or a digit is a word character; punctuation is not.
+            ({"Paris": "LOC"}, "Paris_"),
+            ({"Paris": "LOC"}, "2Paris"),
+            ({"Paris": "LOC"}, "Parisé"),
+            ({"Paris": "LOC"}, "Paris."),
+            # Back-to-back repeats.
+            ({"Paris": "LOC"}, "ParisParis"),
+            ({"Paris": "LOC"}, "Paris Paris.Paris,Paris"),
+            ({"Paris": "LOC"}, "ParisParis Paris"),
         ],
     )
     def test_spans_match_an_unfiltered_regex_scan(self, entries, text):
@@ -114,6 +124,14 @@ class TestGazetteerNer:
         entries = json.loads((FIXTURES / "gazetteer.json").read_text(encoding="utf-8"))
         for article in articles:
             assert _spans(gazetteer_ner, article.text) == regex_scan(entries, article.text)
+
+    def test_word_character_is_what_backslash_w_matches(self):
+        word = re.compile(r"\w").match
+        mismatches = [
+            code for code in range(0x110000)
+            if _word_character(chr(code)) != (word(chr(code)) is not None)
+        ]
+        assert mismatches == []
 
     def test_unicode_boundaries(self):
         ner = GazetteerNer({"España": "LOC"})
