@@ -193,6 +193,11 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
             language, separator, path = entry.partition("=")
             if not separator or not language or not path:
                 problems.append(f"corpus: expected LANG=PATH, got {entry!r}")
+            elif language in overrides:
+                problems.append(
+                    f"corpus: language {language!r} given twice "
+                    f"({overrides[language]!r} and {path!r})"
+                )
             else:
                 overrides[language] = path
         if problems:
@@ -327,6 +332,8 @@ def cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     from .evaluation import baseline_predictor, format_report_table, run_experiment
 
+    if args.baseline and args.mode:
+        raise ConfigError(["--mode: not used with --baseline, which reads the modes it names"])
     if not config.gold:
         raise ConfigError(["gold: no gold file configured"])
     articles = _load_all(config)

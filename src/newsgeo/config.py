@@ -21,7 +21,6 @@ uses them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -83,22 +82,46 @@ class ConfigError(ValueError):
         super().__init__("; ".join(problems))
 
 
-@dataclasses.dataclass
 class LossConfig:
     """Objective and loop settings.
 
     ``margin`` falls back to a per-loss default (0.5 contrastive, 1.0
-    triplet).
+    triplet). The annotations are the JSON types a config file may give.
     """
 
-    loss: str = CONTRASTIVE
-    margin: float | None = None
-    batch_size: int = 128
-    epochs: int = 32
-    early_stop_patience: int = 3
-    learning_rate: float = 0.05
-    validation_fraction: float = 0.2
-    seed: int = 13
+    loss: str
+    margin: float | None
+    batch_size: int
+    epochs: int
+    early_stop_patience: int
+    learning_rate: float
+    validation_fraction: float
+    seed: int
+
+    __slots__ = (
+        "loss", "margin", "batch_size", "epochs", "early_stop_patience", "learning_rate",
+        "validation_fraction", "seed",
+    )
+
+    def __init__(
+        self,
+        loss: str = CONTRASTIVE,
+        margin: float | None = None,
+        batch_size: int = 128,
+        epochs: int = 32,
+        early_stop_patience: int = 3,
+        learning_rate: float = 0.05,
+        validation_fraction: float = 0.2,
+        seed: int = 13,
+    ) -> None:
+        self.loss = loss
+        self.margin = margin
+        self.batch_size = batch_size
+        self.epochs = epochs
+        self.early_stop_patience = early_stop_patience
+        self.learning_rate = learning_rate
+        self.validation_fraction = validation_fraction
+        self.seed = seed
 
     def validate(self) -> None:
         if self.loss not in LOSSES:
@@ -124,22 +147,59 @@ class LossConfig:
         return {CONTRASTIVE: 0.5, TRIPLET: 1.0}.get(self.loss, 0.0)
 
 
-@dataclasses.dataclass
 class PipelineConfig:
-    corpus: dict[str, str] = dataclasses.field(default_factory=dict)
-    gold: str | None = None
-    cache: str | None = None
-    ner_providers: list[str] = dataclasses.field(default_factory=list)
-    embedder: str = "mock:16"
-    chunking_mode: str = AVERAGE
-    representation_modes: list[str] = dataclasses.field(
-        default_factory=lambda: [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS]
+    """A run's settings; the annotations are the JSON types a config file
+    may give."""
+
+    corpus: dict[str, str]
+    gold: str | None
+    cache: str | None
+    ner_providers: list[str]
+    embedder: str
+    chunking_mode: str
+    representation_modes: list[str]
+    network: str
+    seed: int
+    workers: int
+    max_depth: int
+    loss: LossConfig
+
+    __slots__ = (
+        "corpus", "gold", "cache", "ner_providers", "embedder", "chunking_mode",
+        "representation_modes", "network", "seed", "workers", "max_depth", "loss",
     )
-    network: str = CACHE_ONLY
-    seed: int = 13
-    workers: int = 1
-    max_depth: int = 10
-    loss: LossConfig = dataclasses.field(default_factory=LossConfig)
+
+    def __init__(
+        self,
+        corpus: dict[str, str] | None = None,
+        gold: str | None = None,
+        cache: str | None = None,
+        ner_providers: list[str] | None = None,
+        embedder: str = "mock:16",
+        chunking_mode: str = AVERAGE,
+        representation_modes: list[str] | None = None,
+        network: str = CACHE_ONLY,
+        seed: int = 13,
+        workers: int = 1,
+        max_depth: int = 10,
+        loss: LossConfig | None = None,
+    ) -> None:
+        self.corpus = {} if corpus is None else corpus
+        self.gold = gold
+        self.cache = cache
+        self.ner_providers = [] if ner_providers is None else ner_providers
+        self.embedder = embedder
+        self.chunking_mode = chunking_mode
+        self.representation_modes = (
+            [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS]
+            if representation_modes is None
+            else representation_modes
+        )
+        self.network = network
+        self.seed = seed
+        self.workers = workers
+        self.max_depth = max_depth
+        self.loss = LossConfig() if loss is None else loss
 
     def validate(self) -> None:
         """Raise a :class:`ConfigError` with one message per unusable field."""
@@ -294,12 +354,11 @@ _JSON_TYPES = {
 
 
 def _field_problems(cls: type, values: dict[str, Any], prefix: str) -> list[str]:
-    """A message for each key of `values` that is not a field of the
-    dataclass `cls`, or whose value is not of the field's JSON type."""
-    fields = {field.name: field.type for field in dataclasses.fields(cls)}
+    """A message for each key of `values` that is not an annotated field of
+    `cls`, or whose value is not of the field's JSON type."""
     found = []
     for name, value in sorted(values.items()):
-        annotation = fields.get(name)
+        annotation = cls.__annotations__.get(name)
         if annotation is None:
             found.append(f"{prefix}{name}: unknown configuration field")
             continue

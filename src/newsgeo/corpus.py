@@ -19,13 +19,12 @@ command that only reads a corpus or a pairs file loads none of those layers.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import random
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -43,8 +42,7 @@ def _check_qid(qid: Any) -> str:
     return qid
 
 
-@dataclasses.dataclass(frozen=True)
-class LocationTuple:
+class LocationTuple(NamedTuple):
     """The (city, country) output unit. A tuple always carries a country."""
 
     country: str
@@ -92,8 +90,7 @@ def render_location(location: LocationTuple, anchor: str | None = None) -> str:
     return ", ".join(parts)
 
 
-@dataclasses.dataclass(frozen=True)
-class ParsedMention:
+class ParsedMention(NamedTuple):
     """An entity-linked span produced by the dump parser."""
 
     surface: str
@@ -122,8 +119,7 @@ class ParsedMention:
         return dict(surface=self.surface, start=self.start, end=self.end, qid=self.qid)
 
 
-@dataclasses.dataclass
-class Article:
+class Article(NamedTuple):
     """One parsed news item.
 
     `text` always starts with the title: the loader prepends it (separated by a
@@ -167,7 +163,7 @@ class Article:
             offset = len(title) + 1
             text = title + "\n" + text
             mentions = [
-                dataclasses.replace(m, start=m.start + offset, end=m.end + offset)
+                m._replace(start=m.start + offset, end=m.end + offset)
                 for m in mentions
             ]
         article = Article(
@@ -194,8 +190,7 @@ class Article:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(NamedTuple):
     """Hand-labelled main locations of one article."""
 
     article_id: str
@@ -219,14 +214,16 @@ class GoldAnnotation:
         return ann
 
 
-@dataclasses.dataclass
 class LoadReport:
     """Outcome of loading one JSONL file."""
 
-    path: str
-    loaded: int = 0
-    skipped: int = 0
-    warnings: list[str] = dataclasses.field(default_factory=list)
+    __slots__ = ("path", "loaded", "skipped", "warnings")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.loaded = 0
+        self.skipped = 0
+        self.warnings: list[str] = []
 
     def warn(self, message: str) -> None:
         self.skipped += 1
@@ -320,17 +317,18 @@ def load_gold(path: str | Path) -> dict[str, GoldAnnotation]:
     return gold
 
 
-@dataclasses.dataclass
 class LanguageStats:
     """Per-language corpus counts (one dump-statistics table row)."""
 
-    documents: int = 0
-    mentions: int = 0
-    unique_entity_ids: int = 0
+    __slots__ = ("documents", "mentions", "unique_entity_ids")
+
+    def __init__(self, documents: int = 0, mentions: int = 0, unique_entity_ids: int = 0) -> None:
+        self.documents = documents
+        self.mentions = mentions
+        self.unique_entity_ids = unique_entity_ids
 
 
-@dataclasses.dataclass
-class CorpusStats:
+class CorpusStats(NamedTuple):
     per_language: dict[str, LanguageStats]
     total: LanguageStats
 

@@ -10,9 +10,8 @@ per-document micro average is reported alongside for transparency.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .config import AVERAGE
 from .corpus import Article, GoldAnnotation
@@ -36,8 +35,7 @@ logger = logging.getLogger(__name__)
 Predictor = Callable[[Article], LocationTuple | None]
 
 
-@dataclasses.dataclass
-class LevelResult:
+class LevelResult(NamedTuple):
     """MP@1 at one level: per-language values plus their macro/micro averages."""
 
     level: str
@@ -48,7 +46,7 @@ class LevelResult:
     documents: int
 
     def to_json(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 def precision_at_1(
@@ -104,8 +102,7 @@ def _hit(prediction: LocationTuple | None, annotation: GoldAnnotation, level: st
     return any(normalized_match(prediction, gold, level) for gold in annotation.locations)
 
 
-@dataclasses.dataclass
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """What happened on one document, for auditing and error analysis."""
 
     article_id: str
@@ -129,8 +126,7 @@ class TraceEntry:
         )
 
 
-@dataclasses.dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     system: str
     country: LevelResult
     city: LevelResult
@@ -184,7 +180,6 @@ def run_experiment(
     return EvalReport(system=system, country=country, city=city, trace=trace)
 
 
-@dataclasses.dataclass(frozen=True)
 class Pipeline:
     """The ranked system: recognize, represent, rank, resolve the top.
 
@@ -193,14 +188,22 @@ class Pipeline:
     resolver's memo of KB results: the distinct inputs of one command.
     """
 
-    resolver: Resolver
-    providers: Sequence[NerProvider]
-    embedder: EmbeddingProvider
-    modes: Sequence[str]
-    chunking: str = AVERAGE
-    _vectors: Memo = dataclasses.field(
-        default_factory=Memo, init=False, repr=False, compare=False
-    )
+    __slots__ = ("resolver", "providers", "embedder", "modes", "chunking", "_vectors")
+
+    def __init__(
+        self,
+        resolver: Resolver,
+        providers: Sequence[NerProvider],
+        embedder: EmbeddingProvider,
+        modes: Sequence[str],
+        chunking: str = AVERAGE,
+    ) -> None:
+        self.resolver = resolver
+        self.providers = providers
+        self.embedder = embedder
+        self.modes = modes
+        self.chunking = chunking
+        self._vectors = Memo()
 
     def rank(self, article: Article) -> list[Candidate]:
         spans = ensemble_spans(article.text, article.language, self.providers)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import dataclasses
 import json
 import logging
 import os
@@ -436,7 +435,6 @@ def forbidden_transport(url: str) -> Any:
     raise AssertionError(f"network access attempted in cache-only mode: {url}")
 
 
-@dataclasses.dataclass
 class WikidataItem:
     """A WikiData entity reduced to the properties the pipeline consumes.
 
@@ -445,13 +443,21 @@ class WikidataItem:
     lookups.
     """
 
-    qid: str
-    labels: dict[str, str]
-    p17: list[str]
-    p31: list[tuple[str, str]]
-    p131: list[str]
+    __slots__ = ("qid", "labels", "p17", "p31", "p131")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        qid: str,
+        labels: dict[str, str],
+        p17: list[str],
+        p31: list[tuple[str, str]],
+        p131: list[str],
+    ) -> None:
+        self.qid = qid
+        self.labels = labels
+        self.p17 = p17
+        self.p31 = p31
+        self.p131 = p131
         # Fetched payloads and cached records both become items here, so a
         # field of the wrong JSON type, an id or claim target that is not an
         # item id, or a label that is not a string never reaches a lookup or
@@ -494,17 +500,24 @@ class WikidataItem:
         )
 
 
-@dataclasses.dataclass
 class DbpediaRecord:
     """A DBpedia page: properties (names lowercased at ingest), types, abstract."""
 
-    title: str
-    language: str
-    properties: dict[str, list[str]]
-    ontology_types: list[str]
-    abstract: str | None = None
+    __slots__ = ("title", "language", "properties", "ontology_types", "abstract")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        title: str,
+        language: str,
+        properties: dict[str, list[str]],
+        ontology_types: list[str],
+        abstract: str | None = None,
+    ) -> None:
+        self.title = title
+        self.language = language
+        self.properties = properties
+        self.ontology_types = ontology_types
+        self.abstract = abstract
         # Fetched payloads and cached records both become records here, so a
         # field of the wrong JSON type never reaches a lookup; a string where
         # a list belongs would read as its characters.

@@ -18,9 +18,8 @@ only the first:
 
 from __future__ import annotations
 
-import dataclasses
 import urllib.parse
-from typing import Any
+from typing import Any, NamedTuple
 
 from .config import CACHE_ONLY
 from .corpus import LocationTuple, _check_qid
@@ -36,8 +35,7 @@ PAGEPROPS_URL = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class LinkResult:
+class LinkResult(NamedTuple):
     """Outcome of linking one surface form in one language."""
 
     surface: str
@@ -58,7 +56,7 @@ class LinkResult:
         )
 
     def to_json(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 class WikipediaLinker(_CachedClient):

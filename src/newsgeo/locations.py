@@ -18,10 +18,9 @@ or pairs file loads no KB layer; it is importable from here too.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import logging
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .corpus import LocationTuple, render_location
 from .kb import DbpediaClient, DbpediaRecord, WikidataClient, WikidataItem
@@ -37,8 +36,7 @@ CITY_CLASS_MARKERS = ("city", "capital", "municipality", "town", "village", "com
 PROPERTY_KEYWORDS = ("location", "city", "country", "place")
 
 
-@dataclasses.dataclass(frozen=True)
-class LocatedEntity:
+class LocatedEntity(NamedTuple):
     """A non-location entity together with the location inferred for it.
 
     `anchor` is the raw property value that seeded the resolution (for

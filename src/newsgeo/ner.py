@@ -9,9 +9,8 @@ signal, not noise, for the downstream ranker.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 # Entity classes that count as location mentions across the supported tagsets.
 LOCATION_LABELS = frozenset({"loc", "location", "geopolitical area", "gpe"})
@@ -26,8 +25,7 @@ def is_location_label(label: str) -> bool:
     return normalize_label(label) in LOCATION_LABELS
 
 
-@dataclasses.dataclass(frozen=True)
-class NerSpan:
+class NerSpan(NamedTuple):
     """One entity occurrence found by one provider."""
 
     surface: str

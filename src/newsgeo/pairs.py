@@ -8,11 +8,10 @@ does not import numpy.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
 from .corpus import Article, LocationTuple, read_strict_jsonl, render_location
 from .memo import map_articles
@@ -21,8 +20,7 @@ if TYPE_CHECKING:
     from .locations import Resolver
 
 
-@dataclasses.dataclass(frozen=True)
-class TrainingPair:
+class TrainingPair(NamedTuple):
     article_id: str
     document_text: str
     entity_text: str

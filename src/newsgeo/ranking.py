@@ -11,9 +11,8 @@ in text order instead of by score: :func:`candidates` yields them lazily, and
 
 from __future__ import annotations
 
-import dataclasses
 import logging
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import (
     AVERAGE,
@@ -37,8 +36,7 @@ logger = logging.getLogger(__name__)
 _LOCATION_MODES = (ONLY_LOCATIONS, LOCATION_ABSTRACTS)
 
 
-@dataclasses.dataclass
-class Candidate:
+class Candidate(NamedTuple):
     """An entity mention rendered to comparable text.
 
     ``location`` is already populated for modes that resolve during rendering;

@@ -10,12 +10,11 @@ the same provider interface.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import random
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -203,8 +202,7 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite; carries where it happened."""
 
 
-@dataclasses.dataclass
-class TrainingReport:
+class TrainingReport(NamedTuple):
     loss: str
     batch_size: int
     epochs_requested: int
@@ -219,7 +217,7 @@ class TrainingReport:
     learning_rate: float
 
     def to_json(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 def train(

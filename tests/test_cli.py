@@ -272,6 +272,17 @@ class TestEvaluate:
         assert len(trace) == 10
         assert all(entry["error"] is None for entry in trace)
 
+    def test_mode_with_baseline_is_a_config_error(self, tmp_path, fixture_tree, capsys):
+        """A baseline reads the modes it names, so --mode would be ignored."""
+        report = tmp_path / "report.json"
+        argv = ["evaluate", "--config", str(fixture_tree["config"]), "--baseline", "first-location"]
+        assert main([*argv, "--mode", "non_locations", "--output", str(report)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config",
+            "details": ["--mode: not used with --baseline, which reads the modes it names"],
+        }
+        assert not report.exists()
+
     def test_reruns_and_worker_counts_byte_identical(self, tmp_path, fixture_tree):
         config = str(fixture_tree["config"])
         outputs = []
@@ -507,6 +518,19 @@ class TestFailureModes:
         assert json.loads(capsys.readouterr().err) == {
             "error": "config",
             "details": [f"corpus[{language}]: {UNSUPPORTED_LANGUAGE}"],
+        }
+        assert not output.exists()
+
+    def test_repeated_corpus_language_is_a_config_error(self, tmp_path, fixture_tree, capsys):
+        """A second file for one language would replace the first."""
+        english, german = str(fixture_tree["articles_en"]), str(fixture_tree["articles_de"])
+        output = tmp_path / "ranking.jsonl"
+        argv = ["rank", "--config", str(fixture_tree["config"])]
+        argv += ["--corpus", f"en={english}", "--corpus", f"en={german}"]
+        assert main([*argv, "--output", str(output)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config",
+            "details": [f"corpus: language 'en' given twice ({english!r} and {german!r})"],
         }
         assert not output.exists()
 
@@ -1161,42 +1185,47 @@ def loads_module(tmp_path, fixture_tree, command, module) -> bool:
     return module in loaded_modules(tmp_path, fixture_tree, command, [module])
 
 
-class TestImports:
-    """Commands that only read the corpus and the KB never load numpy, and
-    each command loads only the KB and NER layers it runs."""
+# Each probed command, with whether it loads numpy.
+PROBED_COMMANDS = [
+    (["generate-pairs", "--output", "{out}"], False),
+    (["generate-pairs", "--workers", "2", "--output", "{out}"], False),
+    (["classify-categories", "--output", "{out}"], False),
+    (["classify-categories", "--workers", "2", "--output", "{out}"], False),
+    (["cache-export", "--output", "{out}"], False),
+    (["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"], False),
+    pytest.param(
+        ["evaluate", "--baseline", "first-location", "--output", "{out}"], False,
+        id="evaluate-baseline-first-location-False",
+    ),
+    pytest.param(
+        ["evaluate", "--baseline", "first-location-located", "--output", "{out}"], False,
+        id="evaluate-baseline-first-location-located-False",
+    ),
+    pytest.param(
+        ["rank", "--corpus", "en={nameless}", "--output", "{out}"], False,
+        id="rank-no-candidate-False",
+    ),
+    pytest.param(
+        ["evaluate", "--corpus", "en={nameless}", "--gold", "{nameless_gold}", "--output", "{out}"],
+        False,
+        id="evaluate-no-candidate-False",
+    ),
+    (["rank", "--output", "{out}"], True),
+    (["evaluate", "--output", "{out}"], True),
+    (["train", "--epochs", "1", "--output", "{out}"], True),
+]
 
-    @pytest.mark.parametrize(
-        "command, loads_numpy",
-        [
-            (["generate-pairs", "--output", "{out}"], False),
-            (["generate-pairs", "--workers", "2", "--output", "{out}"], False),
-            (["classify-categories", "--output", "{out}"], False),
-            (["classify-categories", "--workers", "2", "--output", "{out}"], False),
-            (["cache-export", "--output", "{out}"], False),
-            (["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"], False),
-            pytest.param(
-                ["evaluate", "--baseline", "first-location", "--output", "{out}"], False,
-                id="evaluate-baseline-first-location-False",
-            ),
-            pytest.param(
-                ["evaluate", "--baseline", "first-location-located", "--output", "{out}"], False,
-                id="evaluate-baseline-first-location-located-False",
-            ),
-            pytest.param(
-                ["rank", "--corpus", "en={nameless}", "--output", "{out}"], False,
-                id="rank-no-candidate-False",
-            ),
-            pytest.param(
-                ["evaluate", "--corpus", "en={nameless}", "--gold", "{nameless_gold}", "--output", "{out}"],
-                False,
-                id="evaluate-no-candidate-False",
-            ),
-            (["rank", "--output", "{out}"], True),
-            (["evaluate", "--output", "{out}"], True),
-            (["train", "--epochs", "1", "--output", "{out}"], True),
-        ],
-        ids=lambda value: value[0] if isinstance(value, list) else None,
-    )
+
+def probe_id(value):
+    return value[0] if isinstance(value, list) else None
+
+
+class TestImports:
+    """Commands that only read the corpus and the KB never load numpy, no
+    command loads dataclasses, and each command loads only the KB and NER
+    layers it runs."""
+
+    @pytest.mark.parametrize("command, loads_numpy", PROBED_COMMANDS, ids=probe_id)
     def test_numpy_only_in_commands_that_embed(self, tmp_path, fixture_tree, command, loads_numpy):
         """numpy loads at a command's first vector: a baseline never embeds,
         and an article that names no gazetteer entry yields no candidate."""
@@ -1204,6 +1233,13 @@ class TestImports:
         if "{nameless_gold}" in command:
             report = json.loads((tmp_path / "out").read_text(encoding="utf-8"))
             assert (report["country"]["macro"], report["city"]["macro"]) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("command, loads_numpy", PROBED_COMMANDS, ids=probe_id)
+    def test_no_command_loads_dataclasses(self, tmp_path, fixture_tree, command, loads_numpy):
+        """The record types are NamedTuples or slotted classes: importing
+        dataclasses and building its generated methods would cost every
+        command start-up time."""
+        assert not loads_module(tmp_path, fixture_tree, command, "dataclasses")
 
     @pytest.mark.parametrize(
         "command, layers",

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from newsgeo.config import LossConfig, PipelineConfig
 from newsgeo.corpus import (
     Article,
     GoldAnnotation,
@@ -16,7 +17,12 @@ from newsgeo.corpus import (
     save_corpus,
     split_train_validation,
 )
-from newsgeo.locations import LocationTuple
+from newsgeo.evaluation import LevelResult
+from newsgeo.linking import LinkResult
+from newsgeo.locations import LocatedEntity, LocationTuple
+from newsgeo.ner import NerSpan
+from newsgeo.pairs import TrainingPair
+from newsgeo.training import TrainingReport
 
 
 def make_article(article_id="a-1", language="en"):
@@ -77,8 +83,7 @@ class TestArticle:
             ParsedMention("ab", 0, 2, "90").validate("abcd")
 
     def test_unsupported_language_rejected(self):
-        article = make_article(language="en")
-        article.language = "xx"
+        article = make_article(language="en")._replace(language="xx")
         with pytest.raises(ValueError):
             article.validate()
 
@@ -298,3 +303,61 @@ class TestSplit:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 split_train_validation([1, 2, 3], bad, seed=0)
+
+
+# Factories of the record types that are immutable and hashable by value;
+# each call builds a new, equal record.
+FROZEN_RECORDS = {
+    "LocationTuple": lambda: LocationTuple("France", "Q142", "Paris", "Q90"),
+    "ParsedMention": lambda: ParsedMention("Paris", 0, 5, "Q90"),
+    "GoldAnnotation": lambda: GoldAnnotation("en-0", (LocationTuple("France"),)),
+    "NerSpan": lambda: NerSpan("Paris", 0, 5, "LOC", "gazetteer"),
+    "TrainingPair": lambda: TrainingPair("en-0", "Paris summit", "Paris, France", 1),
+    "LinkResult": lambda: LinkResult("Paris", "en", "Paris", "Q90", 0),
+    "LocatedEntity": lambda: LocatedEntity(
+        "Queen Elizabeth II", LocationTuple("United Kingdom"), "birthplace", "Mayfair"
+    ),
+}
+
+
+class TestRecords:
+    """The record types keep their behaviour as NamedTuples and slotted classes."""
+
+    @pytest.mark.parametrize("make", FROZEN_RECORDS.values(), ids=FROZEN_RECORDS)
+    def test_frozen_records_reject_assignment_and_hash_by_value(self, make):
+        record, twin = make(), make()
+        assert record is not twin and record == twin and hash(record) == hash(twin)
+        assert len({record, twin}) == 1
+        for name in type(record).__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_location_repr(self):
+        assert repr(LocationTuple("France")) == (
+            "LocationTuple(country='France', country_qid=None, city=None, city_qid=None)"
+        )
+
+    def test_to_json(self):
+        assert LinkResult("Paris", "en", "Paris", "Q90", 0).to_json() == {
+            "surface": "Paris", "language": "en", "page_title": "Paris", "qid": "Q90",
+            "rank_in_results": 0,
+        }
+        level = LevelResult("country", {"en": 0.5, "fr": 1.0}, 0.75, 2 / 3, 2, 3)
+        assert level.to_json() == {
+            "level": "country", "per_language": {"en": 0.5, "fr": 1.0}, "macro": 0.75,
+            "micro": 2 / 3, "hits": 2, "documents": 3,
+        }
+        report = TrainingReport(
+            "contrastive", 4, 3, 2, 1, 0.25, [0.5, 0.4], [0.3, 0.25], True, 8, 2, 0.05
+        )
+        assert report.to_json() == {
+            "loss": "contrastive", "batch_size": 4, "epochs_requested": 3, "epochs_run": 2,
+            "best_epoch": 1, "best_validation_loss": 0.25, "train_losses": [0.5, 0.4],
+            "validation_losses": [0.3, 0.25], "stopped_early": True, "train_pairs": 8,
+            "validation_pairs": 2, "learning_rate": 0.05,
+        }
+
+    @pytest.mark.parametrize("cls", [PipelineConfig, LossConfig])
+    def test_config_annotations_name_every_field(self, cls):
+        """A config file may set exactly the annotated fields."""
+        assert tuple(cls.__annotations__) == cls.__slots__
