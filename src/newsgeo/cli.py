@@ -60,12 +60,45 @@ _BASELINES = {
 }
 
 
+# Each flag a command's configuration reads: the config fields it sets
+# ("loss." names a training setting), and its argparse settings. A flag left
+# out, or given an empty string, sets nothing.
+_FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
+    "--config": ((), dict(help="JSON config file")),
+    "--cache": (("cache",), dict(help="KB cache file or directory")),
+    "--network": (("network",), dict(choices=["online", "online-then-cache", "cache-only"])),
+    "--workers": (("workers",), dict(type=int)),
+    "--corpus": (("corpus",), dict(
+        action="append", metavar="LANG=PATH",
+        help="corpus file for one language (repeatable; overrides config)",
+    )),
+    "--seed": (("seed", "loss.seed"), dict(type=int)),
+    "--embedder": (("embedder",), dict(help="embedding provider id, e.g. mock:16")),
+    "--mode": (
+        ("representation_modes",), dict(action="append", help="representation mode (repeatable)")
+    ),
+    "--gold": (("gold",), dict(help="gold JSONL (overrides config)")),
+    "--loss": (("loss.loss",), dict(choices=LOSSES)),
+    "--batch-size": (("loss.batch_size",), dict(type=int)),
+    "--epochs": (("loss.epochs",), dict(type=int)),
+    "--margin": (("loss.margin",), dict(type=float)),
+    "--patience": (("loss.early_stop_patience",), dict(type=int)),
+    "--learning-rate": (("loss.learning_rate",), dict(type=float)),
+}
+# The shared flags: the KB stages read five, generate-pairs adds the seed of
+# its sampler, and the stages that embed, which may all read the KB, add the embedder.
+_KB_FLAGS = ("--config", "--cache", "--network", "--workers", "--corpus")
+_PAIR_FLAGS = (*_KB_FLAGS, "--seed")
+_ALL_FLAGS = (*_PAIR_FLAGS, "--embedder")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
-        config = _effective_config(args)
+        # A command without --config (ingest) reads no configuration.
+        config = _effective_config(args) if "config" in args else None
         return args.handler(args, config)
     except ConfigError as exc:
         return _fail("config", exc.problems)
@@ -74,17 +107,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .kb import KbCacheCorrupt, KbCacheMiss, KbRemoteError
 
         if isinstance(exc, KbCacheMiss):
-            return _fail(
-                "cache-miss",
-                [f"{exc.source}:{exc.key}"],
-                hint="run with --network online to fill the cache, or warm it first",
-            )
+            hint = "run with --network online to fill the cache, or warm it first"
+            return _fail("cache-miss", [f"{exc.source}:{exc.key}"], hint=hint)
         if isinstance(exc, KbRemoteError):
-            return _fail(
-                "remote-error",
-                [str(exc)],
-                hint="the knowledge base could not be reached; records fetched so far are cached",
-            )
+            hint = "the knowledge base could not be reached; records fetched so far are cached"
+            return _fail("remote-error", [str(exc)], hint=hint)
         if isinstance(exc, KbCacheCorrupt):
             return _fail("valueerror", [str(exc)])
         if isinstance(exc, FileNotFoundError):
@@ -107,119 +134,84 @@ def build_parser() -> argparse.ArgumentParser:
         prog="newsgeo",
         description="Multilingual news location detection pipeline.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--cache", help="KB cache file or directory")
-    common.add_argument("--network", choices=["online", "online-then-cache", "cache-only"])
-    common.add_argument("--seed", type=int)
-    common.add_argument("--workers", type=int)
-    common.add_argument("--embedder", help="embedding provider id, e.g. mock:16")
-    common.add_argument(
-        "--corpus",
-        action="append",
-        metavar="LANG=PATH",
-        help="corpus file for one language (repeatable; overrides config)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common], help="load, validate and normalize a corpus file")
+    def command(name: str, handler: Any, flags: Sequence[str], summary: str) -> Any:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag][1])
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("ingest", cmd_ingest, (), "load, validate and normalize a corpus file")
     p.add_argument("--input", required=True)
     p.add_argument("--language", required=True, choices=SUPPORTED_LANGUAGES)
     p.add_argument("--output", required=True)
     p.add_argument("--stats", action="store_true", help="print the corpus statistics table")
-    p.set_defaults(handler=cmd_ingest)
-
-    p = sub.add_parser(
-        "classify-categories", parents=[common], help="infer locations from article categories"
+    p = command(
+        "classify-categories", cmd_classify_categories, _KB_FLAGS,
+        "infer locations from article categories",
     )
     p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_classify_categories)
-
-    p = sub.add_parser(
-        "generate-pairs", parents=[common], help="build contrastive training pairs"
+    p = command(
+        "generate-pairs", cmd_generate_pairs, _PAIR_FLAGS, "build contrastive training pairs"
     )
     p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_generate_pairs)
-
-    p = sub.add_parser("rank", parents=[common], help="rank candidate entities per article")
-    p.add_argument("--mode", action="append", help="representation mode (repeatable)")
+    p = command("rank", cmd_rank, (*_ALL_FLAGS, "--mode"), "rank candidate entities per article")
     p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_rank)
-
-    p = sub.add_parser("evaluate", parents=[common], help="score predictions against the gold file")
-    p.add_argument("--gold", help="gold JSONL (overrides config)")
+    p = command(
+        "evaluate", cmd_evaluate, (*_ALL_FLAGS, "--gold", "--mode"),
+        "score predictions against the gold file",
+    )
     p.add_argument("--baseline", choices=sorted(_BASELINES))
-    p.add_argument("--mode", action="append", help="representation mode (repeatable)")
     p.add_argument("--output", help="write the full report as JSON")
     p.add_argument("--trace", help="write the per-document trace as JSONL")
-    p.set_defaults(handler=cmd_evaluate)
-
-    p = sub.add_parser("train", parents=[common], help="fine-tune the embedding adapter")
+    training = ("--loss", "--batch-size", "--epochs", "--margin", "--patience", "--learning-rate")
+    p = command("train", cmd_train, (*_ALL_FLAGS, *training), "fine-tune the embedding adapter")
     p.add_argument("--pairs", help="pairs JSONL from generate-pairs (else computed)")
-    p.add_argument("--loss", choices=LOSSES)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--learning-rate", type=float)
     p.add_argument("--output", help="write the training report as JSON")
     p.add_argument("--checkpoint", help="write the fine-tuned weights (.npz)")
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("cache-export", parents=[common], help="write a sorted cache snapshot")
+    p = command(
+        "cache-export", cmd_cache_export, ("--config", "--cache"), "write a sorted cache snapshot"
+    )
     p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_cache_export)
     return parser
 
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     """Materialize the run configuration: flags > config file > defaults."""
     config = load_config(args.config) if args.config else PipelineConfig()
-    if args.cache:
-        config.cache = args.cache
-    if args.network:
-        config.network = args.network
-    if args.seed is not None:
-        config.seed = args.seed
-        config.loss.seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
-    if args.embedder:
-        config.embedder = args.embedder
-    if args.corpus:
-        overrides = {}
-        problems = []
-        for entry in args.corpus:
-            language, separator, path = entry.partition("=")
-            if not separator or not language or not path:
-                problems.append(f"corpus: expected LANG=PATH, got {entry!r}")
-            elif language in overrides:
-                problems.append(
-                    f"corpus: language {language!r} given twice "
-                    f"({overrides[language]!r} and {path!r})"
-                )
-            else:
-                overrides[language] = path
-        if problems:
-            raise ConfigError(problems)
-        config.corpus = overrides
-    if getattr(args, "mode", None):
-        config.representation_modes = list(args.mode)
-    if getattr(args, "gold", None):
-        config.gold = args.gold
-    for flag, field in (
-        ("loss", "loss"),
-        ("batch_size", "batch_size"),
-        ("epochs", "epochs"),
-        ("margin", "margin"),
-        ("patience", "early_stop_patience"),
-        ("learning_rate", "learning_rate"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(config.loss, field, value)
+    for flag, (fields, _) in _FLAGS.items():
+        value = vars(args).get(flag[2:].replace("-", "_"))
+        if value is None or value == "":
+            continue
+        if flag == "--corpus":
+            value = _corpus_entries(value)
+        for field in fields:
+            owner, _, name = field.rpartition(".")
+            setattr(config.loss if owner else config, name, value)
     config.validate()
     return config
+
+
+def _corpus_entries(entries: list[str]) -> dict[str, str]:
+    """The language -> path map of the --corpus entries; a ConfigError for
+    an entry not of the form LANG=PATH or a language given twice."""
+    paths: dict[str, str] = {}
+    problems = []
+    for entry in entries:
+        language, separator, path = entry.partition("=")
+        if not separator or not language or not path:
+            problems.append(f"corpus: expected LANG=PATH, got {entry!r}")
+        elif language in paths:
+            problems.append(
+                f"corpus: language {language!r} given twice ({paths[language]!r} and {path!r})"
+            )
+        else:
+            paths[language] = path
+    if problems:
+        raise ConfigError(problems)
+    return paths
 
 
 def _load_all(config: PipelineConfig) -> list[Article]:
@@ -270,7 +262,7 @@ def _write_jsonl(path: str, records: Iterable[Any]) -> None:
             handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_ingest(args: argparse.Namespace, config: None) -> int:
     articles, report = load_corpus(args.input, args.language)
     _note_sources(articles, report.path, {})
     save_corpus(articles, args.output)
@@ -377,6 +369,8 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_cache_export(args: argparse.Namespace, config: PipelineConfig) -> int:
     cache = config.build_cache()
+    if not cache.path.exists():
+        raise FileNotFoundError(f"no KB cache file {str(cache.path)!r}")
     count = cache.export(args.output)
     print(f"exported {count} cache entries -> {args.output}")
     return 0

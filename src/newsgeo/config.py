@@ -328,7 +328,7 @@ def _gazetteer_entries(path: str) -> dict[str, str]:
     problem = f"ner_providers: gazetteer file {path!r}"
     try:
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError([f"{problem} is not valid JSON ({exc})"])
     if type(entries) is not dict or not all(
         name and type(label) is str for name, label in entries.items()
@@ -379,7 +379,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError([f"config: no such file {str(path)!r}"])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError([f"config: invalid JSON ({exc})"])
     config = PipelineConfig.from_json(raw)
     base = path.parent

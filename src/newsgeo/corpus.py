@@ -214,6 +214,12 @@ class GoldAnnotation(NamedTuple):
         return ann
 
 
+def _strict_utf8(line: str) -> str:
+    """A line read with errors="surrogateescape", decoded again strictly: a
+    UnicodeDecodeError, a ValueError, where its bytes are not UTF-8."""
+    return line.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 class LoadReport:
     """Outcome of loading one JSONL file."""
 
@@ -241,14 +247,14 @@ def load_corpus(path: str | Path, language: str) -> tuple[list[Article], LoadRep
     path = Path(path)
     report = LoadReport(path=str(path))
     articles: list[Article] = []
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = json.loads(_strict_utf8(line))
+            except ValueError as exc:
                 report.warn(f"line {lineno}: invalid JSON ({exc})")
                 continue
             if not isinstance(record, dict):
@@ -282,13 +288,13 @@ def read_strict_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) ->
     ValueError, raises ValueError naming the file and line.
     """
     parsed = []
-    with Path(path).open(encoding="utf-8") as handle:
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(_strict_utf8(line))
                 if not isinstance(record, dict):
                     raise ValueError(f"not a JSON object ({type(record).__name__})")
                 parsed.append(parse(record))

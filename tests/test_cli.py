@@ -7,6 +7,7 @@ byte-for-byte rather than merely structurally.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from newsgeo.cli import _effective_config, build_parser, main
+from newsgeo.corpus import load_corpus
 from newsgeo.embedding import MockEmbedder
 from newsgeo.kb import KbCache
 from newsgeo.locations import Resolver
@@ -49,6 +51,29 @@ UNSUPPORTED_LANGUAGE = "language not one of ['de', 'en', 'es', 'fr', 'it']"
 
 def read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def spoil_line(path: Path, number: int) -> None:
+    """Put a 0xFF byte, which no UTF-8 text holds, into the first string
+    value on line `number` of `path`."""
+    lines = path.read_bytes().split(b"\n")
+    assert b'": "' in lines[number - 1]
+    lines[number - 1] = lines[number - 1].replace(b'": "', b'": "\xff', 1)
+    path.write_bytes(b"\n".join(lines))
+
+
+# The flags more than one command takes, and those each command takes.
+SHARED_FLAGS = {"--config", "--cache", "--network", "--workers", "--corpus", "--seed", "--embedder"}
+KB_FLAGS = {"--config", "--cache", "--network", "--workers", "--corpus"}
+SHARED_FLAGS_BY_COMMAND = {
+    "ingest": set(),
+    "cache-export": {"--config", "--cache"},
+    "classify-categories": KB_FLAGS,
+    "generate-pairs": KB_FLAGS | {"--seed"},
+    "rank": SHARED_FLAGS,
+    "evaluate": SHARED_FLAGS,
+    "train": SHARED_FLAGS,
+}
 
 
 class TestIngest:
@@ -448,6 +473,153 @@ class TestCacheExport:
         assert f"exported {len(records)} cache entries" in stdout
         assert main(["cache-export", "--config", config, "--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_missing_cache_file_is_an_error(self, tmp_path, capsys):
+        """A mistyped path is not an empty cache."""
+        cache = tmp_path / "typo" / "kb_cache.jsonl"
+        output = tmp_path / "snapshot.jsonl"
+        assert main(["cache-export", "--cache", str(cache), "--output", str(output)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "missing-file",
+            "details": [f"no KB cache file {str(cache)!r}"],
+        }
+        assert not output.exists() and not cache.parent.exists()
+
+    # Where the cache is read from, first to last: --cache, the config
+    # file's `cache`, NEWSGEO_CACHE_DIR, and `kb_cache` in the working directory.
+    CACHE_SOURCES = ["flag", "config", "environment", "default"]
+
+    @pytest.mark.parametrize("source", CACHE_SOURCES)
+    def test_cache_path_takes_the_first_source_set(
+        self, tmp_path, fixture_tree, monkeypatch, source, capsys
+    ):
+        """Each source from `source` on is set, each to a cache of its own record."""
+        monkeypatch.chdir(tmp_path)
+        lines = read_lines(fixture_tree["cache"])
+        caches = {name: tmp_path / name / "kb_cache.jsonl" for name in self.CACHE_SOURCES}
+        caches["default"] = tmp_path / "kb_cache" / "kb_cache.jsonl"
+        for line, cache in zip(lines, caches.values()):
+            cache.parent.mkdir()
+            cache.write_text(line + "\n", encoding="utf-8")
+        given = self.CACHE_SOURCES[self.CACHE_SOURCES.index(source):]
+        argv = ["cache-export", "--output", "snapshot.jsonl"]
+        if "flag" in given:
+            argv += ["--cache", str(caches["flag"])]
+        if "config" in given:
+            config = caches["config"].parent / "config.json"
+            config.write_text(json.dumps({"cache": "kb_cache.jsonl"}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        if "environment" in given:
+            monkeypatch.setenv("NEWSGEO_CACHE_DIR", str(caches["environment"].parent))
+        else:
+            monkeypatch.delenv("NEWSGEO_CACHE_DIR", raising=False)
+        assert main(argv) == 0
+        assert "exported 1 cache entries" in capsys.readouterr().out
+        exported = [json.loads(line)["key"] for line in read_lines(tmp_path / "snapshot.jsonl")]
+        assert exported == [json.loads(caches[source].read_text(encoding="utf-8"))["key"]]
+
+
+class TestFlags:
+    def test_each_command_takes_the_shared_flags_it_reads(self):
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        taken = {
+            command: SHARED_FLAGS & {flag for action in p._actions for flag in action.option_strings}
+            for command, p in subparsers.choices.items()
+        }
+        assert taken == SHARED_FLAGS_BY_COMMAND
+        assert sum(map(len, taken.values())) == 34
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [
+                "ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}",
+                "--corpus", "en=nonexistent.jsonl",
+            ],
+            ["cache-export", "--config", "{config}", "--output", "{out}", "--workers", "0"],
+        ],
+        ids=["ingest-corpus", "cache-export-workers"],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        self, tmp_path, fixture_tree, argv, capsys
+    ):
+        output = tmp_path / "out.jsonl"
+        paths = dict(out=output, articles_en=fixture_tree["articles_en"], config=fixture_tree["config"])
+        with pytest.raises(SystemExit) as excinfo:
+            main([part.format(**paths) for part in argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+        assert not output.exists()
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is reported as the bad file or line it is in."""
+
+    def test_config_file(self, tmp_path, fixture_tree, capsys):
+        spoil_line(fixture_tree["config"], 2)
+        output = tmp_path / "out.jsonl"
+        argv = ["cache-export", "--config", str(fixture_tree["config"]), "--output", str(output)]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config"
+        assert error["details"][0].startswith("config: invalid JSON ('utf-8' codec can't decode byte 0xff")
+        assert not output.exists()
+
+    def test_gazetteer(self, tmp_path, fixture_tree, capsys):
+        gazetteer = fixture_tree["gazetteer"]
+        spoil_line(gazetteer, 2)
+        output = tmp_path / "out.jsonl"
+        argv = ["rank", "--config", str(fixture_tree["config"]), "--output", str(output)]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config"
+        assert error["details"][0].startswith(
+            f"ner_providers: gazetteer file {str(gazetteer)!r} is not valid JSON "
+            "('utf-8' codec can't decode byte 0xff"
+        )
+        assert not output.exists()
+
+    def test_gold_file(self, tmp_path, fixture_tree, capsys):
+        gold = fixture_tree["gold"]
+        spoil_line(gold, 2)
+        output = tmp_path / "report.json"
+        argv = ["evaluate", "--config", str(fixture_tree["config"]), "--output", str(output)]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "valueerror"
+        assert error["details"][0].startswith(f"{gold}:2: 'utf-8' codec can't decode byte 0xff")
+        assert not output.exists()
+
+    def test_pairs_file(self, tmp_path, fixture_tree, capsys):
+        config, pairs = str(fixture_tree["config"]), tmp_path / "pairs.jsonl"
+        assert main(["generate-pairs", "--config", config, "--output", str(pairs)]) == 0
+        capsys.readouterr()
+        spoil_line(pairs, 2)
+        output = tmp_path / "report.json"
+        argv = ["train", "--config", config, "--pairs", str(pairs), "--output", str(output)]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "valueerror"
+        assert error["details"][0].startswith(f"{pairs}:2: 'utf-8' codec can't decode byte 0xff")
+        assert not output.exists()
+
+    def test_corpus_line_is_skipped(self, tmp_path, fixture_tree):
+        first, second = read_lines(fixture_tree["articles_en"])
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join([first, second, "{torn"]) + "\n", encoding="utf-8")
+        spoil_line(corpus, 1)
+        articles, report = load_corpus(corpus, "en")
+        assert [article.id for article in articles] == [json.loads(second)["id"]]
+        assert (report.loaded, report.skipped) == (1, 2)
+        assert report.warnings[0].startswith(
+            "line 1: invalid JSON ('utf-8' codec can't decode byte 0xff"
+        )
+        assert report.warnings[1].startswith("line 3: invalid JSON (")
 
 
 class TestFailureModes:
@@ -1156,6 +1328,8 @@ def run_probe(tmp_path, fixture_tree, command, modules) -> dict:
     paths["nameless"].write_text(json.dumps(article) + "\n", encoding="utf-8")
     paths["nameless_gold"].write_text(json.dumps(gold) + "\n", encoding="utf-8")
     argv = [part.format(**paths) for part in command]
+    if command[0] != "ingest":  # the one command that reads no config
+        argv += ["--config", str(fixture_tree["config"])]
     if "{pairs}" in command:
         config = str(fixture_tree["config"])
         assert main(["generate-pairs", "--config", config, "--output", str(paths["pairs"])]) == 0
@@ -1164,8 +1338,7 @@ def run_probe(tmp_path, fixture_tree, command, modules) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [
-            sys.executable, "-c", IMPORT_PROBE, ",".join(modules),
-            *argv, "--config", str(fixture_tree["config"]),
+            sys.executable, "-c", IMPORT_PROBE, ",".join(modules), *argv,
         ],
         cwd=tmp_path,
         env=env,
