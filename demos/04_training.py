@@ -25,12 +25,8 @@ def main() -> None:
     articles = []
     for language in sorted(config.corpus):
         articles.extend(load_corpus(config.corpus[language], language)[0])
-    category_locations = {
-        article.id: resolver.classify_categories(article.categories, article.language)
-        for article in articles
-    }
 
-    pairs = generate_pairs(articles, category_locations, resolver, seed=config.seed)
+    pairs = generate_pairs(articles, resolver, seed=config.seed)
     positives = sum(1 for pair in pairs if pair.label == 1)
     print(f"{len(pairs)} pairs: {positives} positive, {len(pairs) - positives} negative")
     for pair in pairs[:4]:

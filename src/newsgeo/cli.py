@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .config import (
+    CACHE_ONLY,
     LOCATED_NON_LOCATIONS,
     LOSSES,
     ONLY_LOCATIONS,
@@ -290,8 +291,7 @@ def _corpus_pairs(config: PipelineConfig) -> list[TrainingPair]:
     """Training pairs of the corpus, from its category locations."""
     articles = _load_all(config)
     resolver = config.build_resolver()
-    locations = _category_locations(articles, resolver, config.workers)
-    return generate_pairs(articles, locations, resolver, seed=config.seed, workers=config.workers)
+    return generate_pairs(articles, resolver, seed=config.seed, workers=config.workers)
 
 
 def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -368,9 +368,8 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_cache_export(args: argparse.Namespace, config: PipelineConfig) -> int:
+    config.network = CACHE_ONLY  # an export only reads the cache, so it needs its file
     cache = config.build_cache()
-    if not cache.path.exists():
-        raise FileNotFoundError(f"no KB cache file {str(cache.path)!r}")
     count = cache.export(args.output)
     print(f"exported {count} cache entries -> {args.output}")
     return 0

@@ -250,9 +250,14 @@ class PipelineConfig:
         return Path(path)
 
     def build_cache(self) -> KbCache:
+        """The KB cache; a FileNotFoundError if a cache-only run has no file,
+        which every lookup would miss. An online run creates the file."""
         from .kb import KbCache
 
-        return KbCache(self.cache_path())
+        cache = KbCache(self.cache_path())
+        if self.network == CACHE_ONLY and not cache.path.exists():
+            raise FileNotFoundError(f"no KB cache file {str(cache.path)!r}")
+        return cache
 
     def build_resolver(self, cache: KbCache | None = None) -> Resolver:
         from .kb import DbpediaClient, WikidataClient

@@ -47,7 +47,7 @@ from typing import Any, Callable
 
 from .config import CACHE_ONLY, ONLINE
 from .corpus import _check_qid
-from .memo import Memo, waiting
+from .memo import Memo, article_index, waiting
 
 try:  # hashlib's own blake2b, without the OpenSSL bindings `import hashlib` loads (3 ms)
     from _blake2 import blake2b
@@ -399,20 +399,46 @@ def _corrupt(path: Path, number: int | None, exc: Exception) -> KbCacheCorrupt:
 
 
 class RateLimiter:
-    """Enforces a minimum interval between calls across threads."""
+    """Enforces a minimum interval between calls across threads.
+
+    Each slot goes to the waiting thread whose article comes first in corpus
+    order (`memo.article_index`), so a later article's request never takes
+    the slot an earlier article waits for, and the articles finish about in
+    the order `map_articles` starts them. Threads that run no article of a
+    map go first; they, and threads of one article, go in arrival order.
+    """
 
     def __init__(self, per_second: float = 10.0):
         self._interval = 1.0 / per_second
-        self._lock = threading.Lock()
+        self._ready = threading.Condition()
+        # (article index, arrival number) of each waiting thread; the least goes next
+        self._waiting: list[tuple[int, int]] = []
+        self._arrivals = 0
         self._last = 0.0
 
     def wait(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            delay = self._last + self._interval - now
-            if delay > 0:
-                time.sleep(delay)
-            self._last = time.monotonic()
+        """Return at this thread's slot: when no earlier article waits and the
+        interval since the last slot has passed. An interrupted wait leaves
+        the queue, so it holds up no other thread."""
+        index = article_index()
+        with self._ready:
+            me = (-1 if index is None else index, self._arrivals)
+            self._arrivals += 1
+            self._waiting.append(me)
+            try:
+                while True:
+                    if min(self._waiting) != me:
+                        self._ready.wait()
+                        continue
+                    delay = self._last + self._interval - time.monotonic()
+                    if delay <= 0:
+                        break
+                    # An earlier article that comes meanwhile takes the slot.
+                    self._ready.wait(delay)
+                self._last = time.monotonic()
+            finally:
+                self._waiting.remove(me)
+                self._ready.notify_all()
 
 
 def default_transport(url: str) -> Any:

@@ -8,7 +8,9 @@ its counters, the same at any worker count.
 `workers` is the most articles in flight while some wait on the KB: the map
 starts a thread only when an article is about to wait on the network, so a
 run that the KB cache answers stays on one thread. No article starts after
-one has failed.
+one has failed. Each thread of a map knows the corpus index of the article it
+runs (`article_index`), so that a KB rate limiter can give its next request
+slot to the earliest article waiting for one.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class Memo:
             mine.set()
 
 
-# The map whose article the current thread runs, for `waiting`.
+# The map whose article the current thread runs, for `waiting`, and that
+# article's index, for `article_index`.
 _current = threading.local()
 
 
@@ -77,6 +80,12 @@ def waiting() -> None:
     articles = getattr(_current, "map", None)
     if articles is not None:
         articles.add_thread()
+
+
+def article_index() -> int | None:
+    """The corpus index of the article this thread runs in `map_articles`, or
+    None on a thread that runs none."""
+    return getattr(_current, "index", None)
 
 
 class _ArticleMap:
@@ -97,7 +106,7 @@ class _ArticleMap:
 
     def work(self) -> None:
         """Run articles until none is left or one has failed."""
-        outer = getattr(_current, "map", None)
+        outer = getattr(_current, "map", None), article_index()
         _current.map = self
         try:
             while True:
@@ -105,13 +114,14 @@ class _ArticleMap:
                     if not self._open():
                         return
                     index, self._next = self._next, self._next + 1
+                _current.index = index
                 try:
                     self.results[index] = self._run(self._articles[index])
                 except BaseException as exc:
                     with self._lock:
                         self.errors[index] = exc
         finally:
-            _current.map = outer
+            _current.map, _current.index = outer
 
     def add_thread(self) -> None:
         """Start one more thread on `work`, unless `workers` already run."""
@@ -131,11 +141,12 @@ def map_articles(
     The articles run in corpus order on the calling thread. Each time an
     article is about to wait on the network (`waiting`), one more thread
     starts on the later articles, up to `workers` threads in all, so a run
-    that the KB cache answers stays on one thread. No article starts after
-    one has failed. The exception of the earliest failed article in corpus
-    order is raised, unchanged except that a `ValueError` other than a KB
-    failure is raised again with the article's id in its message, so every
-    command names the article that failed.
+    that the KB cache answers stays on one thread. While a thread runs an
+    article, `article_index` gives that article's index. No article starts
+    after one has failed. The exception of the earliest failed article in
+    corpus order is raised, unchanged except that a `ValueError` other than
+    a KB failure is raised again with the article's id in its message, so
+    every command names the article that failed.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

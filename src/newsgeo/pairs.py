@@ -2,7 +2,9 @@
 
 Supervision is free: an article's category-derived locations are positives,
 and mentioned entities unrelated to every positive (sharing neither city nor
-country) are negatives. Building the pairs needs no encoder, so this module
+country) are negatives. Each article is classified and paired in one task of
+one `map_articles` pass, so an article's KB requests never wait for another
+article's categories. Building the pairs needs no encoder, so this module
 does not import numpy.
 """
 
@@ -54,38 +56,30 @@ class TrainingPair(NamedTuple):
 
 
 def generate_pairs(
-    corpus: Sequence[Article],
-    category_locations: dict[str, list[LocationTuple]],
-    resolver: Resolver,
-    seed: int = 13,
-    workers: int = 1,
+    corpus: Sequence[Article], resolver: Resolver, seed: int = 13, workers: int = 1
 ) -> list[TrainingPair]:
     """Label (document, entity) pairs without manual annotation.
 
-    Positives: the rendered string of each category-derived location of the
-    document. Negatives: surface forms of mentioned entities that are
-    unrelated to every positive, i.e. the mention's id is not a positive's
-    city or country id and its own resolved tuple shares neither, capped at
-    the document's positive count by a sample seeded with `seed` and the
+    Positives: the rendered string of each location that
+    `resolver.classify_categories` finds in the document's categories.
+    Negatives: surface forms of mentioned entities that are unrelated to
+    every positive, i.e. the mention's id is not a positive's city or
+    country id and its own resolved tuple shares neither, capped at the
+    document's positive count by a sample seeded with `seed` and the
     article id. Mentions that cannot be resolved are never used as
-    negatives, since their unrelatedness is unverifiable. The articles run
-    on up to `workers` threads while some wait on the KB; their pairs come
-    in corpus order.
+    negatives, since their unrelatedness is unverifiable. Each article is
+    classified and paired in one task; the articles run on up to `workers`
+    threads while some wait on the KB, and their pairs come in corpus order.
     """
     per_article = map_articles(
-        lambda article: _article_pairs(
-            article, category_locations.get(article.id, []), resolver, seed
-        ),
-        corpus,
-        workers,
+        lambda article: _article_pairs(article, resolver, seed), corpus, workers
     )
     return [pair for pairs in per_article for pair in pairs]
 
 
-def _article_pairs(
-    article: Article, locations: list[LocationTuple], resolver: Resolver, seed: int
-) -> list[TrainingPair]:
-    """The pairs of one article, given its category-derived locations."""
+def _article_pairs(article: Article, resolver: Resolver, seed: int) -> list[TrainingPair]:
+    """The pairs of one article, from its category-derived locations."""
+    locations = resolver.classify_categories(article.categories, article.language)
     if not locations:
         return []
     positive_texts: list[str] = []

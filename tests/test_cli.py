@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from newsgeo.cli import _effective_config, build_parser, main
-from newsgeo.corpus import load_corpus
+from newsgeo.corpus import LocationTuple, load_corpus, render_location
 from newsgeo.embedding import MockEmbedder
 from newsgeo.kb import KbCache
 from newsgeo.locations import Resolver
@@ -202,6 +202,28 @@ class TestGeneratePairs:
             assert main([*argv, "--output", str(output)]) == 0
             outputs.append(output.read_bytes())
         assert outputs[0] == outputs[1] and outputs[0]
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_positives_are_the_classified_locations(self, tmp_path, fixture_tree, workers):
+        """Each article's label-1 texts are the rendered locations that
+        classify-categories writes for it, though each command classifies
+        the articles on its own."""
+        pairs, classified = tmp_path / "pairs.jsonl", tmp_path / "classified.jsonl"
+        argv = ["--config", str(fixture_tree["config"]), "--workers", workers]
+        assert main(["generate-pairs", *argv, "--output", str(pairs)]) == 0
+        assert main(["classify-categories", *argv, "--output", str(classified)]) == 0
+        positives = {}
+        for line in read_lines(pairs):
+            pair = json.loads(line)
+            if pair["label"] == 1:
+                positives.setdefault(pair["article_id"], []).append(pair["entity"])
+        rendered = {}
+        for line in read_lines(classified):
+            record = json.loads(line)
+            texts = [render_location(LocationTuple.from_json(d)) for d in record["locations"]]
+            if any(texts):
+                rendered[record["article_id"]] = list(dict.fromkeys(filter(None, texts)))
+        assert positives == rendered and rendered
 
     def test_category_locations_file_is_not_an_option(self, tmp_path, fixture_tree):
         argv = ["generate-pairs", "--config", str(fixture_tree["config"])]
@@ -705,6 +727,23 @@ class TestFailureModes:
             "details": [f"corpus: language 'en' given twice ({english!r} and {german!r})"],
         }
         assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["rank", "evaluate", "classify-categories", "generate-pairs", "train"]
+    )
+    def test_cache_only_run_without_a_cache_file_is_missing_file(
+        self, tmp_path, fixture_tree, command, capsys
+    ):
+        """A mistyped cache path is not a cache that misses every key."""
+        cache = tmp_path / "typo" / "kb_cache.jsonl"
+        output = tmp_path / "out.json"
+        argv = [command, "--config", str(fixture_tree["config"]), "--network", "cache-only"]
+        assert main([*argv, "--cache", str(cache), "--output", str(output)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "missing-file",
+            "details": [f"no KB cache file {str(cache)!r}"],
+        }
+        assert not output.exists() and not cache.parent.exists()
 
     def test_cache_miss_names_source_and_key(self, tmp_path, fixture_tree, capsys):
         record = json.loads(read_lines(fixture_tree["articles_en"])[0])

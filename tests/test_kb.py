@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
 import re
+import signal
 import struct
 import sys
 import threading
@@ -1314,12 +1316,135 @@ class TestDbpediaClient:
 
 
 class TestRateLimiter:
-    def test_enforces_minimum_interval(self):
-        import time
+    # The interval of the ordering tests: long enough that every thread has
+    # queued before the first slot after a `wait` comes.
+    INTERVAL = 0.25
 
+    @pytest.fixture()
+    def article(self, monkeypatch):
+        """A thread-local whose `index` the limiter reads as the article its
+        thread runs (unset: no article of a map)."""
+        local = threading.local()
+        monkeypatch.setattr(kb, "article_index", lambda: getattr(local, "index", None))
+        return local
+
+    @staticmethod
+    def waiters(limiter, article, waiting, slots):
+        """One thread per (label, article index) of `waiting`, each started
+        after the last has queued on `limiter`; the label and time of each
+        slot go to `slots` in slot order."""
+        lock = threading.Lock()
+
+        def run(label, index):
+            if index is not None:
+                article.index = index
+            limiter.wait()
+            with lock:
+                slots.append((label, time.monotonic()))
+
+        threads = []
+        for label, index in waiting:
+            queued = len(limiter._waiting) + 1
+            thread = threading.Thread(target=run, args=(label, index), daemon=True)
+            thread.start()
+            threads.append(thread)
+            deadline = time.monotonic() + 5
+            while len(limiter._waiting) < queued and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return threads
+
+    @staticmethod
+    def join(threads):
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_enforces_minimum_interval(self):
         limiter = RateLimiter(per_second=50.0)
         start = time.monotonic()
         for _ in range(3):
             limiter.wait()
         elapsed = time.monotonic() - start
         assert elapsed >= 0.04  # two 20 ms gaps after the first call
+
+    @pytest.mark.parametrize(
+        "waiting, order",
+        [
+            ([("c", 2), ("a", 0), ("b", 1)], ["a", "b", "c"]),
+            ([("a", None), ("b", None), ("c", None)], ["a", "b", "c"]),
+            ([("a", 1), ("b", 1), ("c", 0)], ["c", "a", "b"]),
+        ],
+        ids=["earliest-article-first", "outside-a-map-in-arrival-order", "ties-in-arrival-order"],
+    )
+    def test_slots_go_in_article_order(self, article, waiting, order):
+        limiter = RateLimiter(per_second=1 / self.INTERVAL)
+        start = time.monotonic()
+        limiter.wait()  # the next slot is an interval away
+        slots = []
+        threads = self.waiters(limiter, article, waiting, slots)
+        assert slots == [], "a slot came before every thread had queued"
+        self.join(threads)
+        assert [label for label, _ in slots] == order
+        for count, (_, at) in enumerate(slots, start=1):
+            assert at - start >= count * self.INTERVAL
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+    def test_an_interrupted_waiter_holds_up_no_one(self, article):
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        limiter = RateLimiter(per_second=1 / self.INTERVAL)
+        start = time.monotonic()
+        limiter.wait()
+        slots = []
+        threads = self.waiters(limiter, article, [("later", 1)], slots)
+        # This thread, as article 0, is first in line until the timer
+        # interrupts its wait, before its slot.
+        article.index = 0
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, self.INTERVAL / 3)
+            with pytest.raises(Interrupted):
+                limiter.wait()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            del article.index
+        self.join(threads)
+        assert [label for label, _ in slots] == ["later"]
+        assert slots[0][1] - start >= self.INTERVAL
+        assert limiter._waiting == []
+
+    def test_many_threads_each_get_every_slot_they_ask_for(self, article):
+        """More threads than cores, switching often, all on one limiter."""
+        per_second, rounds = 2000.0, 5
+        limiter = RateLimiter(per_second)
+        indices = list(range(2 * (os.cpu_count() or 1) + 2))
+        random.Random(7).shuffle(indices)
+        lock = threading.Lock()
+        slots = []
+
+        def run(index):
+            article.index = index
+            for _ in range(rounds):
+                limiter.wait()
+                with lock:
+                    slots.append(index)
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in indices]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.monotonic()
+            for thread in threads:
+                thread.start()
+            self.join(threads)
+            elapsed = time.monotonic() - start
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(slots) == sorted(indices * rounds)
+        assert elapsed >= (len(slots) - 1) / per_second
+        assert limiter._waiting == []

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import newsgeo.memo
-from newsgeo.memo import Memo, map_articles, waiting
+from newsgeo.memo import Memo, article_index, map_articles, waiting
 
 
 class TestMemo:
@@ -181,6 +181,19 @@ class TestMapArticles:
             map_articles(fn, articles(6), workers)
         assert started == ["a-0", "a-1"]
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_thread_knows_the_index_of_its_article(self, workers):
+        def fn(article):
+            waiting()
+            time.sleep(0.001)  # the other threads take articles meanwhile
+            inner = map_articles(lambda _: article_index(), articles(2))
+            return article_index(), inner
+
+        assert article_index() is None
+        found = map_articles(fn, articles(12), workers)
+        assert found == [(index, [0, 1]) for index in range(12)]
+        assert article_index() is None
+
     @pytest.mark.parametrize("fails", [False, True])
     def test_the_map_is_forgotten_when_it_returns(self, monkeypatch, fails):
         def fn(article):
@@ -192,6 +205,7 @@ class TestMapArticles:
         with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
             map_articles(fn, articles(3), workers=4)
         assert getattr(newsgeo.memo._current, "map", None) is None
+        assert article_index() is None
         starts = []
         monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread))
         waiting()  # outside a map: starts nothing

@@ -484,10 +484,18 @@ class TestLossConfig:
 
 
 class StubResolver:
-    """locate_qid by table; the only resolver method pair generation uses."""
+    """The resolver methods pair generation uses: classify_categories gives
+    the same `positives` for every article (and records its arguments), and
+    locate_qid looks its id up in `table`."""
 
-    def __init__(self, table):
+    def __init__(self, table, positives=()):
         self.table = table
+        self.positives = list(positives)
+        self.classified = []
+
+    def classify_categories(self, categories, language):
+        self.classified.append((categories, language))
+        return list(self.positives)
 
     def locate_qid(self, qid):
         return self.table.get(qid)
@@ -522,7 +530,9 @@ def pair_article(article_id, mentions):
 class TestGeneratePairs:
     def test_positives_are_rendered_category_locations(self):
         article = pair_article("a-1", [])
-        pairs = generate_pairs([article], {"a-1": [PARIS]}, StubResolver({}))
+        resolver = StubResolver({}, [PARIS])
+        pairs = generate_pairs([article], resolver)
+        assert resolver.classified == [(article.categories, "en")]
         assert len(pairs) == 1
         assert pairs[0].entity_text == "Paris, France"
         assert pairs[0].label == 1
@@ -530,49 +540,45 @@ class TestGeneratePairs:
 
     def test_duplicate_positive_texts_collapse(self):
         article = pair_article("a-1", [])
-        pairs = generate_pairs([article], {"a-1": [PARIS, PARIS]}, StubResolver({}))
+        pairs = generate_pairs([article], StubResolver({}, [PARIS, PARIS]))
         assert len(pairs) == 1
 
     def test_document_without_category_locations_contributes_nothing(self):
         article = pair_article("a-1", [("Berlin", "Q64")])
-        assert generate_pairs([article], {}, StubResolver({"Q64": BERLIN})) == []
+        assert generate_pairs([article], StubResolver({"Q64": BERLIN})) == []
 
     def test_unrelated_mention_becomes_negative(self):
         article = pair_article("a-1", [("Berlin", "Q64")])
-        pairs = generate_pairs(
-            [article], {"a-1": [PARIS]}, StubResolver({"Q64": BERLIN})
-        )
+        pairs = generate_pairs([article], StubResolver({"Q64": BERLIN}, [PARIS]))
         labels = {(p.entity_text, p.label) for p in pairs}
         assert labels == {("Paris, France", 1), ("Berlin", 0)}
 
     def test_mention_matching_positive_id_excluded(self):
         article = pair_article("a-1", [("Paris", "Q90"), ("France", "Q142")])
-        pairs = generate_pairs(
-            [article], {"a-1": [PARIS]}, StubResolver({"Q90": PARIS})
-        )
+        pairs = generate_pairs([article], StubResolver({"Q90": PARIS}, [PARIS]))
         assert [p.label for p in pairs] == [1]
 
     def test_same_country_mention_excluded(self):
         """Lyon is not Paris, but shares the country with the positive."""
         article = pair_article("a-1", [("Lyon", "Q456")])
-        pairs = generate_pairs([article], {"a-1": [PARIS]}, StubResolver({"Q456": LYON}))
+        pairs = generate_pairs([article], StubResolver({"Q456": LYON}, [PARIS]))
         assert [p.label for p in pairs] == [1]
 
     def test_unresolvable_mention_never_negative(self):
         article = pair_article("a-1", [("Mystery", "Q777")])
-        pairs = generate_pairs([article], {"a-1": [PARIS]}, StubResolver({}))
+        pairs = generate_pairs([article], StubResolver({}, [PARIS]))
         assert [p.label for p in pairs] == [1]
 
     def test_mention_without_id_never_negative(self):
         article = pair_article("a-1", [("Somewhere", None)])
-        pairs = generate_pairs([article], {"a-1": [PARIS]}, StubResolver({}))
+        pairs = generate_pairs([article], StubResolver({}, [PARIS]))
         assert [p.label for p in pairs] == [1]
 
     def test_text_collision_with_positive_excluded(self):
         article = pair_article("a-1", [("Berlin", "Q64")])
         berlin_country_only = LocationTuple("Berlin")
         pairs = generate_pairs(
-            [article], {"a-1": [berlin_country_only]}, StubResolver({"Q64": BERLIN})
+            [article], StubResolver({"Q64": BERLIN}, [berlin_country_only])
         )
         assert [(p.entity_text, p.label) for p in pairs] == [("Berlin", 1)]
 
@@ -580,8 +586,8 @@ class TestGeneratePairs:
         article = pair_article(
             "a-1", [("Berlin", "Q64"), ("Madrid", "Q2807"), ("Berlin", "Q64")]
         )
-        resolver = StubResolver({"Q64": BERLIN, "Q2807": MADRID})
-        pairs = generate_pairs([article], {"a-1": [PARIS]}, resolver, seed=13)
+        resolver = StubResolver({"Q64": BERLIN, "Q2807": MADRID}, [PARIS])
+        pairs = generate_pairs([article], resolver, seed=13)
         negatives = [p for p in pairs if p.label == 0]
         assert len(negatives) == 1
         expected = random.Random("13:a-1").sample(["Berlin", "Madrid"], 1)
@@ -591,17 +597,13 @@ class TestGeneratePairs:
         article = pair_article(
             "a-1", [("Berlin", "Q64"), ("Madrid", "Q2807")]
         )
-        resolver = StubResolver({"Q64": BERLIN, "Q2807": MADRID})
-        first = generate_pairs([article], {"a-1": [PARIS]}, resolver, seed=5)
-        second = generate_pairs([article], {"a-1": [PARIS]}, resolver, seed=5)
+        resolver = StubResolver({"Q64": BERLIN, "Q2807": MADRID}, [PARIS])
+        first = generate_pairs([article], resolver, seed=5)
+        second = generate_pairs([article], resolver, seed=5)
         assert first == second
 
     def test_no_text_is_both_positive_and_negative(self, resolver, articles):
-        category_locations = {
-            article.id: resolver.classify_categories(article.categories, article.language)
-            for article in articles
-        }
-        pairs = generate_pairs(articles, category_locations, resolver)
+        pairs = generate_pairs(articles, resolver)
         by_doc = {}
         for pair in pairs:
             by_doc.setdefault(pair.article_id, {0: set(), 1: set()})[pair.label].add(
@@ -612,11 +614,7 @@ class TestGeneratePairs:
 
     def test_fixture_corpus_pair_inventory(self, resolver, articles):
         """The en-001 article yields exactly its city positive and one negative."""
-        category_locations = {
-            article.id: resolver.classify_categories(article.categories, article.language)
-            for article in articles
-        }
-        pairs = generate_pairs(articles, category_locations, resolver)
+        pairs = generate_pairs(articles, resolver)
         en_001 = [p for p in pairs if p.article_id == "en-001"]
         assert [(p.entity_text, p.label) for p in en_001] == [
             ("Paris, France", 1),
