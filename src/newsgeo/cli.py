@@ -182,6 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     """Materialize the run configuration: flags > config file > defaults."""
     config = load_config(args.config) if args.config else PipelineConfig()
+    changes: dict[str, Any] = {}
+    loss_changes: dict[str, Any] = {}
     for flag, (fields, _) in _FLAGS.items():
         value = vars(args).get(flag[2:].replace("-", "_"))
         if value is None or value == "":
@@ -190,7 +192,8 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
             value = _corpus_entries(value)
         for field in fields:
             owner, _, name = field.rpartition(".")
-            setattr(config.loss if owner else config, name, value)
+            (loss_changes if owner else changes)[name] = value
+    config = config._replace(**changes, loss=config.loss._replace(**loss_changes))
     config.validate()
     return config
 
@@ -368,8 +371,8 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_cache_export(args: argparse.Namespace, config: PipelineConfig) -> int:
-    config.network = CACHE_ONLY  # an export only reads the cache, so it needs its file
-    cache = config.build_cache()
+    # An export only reads the cache, so it needs its file.
+    cache = config._replace(network=CACHE_ONLY).build_cache()
     count = cache.export(args.output)
     print(f"exported {count} cache entries -> {args.output}")
     return 0

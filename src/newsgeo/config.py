@@ -25,7 +25,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .corpus import SUPPORTED_LANGUAGES
 
@@ -82,46 +82,21 @@ class ConfigError(ValueError):
         super().__init__("; ".join(problems))
 
 
-class LossConfig:
+class LossConfig(NamedTuple):
     """Objective and loop settings.
 
     ``margin`` falls back to a per-loss default (0.5 contrastive, 1.0
     triplet). The annotations are the JSON types a config file may give.
     """
 
-    loss: str
-    margin: float | None
-    batch_size: int
-    epochs: int
-    early_stop_patience: int
-    learning_rate: float
-    validation_fraction: float
-    seed: int
-
-    __slots__ = (
-        "loss", "margin", "batch_size", "epochs", "early_stop_patience", "learning_rate",
-        "validation_fraction", "seed",
-    )
-
-    def __init__(
-        self,
-        loss: str = CONTRASTIVE,
-        margin: float | None = None,
-        batch_size: int = 128,
-        epochs: int = 32,
-        early_stop_patience: int = 3,
-        learning_rate: float = 0.05,
-        validation_fraction: float = 0.2,
-        seed: int = 13,
-    ) -> None:
-        self.loss = loss
-        self.margin = margin
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.early_stop_patience = early_stop_patience
-        self.learning_rate = learning_rate
-        self.validation_fraction = validation_fraction
-        self.seed = seed
+    loss: str = CONTRASTIVE
+    margin: float | None = None
+    batch_size: int = 128
+    epochs: int = 32
+    early_stop_patience: int = 3
+    learning_rate: float = 0.05
+    validation_fraction: float = 0.2
+    seed: int = 13
 
     def validate(self) -> None:
         if self.loss not in LOSSES:
@@ -147,59 +122,28 @@ class LossConfig:
         return {CONTRASTIVE: 0.5, TRIPLET: 1.0}.get(self.loss, 0.0)
 
 
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """A run's settings; the annotations are the JSON types a config file
-    may give."""
+    may give.
 
-    corpus: dict[str, str]
-    gold: str | None
-    cache: str | None
-    ner_providers: list[str]
-    embedder: str
-    chunking_mode: str
-    representation_modes: list[str]
-    network: str
-    seed: int
-    workers: int
-    max_depth: int
-    loss: LossConfig
+    A configuration is a value: flags override a file's settings by building
+    a new one with ``_replace``. Every default is built once and shared by
+    all configurations, so no code changes a configuration's dict or list in
+    place.
+    """
 
-    __slots__ = (
-        "corpus", "gold", "cache", "ner_providers", "embedder", "chunking_mode",
-        "representation_modes", "network", "seed", "workers", "max_depth", "loss",
-    )
-
-    def __init__(
-        self,
-        corpus: dict[str, str] | None = None,
-        gold: str | None = None,
-        cache: str | None = None,
-        ner_providers: list[str] | None = None,
-        embedder: str = "mock:16",
-        chunking_mode: str = AVERAGE,
-        representation_modes: list[str] | None = None,
-        network: str = CACHE_ONLY,
-        seed: int = 13,
-        workers: int = 1,
-        max_depth: int = 10,
-        loss: LossConfig | None = None,
-    ) -> None:
-        self.corpus = {} if corpus is None else corpus
-        self.gold = gold
-        self.cache = cache
-        self.ner_providers = [] if ner_providers is None else ner_providers
-        self.embedder = embedder
-        self.chunking_mode = chunking_mode
-        self.representation_modes = (
-            [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS]
-            if representation_modes is None
-            else representation_modes
-        )
-        self.network = network
-        self.seed = seed
-        self.workers = workers
-        self.max_depth = max_depth
-        self.loss = LossConfig() if loss is None else loss
+    corpus: dict[str, str] = {}
+    gold: str | None = None
+    cache: str | None = None
+    ner_providers: list[str] = []
+    embedder: str = "mock:16"
+    chunking_mode: str = AVERAGE
+    representation_modes: list[str] = [ONLY_LOCATIONS, LOCATED_NON_LOCATIONS]
+    network: str = CACHE_ONLY
+    seed: int = 13
+    workers: int = 1
+    max_depth: int = 10
+    loss: LossConfig = LossConfig()
 
     def validate(self) -> None:
         """Raise a :class:`ConfigError` with one message per unusable field."""
@@ -363,10 +307,11 @@ def _field_problems(cls: type, values: dict[str, Any], prefix: str) -> list[str]
     `cls`, or whose value is not of the field's JSON type."""
     found = []
     for name, value in sorted(values.items()):
-        annotation = cls.__annotations__.get(name)
-        if annotation is None:
+        if name not in cls.__annotations__:
             found.append(f"{prefix}{name}: unknown configuration field")
             continue
+        # A NamedTuple keeps each postponed annotation as a ForwardRef.
+        annotation = cls.__annotations__[name].__forward_arg__
         if annotation.endswith(" | None"):
             if value is None:
                 continue
@@ -388,18 +333,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError([f"config: invalid JSON ({exc})"])
     config = PipelineConfig.from_json(raw)
     base = path.parent
-    config.corpus = {
-        language: str(_resolve(base, corpus_path))
-        for language, corpus_path in config.corpus.items()
-    }
-    if config.gold:
-        config.gold = str(_resolve(base, config.gold))
-    if config.cache:
-        config.cache = str(_resolve(base, config.cache))
-    config.ner_providers = [
-        _resolve_provider_spec(base, spec) for spec in config.ner_providers
-    ]
-    return config
+    return config._replace(
+        corpus={
+            language: str(_resolve(base, corpus_path))
+            for language, corpus_path in config.corpus.items()
+        },
+        gold=str(_resolve(base, config.gold)) if config.gold else config.gold,
+        cache=str(_resolve(base, config.cache)) if config.cache else config.cache,
+        ner_providers=[_resolve_provider_spec(base, spec) for spec in config.ner_providers],
+    )
 
 
 def _resolve(base: Path, path: str) -> Path:

@@ -220,21 +220,16 @@ def _strict_utf8(line: str) -> str:
     return line.encode("utf-8", "surrogateescape").decode("utf-8")
 
 
-class LoadReport:
-    """Outcome of loading one JSONL file."""
+class LoadReport(NamedTuple):
+    """Outcome of loading one JSONL file: one warning per skipped line."""
 
-    __slots__ = ("path", "loaded", "skipped", "warnings")
+    path: str
+    loaded: int
+    warnings: list[str]
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.loaded = 0
-        self.skipped = 0
-        self.warnings: list[str] = []
-
-    def warn(self, message: str) -> None:
-        self.skipped += 1
-        self.warnings.append(message)
-        logger.warning("%s: %s", self.path, message)
+    @property
+    def skipped(self) -> int:
+        return len(self.warnings)
 
 
 def load_corpus(path: str | Path, language: str) -> tuple[list[Article], LoadReport]:
@@ -245,8 +240,13 @@ def load_corpus(path: str | Path, language: str) -> tuple[list[Article], LoadRep
     line is a per-record warning.
     """
     path = Path(path)
-    report = LoadReport(path=str(path))
     articles: list[Article] = []
+    warnings: list[str] = []
+
+    def warn(message: str) -> None:
+        warnings.append(message)
+        logger.warning("%s: %s", path, message)
+
     with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -255,23 +255,21 @@ def load_corpus(path: str | Path, language: str) -> tuple[list[Article], LoadRep
             try:
                 record = json.loads(_strict_utf8(line))
             except ValueError as exc:
-                report.warn(f"line {lineno}: invalid JSON ({exc})")
+                warn(f"line {lineno}: invalid JSON ({exc})")
                 continue
             if not isinstance(record, dict):
-                report.warn(f"line {lineno}: not a JSON object ({type(record).__name__})")
+                warn(f"line {lineno}: not a JSON object ({type(record).__name__})")
                 continue
             if record.get("lang") not in (None, language):
-                report.warn(
+                warn(
                     f"line {lineno}: language {record.get('lang')!r} does not match file language {language!r}"
                 )
                 continue
             try:
                 articles.append(Article.from_json(record, default_language=language))
             except (KeyError, TypeError, ValueError) as exc:
-                report.warn(f"line {lineno}: {exc}")
-                continue
-            report.loaded += 1
-    return articles, report
+                warn(f"line {lineno}: {exc}")
+    return articles, LoadReport(str(path), len(articles), warnings)
 
 
 def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
@@ -323,15 +321,12 @@ def load_gold(path: str | Path) -> dict[str, GoldAnnotation]:
     return gold
 
 
-class LanguageStats:
+class LanguageStats(NamedTuple):
     """Per-language corpus counts (one dump-statistics table row)."""
 
-    __slots__ = ("documents", "mentions", "unique_entity_ids")
-
-    def __init__(self, documents: int = 0, mentions: int = 0, unique_entity_ids: int = 0) -> None:
-        self.documents = documents
-        self.mentions = mentions
-        self.unique_entity_ids = unique_entity_ids
+    documents: int
+    mentions: int
+    unique_entity_ids: int
 
 
 class CorpusStats(NamedTuple):
@@ -345,26 +340,21 @@ def compute_stats(corpus: Sequence[Article]) -> CorpusStats:
     The totals row counts unique entity ids across all languages, so it is
     generally smaller than the per-language sum.
     """
-    per_language: dict[str, LanguageStats] = {}
-    qids_by_language: dict[str, set[str]] = {}
-    all_qids: set[str] = set()
+    by_language: dict[str, list[Article]] = {}
     for article in corpus:
-        stats = per_language.setdefault(article.language, LanguageStats())
-        qids = qids_by_language.setdefault(article.language, set())
-        stats.documents += 1
-        stats.mentions += len(article.mentions)
-        for mention in article.mentions:
-            if mention.qid:
-                qids.add(mention.qid)
-                all_qids.add(mention.qid)
-    for language, stats in per_language.items():
-        stats.unique_entity_ids = len(qids_by_language[language])
-    total = LanguageStats(
-        documents=sum(s.documents for s in per_language.values()),
-        mentions=sum(s.mentions for s in per_language.values()),
-        unique_entity_ids=len(all_qids),
+        by_language.setdefault(article.language, []).append(article)
+    per_language = {language: _count(articles) for language, articles in by_language.items()}
+    return CorpusStats(per_language=per_language, total=_count(corpus))
+
+
+def _count(articles: Sequence[Article]) -> LanguageStats:
+    return LanguageStats(
+        documents=len(articles),
+        mentions=sum(len(article.mentions) for article in articles),
+        unique_entity_ids=len(
+            {mention.qid for article in articles for mention in article.mentions if mention.qid}
+        ),
     )
-    return CorpusStats(per_language=per_language, total=total)
 
 
 def format_stats_table(stats: CorpusStats) -> str:

@@ -43,7 +43,7 @@ import urllib.parse
 import zlib
 from array import array
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .config import CACHE_ONLY, ONLINE
 from .corpus import _check_qid
@@ -461,7 +461,7 @@ def forbidden_transport(url: str) -> Any:
     raise AssertionError(f"network access attempted in cache-only mode: {url}")
 
 
-class WikidataItem:
+class WikidataItem(NamedTuple):
     """A WikiData entity reduced to the properties the pipeline consumes.
 
     ``p31`` keeps the English label of each target class next to its id so
@@ -469,112 +469,71 @@ class WikidataItem:
     lookups.
     """
 
-    __slots__ = ("qid", "labels", "p17", "p31", "p131")
-
-    def __init__(
-        self,
-        qid: str,
-        labels: dict[str, str],
-        p17: list[str],
-        p31: list[tuple[str, str]],
-        p131: list[str],
-    ) -> None:
-        self.qid = qid
-        self.labels = labels
-        self.p17 = p17
-        self.p31 = p31
-        self.p131 = p131
-        # Fetched payloads and cached records both become items here, so a
-        # field of the wrong JSON type, an id or claim target that is not an
-        # item id, or a label that is not a string never reaches a lookup or
-        # a report; a string where a list belongs would read as its characters.
-        if type(self.labels) is not dict:
-            raise TypeError(f"labels must be an object, got {self.labels!r}")
-        for field, ids in (("p17", self.p17), ("p131", self.p131)):
-            if type(ids) is not list:
-                raise TypeError(f"{field} must be a list of item ids, got {ids!r}")
-        if type(self.p31) is not list or any(
-            type(pair) not in (list, tuple) or len(pair) != 2 for pair in self.p31
-        ):
-            raise TypeError(f"p31 must be a list of [qid, label] pairs, got {self.p31!r}")
-        self.p31 = [tuple(pair) for pair in self.p31]
-        for qid in (self.qid, *self.p17, *(qid for qid, _ in self.p31), *self.p131):
-            _check_qid(qid)
-        for label in (*self.labels.values(), *(label for _, label in self.p31)):
-            _check_string(label, "label")
+    qid: str
+    labels: dict[str, str]
+    p17: list[str]
+    p31: list[tuple[str, str]]
+    p131: list[str]
 
     def label(self) -> str | None:
         return _pick_label(self.labels)
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "WikidataItem":
-        return WikidataItem(
-            qid=d["qid"],
-            labels=d["labels"],
-            p17=d["p17"],
-            p31=d["p31"],
-            p131=d["p131"],
-        )
+        qid, labels, p17, p31, p131 = d["qid"], d["labels"], d["p17"], d["p31"], d["p131"]
+        # Fetched payloads and cached records both become items here, so a
+        # field of the wrong JSON type, an id or claim target that is not an
+        # item id, or a label that is not a string never reaches a lookup or
+        # a report; a string where a list belongs would read as its characters.
+        if type(labels) is not dict:
+            raise TypeError(f"labels must be an object, got {labels!r}")
+        for field, ids in (("p17", p17), ("p131", p131)):
+            if type(ids) is not list:
+                raise TypeError(f"{field} must be a list of item ids, got {ids!r}")
+        if type(p31) is not list or any(
+            type(pair) not in (list, tuple) or len(pair) != 2 for pair in p31
+        ):
+            raise TypeError(f"p31 must be a list of [qid, label] pairs, got {p31!r}")
+        p31 = [tuple(pair) for pair in p31]
+        for target in (qid, *p17, *(class_qid for class_qid, _ in p31), *p131):
+            _check_qid(target)
+        for label in (*labels.values(), *(label for _, label in p31)):
+            _check_string(label, "label")
+        return WikidataItem(qid, labels, p17, p31, p131)
 
     def to_json(self) -> dict[str, Any]:
-        return dict(
-            qid=self.qid,
-            labels=self.labels,
-            p17=self.p17,
-            p31=[list(pair) for pair in self.p31],
-            p131=self.p131,
-        )
+        return dict(self._asdict(), p31=[list(pair) for pair in self.p31])
 
 
-class DbpediaRecord:
+class DbpediaRecord(NamedTuple):
     """A DBpedia page: properties (names lowercased at ingest), types, abstract."""
 
-    __slots__ = ("title", "language", "properties", "ontology_types", "abstract")
-
-    def __init__(
-        self,
-        title: str,
-        language: str,
-        properties: dict[str, list[str]],
-        ontology_types: list[str],
-        abstract: str | None = None,
-    ) -> None:
-        self.title = title
-        self.language = language
-        self.properties = properties
-        self.ontology_types = ontology_types
-        self.abstract = abstract
-        # Fetched payloads and cached records both become records here, so a
-        # field of the wrong JSON type never reaches a lookup; a string where
-        # a list belongs would read as its characters.
-        _check_string(self.title, "title")
-        _check_string(self.language, "language")
-        if self.abstract is not None:
-            _check_string(self.abstract, "abstract")
-        if type(self.properties) is not dict:
-            raise TypeError(f"properties must be an object, got {self.properties!r}")
-        for name, values in self.properties.items():
-            _check_strings(values, f"property {name!r}")
-        _check_strings(self.ontology_types, "ontology_types")
+    title: str
+    language: str
+    properties: dict[str, list[str]]
+    ontology_types: list[str]
+    abstract: str | None = None
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "DbpediaRecord":
-        return DbpediaRecord(
-            title=d["title"],
-            language=d["language"],
-            properties=d["properties"],
-            ontology_types=d["ontology_types"],
-            abstract=d.get("abstract"),
-        )
+        title, language, properties = d["title"], d["language"], d["properties"]
+        ontology_types, abstract = d["ontology_types"], d.get("abstract")
+        # Fetched payloads and cached records both become records here, so a
+        # field of the wrong JSON type never reaches a lookup; a string where
+        # a list belongs would read as its characters.
+        _check_string(title, "title")
+        _check_string(language, "language")
+        if abstract is not None:
+            _check_string(abstract, "abstract")
+        if type(properties) is not dict:
+            raise TypeError(f"properties must be an object, got {properties!r}")
+        for name, values in properties.items():
+            _check_strings(values, f"property {name!r}")
+        _check_strings(ontology_types, "ontology_types")
+        return DbpediaRecord(title, language, properties, ontology_types, abstract)
 
     def to_json(self) -> dict[str, Any]:
-        return dict(
-            title=self.title,
-            language=self.language,
-            properties=self.properties,
-            ontology_types=self.ontology_types,
-            abstract=self.abstract,
-        )
+        return self._asdict()
 
 
 class _CachedClient:
@@ -689,7 +648,9 @@ class WikidataClient(_CachedClient):
         p31 = []
         for target in _claim_targets(claims.get("P31", [])):
             p31.append((target, self.label(target) or ""))
-        return WikidataItem(qid=qid, labels=labels, p17=p17, p31=p31, p131=p131).to_json()
+        return WikidataItem.from_json(
+            dict(qid=qid, labels=labels, p17=p17, p31=p31, p131=p131)
+        ).to_json()
 
 
 def _check_string(value: Any, field: str) -> str:
@@ -802,12 +763,14 @@ def _parse_dbpedia(title: str, language: str, payload: dict[str, Any]) -> dict[s
         or abstract_by_lang.get("en")
         or next(iter(abstract_by_lang.values()), None)
     )
-    return DbpediaRecord(
-        title=title,
-        language=language,
-        properties=properties,
-        ontology_types=ontology_types,
-        abstract=abstract,
+    return DbpediaRecord.from_json(
+        dict(
+            title=title,
+            language=language,
+            properties=properties,
+            ontology_types=ontology_types,
+            abstract=abstract,
+        )
     ).to_json()
 
 

@@ -136,10 +136,10 @@ class Resolver:
     `locate_qid` (the location of an item), `page_abstract` and
     `implicit_locate`. They are memoized by their arguments for the life of
     the resolver, that is, one command: their results are frozen values (or
-    None), so every caller may share them. Records the clients return are
-    mutable and are never memoized, and neither is a `KbError`: a lookup
-    that raised asks the cache again on its next call. Worker threads share
-    the memo, and each key is computed once.
+    None), so every caller may share them. Records the clients return hold
+    dicts and lists a caller could change, so they are never memoized, nor
+    is a `KbError`: a lookup that raised asks the cache again on its next
+    call. Worker threads share the memo, and each key is computed once.
     """
 
     def __init__(

@@ -80,26 +80,20 @@ def loss_cosine_grad(
 
 
 def loss_contrastive_grad(
-    u: np.ndarray,
-    v: np.ndarray,
-    y: Any,
-    margin: float,
-    literal_cosine: bool = False,
+    u: np.ndarray, v: np.ndarray, y: Any, margin: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Margin contrastive loss on cosine distance d = 1 - cos(u, v).
 
-    Positives pay d^2 / 2; negatives pay max(0, margin - d)^2 / 2. With
-    ``literal_cosine`` the similarity itself plays the role of d.
+    Positives pay d^2 / 2; negatives pay max(0, margin - d)^2 / 2.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    dd_dc = 1.0 if literal_cosine else -1.0
 
     def objective(c, labels):
-        d = c if literal_cosine else 1.0 - c
-        # dl/dd is d for positives and minus the hinge for negatives.
+        d = 1.0 - c
+        # dl/dd is d for positives and minus the hinge for negatives; dd/dc is -1.
         dl_dd = np.where(labels == 1, d, -np.maximum(0.0, margin - d))
-        return dl_dd * dl_dd / 2.0, dl_dd * dd_dc
+        return dl_dd * dl_dd / 2.0, -dl_dd
 
     return _pairwise_grad(u, v, y, objective)
 
@@ -134,27 +128,23 @@ def loss_triplet_grad(
     )
 
 
-def loss_infonce_grad(
-    us: np.ndarray, vs: np.ndarray, scale: float = 1.0
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """In-batch softmax cross entropy over scaled cosines.
+def loss_infonce_grad(us: np.ndarray, vs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """In-batch softmax cross entropy over cosines.
 
     Row i's positive is column i; every other column of the batch acts as a
-    negative: mean_i -log(exp(s c_ii) / sum_j exp(s c_ij)).
+    negative: mean_i -log(exp(c_ii) / sum_j exp(c_ij)).
     """
     rows_u, rows_v = _rows(us, vs)
     b = len(rows_u)
     if np.ndim(us) != 2 or b < 2:
         raise ValueError("in-batch negatives need (B, n) batches with B >= 2")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     uh, nu = _unit_rows(rows_u)
     vh, nv = _unit_rows(rows_v)
-    scores = scale * (uh @ vh.T)
+    scores = uh @ vh.T
     row_max = scores.max(axis=1, keepdims=True)
     lse = row_max[:, 0] + np.log(np.exp(scores - row_max).sum(axis=1))
     loss = float(np.mean(lse - np.diag(scores)))
-    g_scores = (np.exp(scores - lse[:, None]) - np.eye(b)) * (scale / b)
+    g_scores = (np.exp(scores - lse[:, None]) - np.eye(b)) * (1.0 / b)
     return loss, _unit_grad(g_scores @ vh, uh, nu), _unit_grad(g_scores.T @ uh, vh, nv)
 
 

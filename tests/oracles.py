@@ -29,16 +29,16 @@ def loss_cosine(u, v, y: int) -> float:
     return loss_cosine_grad(u, v, y)[0]
 
 
-def loss_contrastive(u, v, y: int, margin: float = 0.5, literal_cosine: bool = False) -> float:
-    return loss_contrastive_grad(u, v, y, margin, literal_cosine)[0]
+def loss_contrastive(u, v, y: int, margin: float = 0.5) -> float:
+    return loss_contrastive_grad(u, v, y, margin)[0]
 
 
 def loss_triplet(u, v_pos, v_neg, margin: float = 1.0) -> float:
     return loss_triplet_grad(u, v_pos, v_neg, margin)[0]
 
 
-def loss_infonce(us, vs, scale: float = 1.0) -> float:
-    return loss_infonce_grad(us, vs, scale)[0]
+def loss_infonce(us, vs) -> float:
+    return loss_infonce_grad(us, vs)[0]
 
 
 def oracle_cosine(u, v) -> float:
@@ -52,11 +52,8 @@ def oracle_loss_cosine(u, v, y: int) -> float:
     return (y - oracle_cosine(u, v)) ** 2
 
 
-def oracle_loss_contrastive(
-    u, v, y: int, margin: float = 0.5, literal_cosine: bool = False
-) -> float:
-    c = oracle_cosine(u, v)
-    d = c if literal_cosine else 1.0 - c
+def oracle_loss_contrastive(u, v, y: int, margin: float = 0.5) -> float:
+    d = 1.0 - oracle_cosine(u, v)
     if y == 1:
         return 0.5 * d * d
     return 0.5 * max(0.0, margin - d) ** 2
@@ -76,12 +73,12 @@ def oracle_loss_triplet(u, v_pos, v_neg, margin: float = 1.0) -> float:
     return max(0.0, d_pos - d_neg + margin)
 
 
-def oracle_loss_infonce(us, vs, scale: float = 1.0) -> float:
+def oracle_loss_infonce(us, vs) -> float:
     """Per-row softmax cross entropy, computed term by term without tricks."""
     b = len(us)
     total = 0.0
     for i in range(b):
-        scores = [scale * oracle_cosine(us[i], vs[j]) for j in range(b)]
+        scores = [oracle_cosine(us[i], vs[j]) for j in range(b)]
         denominator = sum(math.exp(s) for s in scores)
         total += -math.log(math.exp(scores[i]) / denominator)
     return total / b

@@ -75,14 +75,10 @@ class TestLossOracles:
                 w = rng.normal(size=dim)
                 y = int(rng.integers(0, 2))
                 margin = float(rng.uniform(0.1, 1.5))
-                literal = bool(rng.integers(0, 2))
                 worst = max(worst, abs(loss_cosine(u, v, y) - oracle_loss_cosine(u, v, y)))
                 worst = max(
                     worst,
-                    abs(
-                        loss_contrastive(u, v, y, margin, literal)
-                        - oracle_loss_contrastive(u, v, y, margin, literal)
-                    ),
+                    abs(loss_contrastive(u, v, y, margin) - oracle_loss_contrastive(u, v, y, margin)),
                 )
                 worst = max(
                     worst, abs(loss_triplet(u, v, w, margin) - oracle_loss_triplet(u, v, w, margin))
@@ -92,8 +88,7 @@ class TestLossOracles:
                 dim = int(rng.integers(2, 9))
                 us = rng.normal(size=(batch, dim))
                 vs = rng.normal(size=(batch, dim))
-                scale = float(rng.uniform(0.5, 20.0))
-                worst = max(worst, abs(loss_infonce(us, vs, scale) - oracle_loss_infonce(us, vs, scale)))
+                worst = max(worst, abs(loss_infonce(us, vs) - oracle_loss_infonce(us, vs)))
             assert worst <= 1e-9
             for batch in (2, 4, 8):
                 us = np.tile(rng.normal(size=5), (batch, 1))
@@ -124,14 +119,12 @@ class TestLossOracles:
                 v = rng.normal(size=5)
                 y = int(rng.integers(0, 2))
                 margin = float(rng.uniform(0.2, 1.2))
-                literal = bool(rng.integers(0, 2))
                 c = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-                d = c if literal else 1.0 - c
-                if y == 0 and abs(margin - d) < 1e-3:
+                if y == 0 and abs(margin - (1.0 - c)) < 1e-3:
                     continue
-                _, gu, gv = loss_contrastive_grad(u, v, y, margin, literal)
-                agree(gu, lambda x: loss_contrastive(x, v, y, margin, literal), u)
-                agree(gv, lambda x: loss_contrastive(u, x, y, margin, literal), v)
+                _, gu, gv = loss_contrastive_grad(u, v, y, margin)
+                agree(gu, lambda x: loss_contrastive(x, v, y, margin), u)
+                agree(gv, lambda x: loss_contrastive(u, x, y, margin), v)
                 checked += 1
 
             checked = 0
@@ -155,10 +148,9 @@ class TestLossOracles:
                 batch = int(rng.integers(2, 6))
                 us = rng.normal(size=(batch, 4))
                 vs = rng.normal(size=(batch, 4))
-                scale = float(rng.uniform(0.5, 10.0))
-                _, gu, gv = loss_infonce_grad(us, vs, scale)
-                agree(gu, lambda x: loss_infonce(x, vs, scale), us)
-                agree(gv, lambda x: loss_infonce(us, x, scale), vs)
+                _, gu, gv = loss_infonce_grad(us, vs)
+                agree(gu, lambda x: loss_infonce(x, vs), us)
+                agree(gv, lambda x: loss_infonce(us, x), vs)
 
 
 class TestEmbeddingMeanProperty:

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsgeo.cli import _effective_config, build_parser, main
+from newsgeo.cli import _effective_config, build_parser, cmd_cache_export, main
+from newsgeo.config import PipelineConfig, load_config
 from newsgeo.corpus import LocationTuple, load_corpus, render_location
 from newsgeo.embedding import MockEmbedder
 from newsgeo.kb import KbCache
@@ -496,6 +497,12 @@ class TestCacheExport:
         assert main(["cache-export", "--config", config, "--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_export_leaves_the_callers_network_unchanged(self, tmp_path, fixture_tree):
+        config = load_config(fixture_tree["config"])._replace(network="online")
+        args = argparse.Namespace(output=str(tmp_path / "snapshot.jsonl"))
+        assert cmd_cache_export(args, config) == 0
+        assert config.network == "online"
+
     def test_missing_cache_file_is_an_error(self, tmp_path, capsys):
         """A mistyped path is not an empty cache."""
         cache = tmp_path / "typo" / "kb_cache.jsonl"
@@ -954,6 +961,22 @@ class TestFailureModes:
         args = build_parser().parse_args([*argv, "--seed", "7", "--embedder", "mock:8"])
         config = _effective_config(args)
         assert (config.seed, config.loss.seed, config.embedder) == (7, 7, "mock:8")
+
+    def test_flags_leave_the_default_configuration_unchanged(self, fixture_tree):
+        """Every PipelineConfig() shares its default dict and lists, so a
+        flag builds a new configuration and changes none of them."""
+        corpus = str(fixture_tree["articles_en"])
+        for language, modes, epochs in [("en", ["non_locations"], 2), ("fr", ["only_locations"], 5)]:
+            args = argparse.Namespace(
+                config=None, corpus=[f"{language}={corpus}"], mode=modes, epochs=epochs
+            )
+            config = _effective_config(args)
+            assert (config.corpus, config.representation_modes, config.loss.epochs) == (
+                {language: corpus}, modes, epochs
+            )
+        default = PipelineConfig()
+        assert (default.corpus, default.ner_providers, default.loss.epochs) == ({}, [], 32)
+        assert default.representation_modes == ["only_locations", "located_non_locations"]
 
     @pytest.mark.parametrize(
         "command, module",

@@ -9,6 +9,8 @@ from newsgeo.config import LossConfig, PipelineConfig
 from newsgeo.corpus import (
     Article,
     GoldAnnotation,
+    LanguageStats,
+    LoadReport,
     ParsedMention,
     compute_stats,
     format_stats_table,
@@ -18,6 +20,7 @@ from newsgeo.corpus import (
     split_train_validation,
 )
 from newsgeo.evaluation import LevelResult
+from newsgeo.kb import DbpediaRecord, WikidataItem
 from newsgeo.linking import LinkResult
 from newsgeo.locations import LocatedEntity, LocationTuple
 from newsgeo.ner import NerSpan
@@ -321,7 +324,7 @@ FROZEN_RECORDS = {
 
 
 class TestRecords:
-    """The record types keep their behaviour as NamedTuples and slotted classes."""
+    """Every record type is a NamedTuple."""
 
     @pytest.mark.parametrize("make", FROZEN_RECORDS.values(), ids=FROZEN_RECORDS)
     def test_frozen_records_reject_assignment_and_hash_by_value(self, make):
@@ -357,7 +360,16 @@ class TestRecords:
             "validation_pairs": 2, "learning_rate": 0.05,
         }
 
-    @pytest.mark.parametrize("cls", [PipelineConfig, LossConfig])
+    @pytest.mark.parametrize(
+        "cls",
+        [PipelineConfig, LossConfig, WikidataItem, DbpediaRecord, LoadReport, LanguageStats],
+    )
     def test_config_annotations_name_every_field(self, cls):
-        """A config file may set exactly the annotated fields."""
-        assert tuple(cls.__annotations__) == cls.__slots__
+        """Each field is annotated, once; a config file may set exactly these."""
+        assert tuple(cls.__annotations__) == cls._fields
+
+    @pytest.mark.parametrize("config", [PipelineConfig(), LossConfig()], ids=["pipeline", "loss"])
+    def test_a_configuration_rejects_assignment(self, config):
+        for name in config._fields:
+            with pytest.raises(AttributeError):
+                setattr(config, name, getattr(config, name))

@@ -286,11 +286,9 @@ class TestFixturePipeline:
             )
 
     def test_build_pipeline_follows_the_config(self, fixture_tree):
-        from newsgeo.config import load_config
-
-        config = load_config(fixture_tree["config"])
-        config.representation_modes = ["only_locations"]
-        config.chunking_mode = "truncate"
+        config = load_config(fixture_tree["config"])._replace(
+            representation_modes=["only_locations"], chunking_mode="truncate"
+        )
         pipeline = config.build_pipeline()
         assert pipeline.modes == ("only_locations",)
         assert pipeline.chunking == "truncate"

@@ -74,12 +74,6 @@ class TestLossValues:
             0.5 * (1.0 - math.sqrt(2.0) / 2.0) ** 2, abs=1e-12
         )
 
-    def test_contrastive_literal_cosine_flag(self):
-        """The literal reading uses the similarity itself as the distance."""
-        assert loss_contrastive(E1, E1, 1, literal_cosine=True) == pytest.approx(0.5)
-        assert loss_contrastive(E1, E2, 1, literal_cosine=True) == pytest.approx(0.0)
-        assert loss_contrastive(E1, E1, 0, literal_cosine=True) == pytest.approx(0.0)
-
     def test_triplet_loss_values(self):
         assert loss_triplet(E1, E1, -E1) == pytest.approx(0.0, abs=1e-12)
         assert loss_triplet(E1, -E1, E1) == pytest.approx(3.0, abs=1e-12)
@@ -113,11 +107,9 @@ class TestLossValues:
         with pytest.raises(ValueError):
             loss_triplet(E1, np.zeros(2), E2)
 
-    def test_infonce_shape_and_scale_validation(self):
+    def test_infonce_shape_validation(self):
         with pytest.raises(ValueError):
             loss_infonce(np.zeros((1, 2)) + 1.0, np.zeros((1, 2)) + 1.0)
-        with pytest.raises(ValueError):
-            loss_infonce(np.stack([E1, E2]), np.stack([E1, E2]), scale=0.0)
         with pytest.raises(ValueError):
             loss_infonce(np.stack([E1, E2]), np.stack([E1]))
 
@@ -134,10 +126,8 @@ class TestLossOracles:
             y = int(rng.integers(0, 2))
             margin = float(rng.uniform(0.0, 2.0))
             assert abs(loss_cosine(u, v, y) - oracle_loss_cosine(u, v, y)) <= 1e-9
-            for literal in (False, True):
-                ours = loss_contrastive(u, v, y, margin, literal)
-                ref = oracle_loss_contrastive(u, v, y, margin, literal)
-                assert abs(ours - ref) <= 1e-9
+            ours = loss_contrastive(u, v, y, margin)
+            assert abs(ours - oracle_loss_contrastive(u, v, y, margin)) <= 1e-9
 
     def test_triplet_matches_oracle(self):
         rng = np.random.default_rng(18)
@@ -156,9 +146,8 @@ class TestLossOracles:
             n = int(rng.integers(2, 8))
             us = rng.standard_normal((b, n))
             vs = rng.standard_normal((b, n))
-            scale = float(rng.uniform(0.2, 4.0))
-            ours = loss_infonce(us, vs, scale)
-            ref = oracle_loss_infonce([list(r) for r in us], [list(r) for r in vs], scale)
+            ours = loss_infonce(us, vs)
+            ref = oracle_loss_infonce([list(r) for r in us], [list(r) for r in vs])
             assert abs(ours - ref) <= 1e-9
 
 
@@ -223,18 +212,13 @@ class TestGradients:
         while checked < 20:
             u, v = rng.standard_normal(5), rng.standard_normal(5)
             y = int(rng.integers(0, 2))
-            literal = bool(rng.integers(0, 2))
             margin = 0.5
-            d = oracle_cosine(u, v) if literal else 1.0 - oracle_cosine(u, v)
+            d = 1.0 - oracle_cosine(u, v)
             if y == 0 and abs(margin - d) < 1e-3:
                 continue  # hinge kink: not differentiable there
-            loss, gu, gv = loss_contrastive_grad(u, v, y, margin, literal)
-            nu = central_difference(
-                lambda x: loss_contrastive(x, v, y, margin, literal), u, self.STEP
-            )
-            nv = central_difference(
-                lambda x: loss_contrastive(u, x, y, margin, literal), v, self.STEP
-            )
+            loss, gu, gv = loss_contrastive_grad(u, v, y, margin)
+            nu = central_difference(lambda x: loss_contrastive(x, v, y, margin), u, self.STEP)
+            nv = central_difference(lambda x: loss_contrastive(u, x, y, margin), v, self.STEP)
             assert gradient_agreement(gu, nu) <= self.TOLERANCE
             assert gradient_agreement(gv, nv) <= self.TOLERANCE
             checked += 1
@@ -264,10 +248,9 @@ class TestGradients:
         for _ in range(10):
             b, n = 3, 4
             us, vs = rng.standard_normal((b, n)), rng.standard_normal((b, n))
-            scale = float(rng.uniform(0.5, 3.0))
-            _, gu, gv = loss_infonce_grad(us, vs, scale)
-            nu = central_difference(lambda x: loss_infonce(x, vs, scale), us, self.STEP)
-            nv = central_difference(lambda x: loss_infonce(us, x, scale), vs, self.STEP)
+            _, gu, gv = loss_infonce_grad(us, vs)
+            nu = central_difference(lambda x: loss_infonce(x, vs), us, self.STEP)
+            nv = central_difference(lambda x: loss_infonce(us, x), vs, self.STEP)
             assert gradient_agreement(gu, nu) <= self.TOLERANCE
             assert gradient_agreement(gv, nv) <= self.TOLERANCE
 
@@ -383,8 +366,8 @@ class TestBatchedTraining:
         "loss_grad, columns, extra",
         [
             (loss_cosine_grad, 2, ()),
-            (loss_contrastive_grad, 2, (0.5, False)),
-            (loss_contrastive_grad, 2, (1.5, True)),
+            (loss_contrastive_grad, 2, (0.5,)),
+            (loss_contrastive_grad, 2, (1.5,)),
             (loss_triplet_grad, 3, (1.0,)),
         ],
     )
