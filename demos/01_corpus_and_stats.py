@@ -26,7 +26,7 @@ def main() -> None:
     articles = []
     for language in sorted(config.corpus):
         loaded, report = load_corpus(config.corpus[language], language)
-        print(f"{Path(report.path).name}: {report.loaded} articles, {report.skipped} skipped")
+        print(f"{Path(report.path).name}: {len(loaded)} articles, {report.skipped} skipped")
         articles.extend(loaded)
 
     first = articles[0]

@@ -270,7 +270,7 @@ def cmd_ingest(args: argparse.Namespace, config: None) -> int:
     articles, report = load_corpus(args.input, args.language)
     _note_sources(articles, report.path, {})
     save_corpus(articles, args.output)
-    print(f"loaded {report.loaded} articles, skipped {report.skipped} -> {args.output}")
+    print(f"loaded {len(articles)} articles, skipped {report.skipped} -> {args.output}")
     if args.stats:
         print(format_stats_table(compute_stats(articles)))
     return 0

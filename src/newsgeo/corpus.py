@@ -224,7 +224,6 @@ class LoadReport(NamedTuple):
     """Outcome of loading one JSONL file: one warning per skipped line."""
 
     path: str
-    loaded: int
     warnings: list[str]
 
     @property
@@ -269,7 +268,7 @@ def load_corpus(path: str | Path, language: str) -> tuple[list[Article], LoadRep
                 articles.append(Article.from_json(record, default_language=language))
             except (KeyError, TypeError, ValueError) as exc:
                 warn(f"line {lineno}: {exc}")
-    return articles, LoadReport(str(path), len(articles), warnings)
+    return articles, LoadReport(str(path), warnings)
 
 
 def save_corpus(articles: Iterable[Article], path: str | Path) -> None:

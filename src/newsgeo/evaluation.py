@@ -153,8 +153,8 @@ def run_experiment(
     A prediction that raises fails the run, as in `rank`, so neither an
     unreachable KB nor a program defect is scored as a wrong prediction;
     `map_articles` names the failing article. Documents are processed in
-    corpus order, on up to `workers` threads while some wait on the KB, so
-    reports are identical for any worker count.
+    corpus order, with up to `workers` articles in flight while some wait on
+    the KB, so reports are identical for any worker count.
     """
     articles = [article for article in corpus if article.id in gold]
     known = {article.id for article in articles}

@@ -1,5 +1,6 @@
 """A memo that computes each key once, also when worker threads share it,
-and the map that runs a command's articles on those threads.
+and the maps that run a command's articles, and the items of one article,
+on those threads.
 
 A command's `Resolver` and `Pipeline` each own one, and the KB clients use
 one to fetch each missing key once. Once per key keeps a run's work, and so
@@ -7,10 +8,15 @@ its counters, the same at any worker count.
 
 `workers` is the most articles in flight while some wait on the KB: the map
 starts a thread only when an article is about to wait on the network, so a
-run that the KB cache answers stays on one thread. No article starts after
-one has failed. Each thread of a map knows the corpus index of the article it
-runs (`article_index`), so that a KB rate limiter can give its next request
-slot to the earliest article waiting for one.
+run that the KB cache answers stays on one thread. Within an article,
+`map_in_article` runs independent items (the spans of the candidate pool)
+the same way: once one waits on the network, the later ones go out beside
+it, at most `workers` per article. So threads can reach `workers` squared,
+16 at `workers` 4, while articles in flight stay at most `workers`. No
+article or item starts after one has failed. Each thread of a map knows the
+corpus index of the article it runs or works for (`article_index`), so that
+a KB rate limiter can give its next request slot to the earliest article
+waiting for one, and an article's requests keep the article's place.
 """
 
 from __future__ import annotations
@@ -68,18 +74,20 @@ class Memo:
             mine.set()
 
 
-# The map whose article the current thread runs, for `waiting`, and that
-# article's index, for `article_index`.
+# The map whose item the current thread runs, for `waiting`, and the index of
+# the article that item is or belongs to, for `article_index`.
 _current = threading.local()
 
 
 def waiting() -> None:
     """Say that this thread is about to wait on the network. If it runs an
-    article of `map_articles`, one more thread starts on the map's later
-    articles, up to the map's `workers`; otherwise nothing happens."""
-    articles = getattr(_current, "map", None)
-    if articles is not None:
-        articles.add_thread()
+    item of a map, one more thread starts on that map's later items, up to
+    its `workers`, and the same goes for the map of articles an item of
+    `map_in_article` belongs to; outside a map nothing happens."""
+    mapped = getattr(_current, "map", None)
+    while mapped is not None:
+        mapped.add_thread()
+        mapped = mapped.outer
 
 
 def article_index() -> int | None:
@@ -88,25 +96,36 @@ def article_index() -> int | None:
     return getattr(_current, "index", None)
 
 
-class _ArticleMap:
-    """The articles of one `map_articles` call. Each of its threads takes the
-    next article from one counter until none is left or one has failed."""
+class _LazyMap:
+    """The items of one `map_articles` or `map_in_article` call. Each of its
+    threads takes the next item from one counter until none is left or one
+    has failed. `article` is None in a map of articles, where each item is
+    the article of its own index, and otherwise the index of the article
+    whose items these are; `outer` is that article's map."""
 
-    def __init__(self, run: Callable[[Article], Any], articles: Sequence[Article], workers: int):
-        self._run, self._articles, self._workers = run, articles, workers
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        workers: int,
+        article: int | None = None,
+        outer: _LazyMap | None = None,
+    ):
+        self._fn, self._items, self.workers = fn, items, workers
+        self._article, self.outer = article, outer
         self._lock = threading.Lock()
         self._next = 0
-        self.threads: list[threading.Thread] = []
-        self.results: list[Any] = [None] * len(articles)
-        self.errors: dict[int, BaseException] = {}
+        self._threads: list[threading.Thread] = []
+        self._results: list[Any] = [None] * len(items)
+        self._errors: dict[int, BaseException] = {}
 
     def _open(self) -> bool:
-        """Whether an article may still start; asked under the lock."""
-        return not self.errors and self._next < len(self._articles)
+        """Whether an item may still start; asked under the lock."""
+        return not self._errors and self._next < len(self._items)
 
-    def work(self) -> None:
-        """Run articles until none is left or one has failed."""
-        outer = getattr(_current, "map", None), article_index()
+    def _work(self) -> None:
+        """Run items until none is left or one has failed."""
+        saved = getattr(_current, "map", None), article_index()
         _current.map = self
         try:
             while True:
@@ -114,23 +133,35 @@ class _ArticleMap:
                     if not self._open():
                         return
                     index, self._next = self._next, self._next + 1
-                _current.index = index
+                _current.index = index if self._article is None else self._article
                 try:
-                    self.results[index] = self._run(self._articles[index])
+                    self._results[index] = self._fn(self._items[index])
                 except BaseException as exc:
                     with self._lock:
-                        self.errors[index] = exc
+                        self._errors[index] = exc
         finally:
-            _current.map, _current.index = outer
+            _current.map, _current.index = saved
 
     def add_thread(self) -> None:
-        """Start one more thread on `work`, unless `workers` already run."""
+        """Start one more thread on the items, unless `workers` already run."""
         with self._lock:
-            if self._open() and len(self.threads) + 1 < self._workers:
+            if self._open() and len(self._threads) + 1 < self.workers:
                 # Started before it is listed, so no join finds it unstarted.
-                thread = threading.Thread(target=self.work)
+                thread = threading.Thread(target=self._work)
                 thread.start()
-                self.threads.append(thread)
+                self._threads.append(thread)
+
+    def run(self) -> list[Any]:
+        """Run the items from the calling thread on and return their results
+        in order, or raise the exception of the earliest failed item."""
+        self._work()
+        # The list grows only while one of its threads, not yet joined, runs,
+        # or an item of an article one of them runs.
+        for thread in self._threads:
+            thread.join()
+        if self._errors:
+            raise self._errors[min(self._errors)]
+        return self._results
 
 
 def map_articles(
@@ -162,11 +193,22 @@ def map_articles(
                 raise
             raise ValueError(f"article {article.id}: {exc}") from exc
 
-    mapped = _ArticleMap(run, articles, workers)
-    mapped.work()
-    # The list grows only while one of its threads, not yet joined, runs.
-    for thread in mapped.threads:
-        thread.join()
-    if mapped.errors:
-        raise mapped.errors[min(mapped.errors)]
-    return mapped.results
+    return _LazyMap(run, articles, workers).run()
+
+
+def map_in_article(fn: Callable[[Any], T], items: Sequence[Any]) -> list[T]:
+    """`fn` of every item of the article this thread runs, in item order.
+
+    The items run in order on the calling thread. Each time an item is about
+    to wait on the network (`waiting`), one more thread starts on the later
+    items, up to the enclosing map's `workers` for this article, and the
+    enclosing map may start its next article as well. Every thread keeps the
+    article's `article_index`, so a rate limiter ranks their requests at the
+    article's place. No item starts after one has failed; the exception of
+    the earliest failed item is raised unchanged. Outside a map, or at one
+    worker, this is a plain loop.
+    """
+    enclosing = getattr(_current, "map", None)
+    if enclosing is None or enclosing.workers == 1:
+        return [fn(item) for item in items]
+    return _LazyMap(fn, items, enclosing.workers, article_index(), enclosing).run()

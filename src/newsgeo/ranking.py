@@ -25,7 +25,7 @@ from .config import (
 )
 from .embedding import EmbeddingProvider, embed_document
 from .locations import LocationTuple, Resolver
-from .memo import Memo
+from .memo import Memo, map_in_article
 from .ner import NerSpan, is_location_label
 
 if TYPE_CHECKING:
@@ -94,6 +94,22 @@ def build_representation(
     return Candidate(span=span, text=abstract)
 
 
+def _in_text_order(spans: Sequence[NerSpan]) -> list[NerSpan]:
+    return sorted(spans, key=lambda s: (s.start, s.end))
+
+
+def _distinct(rendered: Iterable[Candidate | None]) -> Iterator[Candidate]:
+    """The candidates of `rendered`, the first of each (offset, text) pair."""
+    seen: set[tuple[int, int, str]] = set()
+    for candidate in rendered:
+        if candidate is None:
+            continue
+        key = (candidate.span.start, candidate.span.end, candidate.text)
+        if key not in seen:
+            seen.add(key)
+            yield candidate
+
+
 def candidates(
     spans: Sequence[NerSpan],
     language: str,
@@ -107,16 +123,11 @@ def candidates(
     candidate that resolves. Identical (offset, text) pairs collapse to the
     first one produced, so union pools do not double-score.
     """
-    seen: set[tuple[int, int, str]] = set()
-    for span in sorted(spans, key=lambda s: (s.start, s.end)):
-        for mode in modes:
-            candidate = build_representation(span, language, mode, resolver)
-            if candidate is None:
-                continue
-            key = (span.start, span.end, candidate.text)
-            if key not in seen:
-                seen.add(key)
-                yield candidate
+    return _distinct(
+        build_representation(span, language, mode, resolver)
+        for span in _in_text_order(spans)
+        for mode in modes
+    )
 
 
 def build_candidate_pool(
@@ -125,8 +136,20 @@ def build_candidate_pool(
     modes: Sequence[str],
     resolver: Resolver,
 ) -> list[Candidate]:
-    """Every candidate of the spans, in text order."""
-    return list(candidates(spans, language, modes, resolver))
+    """Every candidate of the spans, in text order, as :func:`candidates`
+    yields them.
+
+    Each span is rendered under every mode as one item of
+    `memo.map_in_article`, so once a span's KB lookups wait on the network
+    the later spans' lookups go out beside them, at most `workers` per
+    article, each at the article's place in the rate limiter's queue.
+    """
+
+    def render(span: NerSpan) -> list[Candidate | None]:
+        return [build_representation(span, language, mode, resolver) for mode in modes]
+
+    rendered = map_in_article(render, _in_text_order(spans))
+    return list(_distinct(candidate for per_span in rendered for candidate in per_span))
 
 
 def rank_candidates(

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import urllib.parse
 from pathlib import Path
 
@@ -24,8 +25,10 @@ from newsgeo.cli import _effective_config, build_parser, cmd_cache_export, main
 from newsgeo.config import PipelineConfig, load_config
 from newsgeo.corpus import LocationTuple, load_corpus, render_location
 from newsgeo.embedding import MockEmbedder
-from newsgeo.kb import KbCache
+from newsgeo.kb import DBPEDIA_DATA_URL, WIKIDATA_ENTITY_URL, KbCache
+from newsgeo.linking import PAGEPROPS_URL, SEARCH_URL
 from newsgeo.locations import Resolver
+from newsgeo.memo import article_index
 
 from conftest import count_calls
 from test_kb import wikidata_payload
@@ -644,7 +647,7 @@ class TestInvalidUtf8:
         spoil_line(corpus, 1)
         articles, report = load_corpus(corpus, "en")
         assert [article.id for article in articles] == [json.loads(second)["id"]]
-        assert (report.loaded, report.skipped) == (1, 2)
+        assert (len(articles), report.skipped) == (1, 2)
         assert report.warnings[0].startswith(
             "line 1: invalid JSON ('utf-8' codec can't decode byte 0xff"
         )
@@ -1552,6 +1555,136 @@ class TestThreads:
             assert main([*argv, *flags, *online]) == 0
             assert bool(started) == (workers == "2")
             assert out.read_bytes() == warm.read_bytes()
+
+
+class RemoteFixtureKb:
+    """A transport that answers, after `delay` seconds, what the fixture
+    cache's `wplink`, `dbpedia` and `wikidata` records hold, and 404 to any
+    other request. It logs each request's URL, start, end and article index."""
+
+    def __init__(self, lines: list[str], delay: float):
+        self.delay = delay
+        self.requests: list[tuple[str, float, float, int | None]] = []
+        self._lock = threading.Lock()
+        self._payloads: dict[str, object] = {}
+        for line in lines:
+            record = json.loads(line)
+            source, value = record["source"], record["value"]
+            if source == "wplink" and value["page_title"] is not None:
+                language, title = value["language"], value["page_title"]
+                search = SEARCH_URL.format(lang=language, query=urllib.parse.quote(value["surface"]))
+                self._payloads[search] = {"query": {"search": [{"title": title}]}}
+                pageprops = PAGEPROPS_URL.format(lang=language, title=urllib.parse.quote(title))
+                page = {"pageprops": {"wikibase_item": value["qid"]}} if value["qid"] else {}
+                self._payloads[pageprops] = {"query": {"pages": {"1": page}}}
+            elif source == "wikidata":
+                for qid, label in value["p31"]:
+                    self._payloads.setdefault(
+                        WIKIDATA_ENTITY_URL.format(qid=qid), wikidata_payload(qid, {"en": label})
+                    )
+                self._payloads[WIKIDATA_ENTITY_URL.format(qid=value["qid"])] = wikidata_payload(
+                    value["qid"], value["labels"], value["p17"],
+                    [qid for qid, _ in value["p31"]], value["p131"],
+                )
+            elif source == "dbpedia":
+                page = urllib.parse.quote(value["title"].replace(" ", "_"))
+                node = {
+                    "http://www.w3.org/1999/02/22-rdf-syntax-ns#type": [
+                        {"type": "uri", "value": f"http://dbpedia.org/ontology/{name}"}
+                        for name in value["ontology_types"]
+                    ],
+                    **{
+                        f"http://dbpedia.org/ontology/{name}": [
+                            {"type": "literal", "value": text} for text in texts
+                        ]
+                        for name, texts in value["properties"].items()
+                    },
+                }
+                if value["abstract"] is not None:
+                    node["http://dbpedia.org/ontology/abstract"] = [
+                        {"type": "literal", "lang": value["language"], "value": value["abstract"]}
+                    ]
+                url = DBPEDIA_DATA_URL.format(lang=value["language"], title=page)
+                self._payloads[url] = {f"http://dbpedia.org/resource/{page}": node}
+
+    def __call__(self, url):
+        start = time.perf_counter()
+        time.sleep(self.delay)
+        with self._lock:
+            self.requests.append((url, start, time.perf_counter(), article_index()))
+        if url not in self._payloads:
+            raise LookupError(url)
+        return self._payloads[url]
+
+    def overlapping_articles(self) -> set[int | None]:
+        """The articles two of whose requests were in flight at once."""
+        found = set()
+        for a, (_, start_a, end_a, article) in enumerate(self.requests):
+            for _, start_b, end_b, other in self.requests[a + 1:]:
+                if article == other and start_a < end_b and start_b < end_a:
+                    found.add(article)
+        return found
+
+
+class TestColdRun:
+    """A run that fetches every record sends an article's candidate-pool
+    lookups side by side, without changing what it writes or asks for."""
+
+    REMOTE_SOURCES = ('"source": "wplink",', '"source": "dbpedia",', '"source": "wikidata",')
+
+    def run(self, tmp_path, fixture_tree, monkeypatch, name, argv):
+        """Run `argv` online on a copy of the fixture cache without the remote
+        records; the output, the cache's keys and the transport."""
+        lines = read_lines(fixture_tree["cache"])
+        cache = tmp_path / f"cache-{name}.jsonl"
+        cache.write_text(
+            "".join(
+                line + "\n" for line in lines if not any(s in line for s in self.REMOTE_SOURCES)
+            ),
+            encoding="utf-8",
+        )
+        remote = RemoteFixtureKb(lines, delay=0.01)
+        monkeypatch.setattr("newsgeo.kb.default_transport", remote)
+        out = tmp_path / f"out-{name}"
+        flags = ["--config", str(fixture_tree["config"]), "--cache", str(cache)]
+        assert main([*argv, *flags, "--network", "online", "--output", str(out)]) == 0
+        return out.read_bytes(), set(KbCache(cache).keys()), remote
+
+    @pytest.mark.parametrize("command", ["evaluate", "rank"])
+    def test_worker_counts_keep_the_output_and_overlap_an_articles_lookups(
+        self, tmp_path, fixture_tree, monkeypatch, command
+    ):
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        # Abstracts of the location spans: several pool lookups per article.
+        argv = [command, "--mode", "location_abstracts", "--mode", "located_non_locations"]
+        warm = tmp_path / "warm"
+        assert main([*argv, "--config", str(fixture_tree["config"]), "--output", str(warm)]) == 0
+        runs = {
+            workers: self.run(tmp_path, fixture_tree, monkeypatch, workers, [*argv, "--workers", workers])
+            for workers in ("1", "2", "4")
+        }
+        for output, keys, remote in runs.values():
+            assert output == warm.read_bytes()
+            assert keys == runs["1"][1]
+            urls = [url for url, *_ in remote.requests]
+            assert len(urls) == len(set(urls)) == len(runs["1"][2].requests)
+        assert runs["1"][2].overlapping_articles() == set()
+        assert runs["2"][2].overlapping_articles() - {None}
+
+    def test_a_first_mention_baseline_asks_no_more_at_two_workers(
+        self, tmp_path, fixture_tree, monkeypatch
+    ):
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        argv = ["evaluate", "--baseline", "first-location-located", "--workers"]
+        outputs, asked = set(), {}
+        for workers in ("1", "2"):
+            output, _, remote = self.run(
+                tmp_path, fixture_tree, monkeypatch, workers, [*argv, workers]
+            )
+            outputs.add(output)
+            asked[workers] = len(remote.requests)
+        assert len(outputs) == 1
+        assert 0 < asked["2"] <= asked["1"]
 
 
 # Boundaries the benchmark's tracer wraps that the program no longer has at

@@ -1,4 +1,5 @@
-"""Memo: each key computed once, also across threads; the article map."""
+"""Memo: each key computed once, also across threads; the article map and
+the map of one article's items."""
 
 import contextlib
 import sys
@@ -9,7 +10,9 @@ from types import SimpleNamespace
 import pytest
 
 import newsgeo.memo
-from newsgeo.memo import Memo, article_index, map_articles, waiting
+from newsgeo.memo import Memo, article_index, map_articles, map_in_article, waiting
+
+from conftest import count_calls
 
 
 class TestMemo:
@@ -214,3 +217,179 @@ class TestMapArticles:
     def test_fewer_than_one_worker_is_rejected(self):
         with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
             map_articles(lambda article: article.id, articles(2), workers=0)
+
+
+def finished(call, timeout=10):
+    """The value of `call()`, run on a thread of its own that must finish
+    within `timeout` seconds, so a deadlocked map fails instead of hanging;
+    an exception of `call` is raised here."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestMapInArticle:
+    def waiting_items(self, count):
+        def item(number):
+            waiting()
+            time.sleep(0.001)
+            return number
+
+        return item, list(range(count))
+
+    def test_outside_a_map_it_is_a_plain_loop(self, monkeypatch):
+        started = count_calls(monkeypatch, threading.Thread, "start")
+        item, items = self.waiting_items(5)
+        assert map_in_article(item, items) == items
+        assert started == []
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        started = count_calls(monkeypatch, threading.Thread, "start")
+        item, items = self.waiting_items(5)
+        found = map_articles(lambda article: map_in_article(item, items), articles(3), workers=1)
+        assert found == [items] * 3
+        assert started == []
+
+    def test_items_that_never_wait_start_no_thread(self, monkeypatch):
+        started = count_calls(monkeypatch, threading.Thread, "start")
+        items = list(range(5))
+        found = map_articles(lambda article: map_in_article(str, items), articles(3), workers=4)
+        assert found == [[str(number) for number in items]] * 3
+        assert started == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_workers_items_of_an_article_run_at_once(self, workers):
+        lock = threading.Lock()
+        running: dict[int, int] = {}
+        most: dict[int, int] = {}
+
+        def item(number):
+            article = article_index()
+            with lock:
+                running[article] = running.get(article, 0) + 1
+                most[article] = max(most.get(article, 0), running[article])
+            waiting()
+            time.sleep(0.01)
+            with lock:
+                running[article] -= 1
+            return number
+
+        items = list(range(8))
+        found = finished(
+            lambda: map_articles(lambda article: map_in_article(item, items), articles(4), workers)
+        )
+        assert found == [items] * 4
+        assert max(most.values()) > 1
+        assert all(count <= workers for count in most.values())
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_thread_keeps_the_index_of_its_article(self, workers):
+        def item(number):
+            waiting()
+            time.sleep(0.001)  # the other threads take items and articles meanwhile
+            return article_index(), number
+
+        def article(_):
+            return map_in_article(item, range(6))
+
+        found = finished(lambda: map_articles(article, articles(5), workers))
+        assert found == [[(index, number) for number in range(6)] for index in range(5)]
+        assert article_index() is None
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_the_earliest_failed_item_is_raised_unchanged(self, workers):
+        first, second = RuntimeError("first"), RuntimeError("second")
+
+        def item(number):
+            if number == 1:
+                waiting()
+                time.sleep(0.1)  # item 3 fails first on another thread
+                raise first
+            if number == 3:
+                raise second
+            waiting()
+            return number
+
+        run = lambda: map_articles(lambda a: map_in_article(item, range(6)), articles(1), workers)
+        with pytest.raises(RuntimeError) as raised:
+            finished(run)
+        assert raised.value is first
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_item_starts_after_a_failure(self, workers):
+        started = []
+
+        def item(number):
+            started.append(number)
+            if number == 0:
+                waiting()
+                time.sleep(0.1)  # item 1 fails meanwhile on another thread
+            if number == 1:
+                raise RuntimeError("down")
+            return number
+
+        run = lambda: map_articles(lambda a: map_in_article(item, range(6)), articles(1), workers)
+        with pytest.raises(RuntimeError, match="^down$"):
+            finished(run)
+        assert started == [0, 1]
+
+    def test_the_article_map_still_names_the_article(self):
+        def item(number):
+            waiting()
+            if number == 2:
+                raise ValueError("bad span")
+            return number
+
+        run = lambda: map_articles(lambda a: map_in_article(item, range(4)), articles(2), 2)
+        with pytest.raises(ValueError, match="^article a-0: bad span$"):
+            finished(run)
+
+    def test_a_waiting_item_starts_the_next_article(self):
+        second_started = threading.Event()
+
+        def item(article_id):
+            if article_id == "a-0":
+                waiting()
+                # Returns at once only if a-1 started on another thread.
+                return second_started.wait(timeout=5)
+            second_started.set()
+            return True
+
+        def article(article):
+            return map_in_article(item, [article.id])
+
+        assert finished(lambda: map_articles(article, articles(2), workers=2)) == [[True], [True]]
+
+    def test_threads_run_each_item_once_under_stress(self):
+        runs = []
+
+        def item(number):
+            runs.append((article_index(), number))
+            waiting()
+            time.sleep(0)  # let the other threads take items and articles meanwhile
+            return article_index(), number
+
+        def article(_):
+            return map_in_article(item, range(20))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            found = finished(lambda: map_articles(article, articles(30), workers=8), timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [[(index, number) for number in range(20)] for index in range(30)]
+        assert found == expected
+        assert sorted(runs) == [pair for per_article in expected for pair in per_article]
