@@ -14,6 +14,8 @@ error report goes to stderr), 2 usage errors (from argument parsing).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import logging
 import sys
@@ -53,6 +55,14 @@ if TYPE_CHECKING:
 # load it.
 
 logger = logging.getLogger(__name__)
+
+# At exit, move every live object out of the collector's reach, so that the
+# interpreter's last collections skip what the command built instead of
+# walking it again: it dies with the process. Nothing waits on a finalizer
+# at exit: outputs are written through `with` or `write_text`, worker threads
+# are joined before `main` returns, and the logging shutdown and stream
+# flushes still run.
+atexit.register(gc.freeze)
 
 # The representation modes whose candidates each baseline reads in text order.
 _BASELINES = {

@@ -8,6 +8,7 @@ byte-for-byte rather than merely structurally.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import sys
 import threading
 import time
 import urllib.parse
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1685,6 +1687,97 @@ class TestColdRun:
             asked[workers] = len(remote.requests)
         assert len(outputs) == 1
         assert 0 < asked["2"] <= asked["1"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "rank"])
+    def test_a_cold_run_leaves_nothing_for_exit(
+        self, tmp_path, fixture_tree, monkeypatch, command
+    ):
+        """See `TestProcessExit`: the threads of a cold run end with it."""
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        argv = [command, "--mode", "location_abstracts", "--mode", "located_non_locations"]
+        leaves_nothing_for_exit(
+            lambda: self.run(tmp_path, fixture_tree, monkeypatch, "4", [*argv, "--workers", "4"])
+        )
+
+
+EXIT_PROBE = """
+import atexit, gc, importlib, sys
+atexit.register(lambda: print(gc.get_freeze_count(), flush=True))
+for module in sys.argv[1:]:
+    importlib.import_module(module)
+"""
+
+
+def freeze_count_at_exit(*modules: str) -> int:
+    """How many objects the collector holds frozen when an exit hook runs
+    that a fresh interpreter registered before importing `modules`. Exit
+    hooks run last registered first, so this one runs after theirs."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, *modules],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+def leaves_nothing_for_exit(run):
+    """`run()`, once what it left is collected. No finalizer of that garbage
+    may warn or fail, none of it may be uncollectable, and no thread it
+    started may still run: the interpreter's last collections, which a
+    command skips, would find nothing to do."""
+    gc.collect()
+    threads = threading.active_count()
+    unraisable = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda args: unraisable.append(f"{args.err_msg}: {args.exc_value!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            value = run()
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert unraisable == []
+    assert gc.garbage == []
+    assert threading.active_count() == threads
+    return value
+
+
+class TestProcessExit:
+    """Every command skips the interpreter's exit-time collections (it
+    freezes the collector at exit), so none may leave work for them."""
+
+    def test_the_command_line_freezes_the_collector_at_exit(self):
+        assert freeze_count_at_exit("newsgeo.cli") > 0
+
+    def test_the_library_leaves_the_collector_alone(self):
+        assert freeze_count_at_exit("newsgeo.evaluation", "newsgeo.kb") == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"],
+            ["classify-categories", "--config", "{config}", "--workers", "1", "--output", "{out}"],
+            ["generate-pairs", "--config", "{config}", "--workers", "1", "--output", "{out}"],
+            ["rank", "--config", "{config}", "--workers", "1", "--output", "{out}"],
+            ["evaluate", "--config", "{config}", "--workers", "1", "--output", "{out}",
+             "--trace", "{out}.trace"],
+            ["train", "--config", "{config}", "--workers", "1", "--epochs", "1", "--output", "{out}",
+             "--checkpoint", "{out}.npz"],
+            ["cache-export", "--config", "{config}", "--output", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_command_leaves_nothing_for_exit(self, tmp_path, fixture_tree, argv):
+        paths = {"out": tmp_path / "out", **fixture_tree}
+        argv = [part.format(**paths) for part in argv]
+        assert leaves_nothing_for_exit(lambda: main(argv)) == 0
 
 
 # Boundaries the benchmark's tracer wraps that the program no longer has at

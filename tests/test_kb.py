@@ -7,10 +7,12 @@ import random
 import re
 import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -535,6 +537,129 @@ class TestKbCacheIndex:
         cache.put("src", "k3", 3)
         assert KbCache(path).keys() == [("src", "k1"), ("src", "k2"), ("src", "k3")]
         assert caplog.text == ""
+
+
+# A writer that reports each key once its `put` has returned, until killed.
+# The pause between puts keeps the file to a few tens of MB at the last kill.
+WRITER = """
+import sys, time
+from newsgeo.kb import KbCache
+cache = KbCache(sys.argv[1])
+print("ready", flush=True)
+i = 0
+while True:
+    cache.put("wikidata", f"Q{i}", {"blob": f"{i:08d}" * 25_000})
+    print(i, flush=True)
+    i += 1
+    time.sleep(0.002)
+"""
+
+# A load that stops, to be killed, in the middle of writing its merged index
+# ("write": half of the temporary file written) or before renaming it over
+# the old one ("rename").
+MERGER = """
+import os, sys, time
+from pathlib import Path
+from newsgeo.kb import KbCache
+
+def stop(*args):
+    print("stopped", flush=True)
+    time.sleep(60)
+
+stage, path = sys.argv[1:]
+if stage == "write":
+    def write_half(self, data):
+        with self.open("wb") as handle:
+            handle.write(data[: len(data) // 2])
+        stop()
+    Path.write_bytes = write_half
+else:
+    os.replace = stop
+KbCache(path)
+print("finished", flush=True)
+"""
+
+
+def blob(i: int) -> dict:
+    return {"blob": f"{i:08d}" * 25_000}
+
+
+def start_child(code: str, *argv: str) -> subprocess.Popen:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv], env=env, stdout=subprocess.PIPE, text=True
+    )
+
+
+def kill(child: subprocess.Popen) -> list[str]:
+    """Kill `child` and return the lines it printed that were not read."""
+    child.send_signal(signal.SIGKILL)
+    child.wait(timeout=60)
+    lines = child.stdout.read().split()
+    child.stdout.close()
+    return lines
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+class TestKilledWriter:
+    """A writer killed at any moment loses no record whose `put` returned:
+    the next load skips a torn last line, and a half-written index file
+    changes no answer."""
+
+    def test_every_put_that_returned_survives_the_kill(self, tmp_path, caplog):
+        delays = random.Random(19).sample(range(50, 401), 5)
+        for delay in delays:
+            path = tmp_path / f"c-{delay}.jsonl"
+            writer = start_child(WRITER, str(path))
+            try:
+                assert writer.stdout.readline() == "ready\n"
+                time.sleep(delay / 1000)
+            finally:
+                reported = {("wikidata", f"Q{i}") for i in map(int, kill(writer))}
+            caplog.clear()
+            cache = KbCache(path)
+            for _, key in reported:
+                assert cache.get("wikidata", key) == blob(int(key[1:]))
+            # the one put that may have written its line before it was killed
+            assert set(cache.keys()) - reported <= {("wikidata", f"Q{len(reported)}")}
+            data = path.read_bytes()
+            last = data.count(b"\n") + 1
+            torn = False
+            if data[-1:] not in (b"", b"\n"):  # the kill cut the last line
+                try:
+                    json.loads(data[data.rfind(b"\n") + 1 :])
+                except ValueError:
+                    torn = True
+            assert (f"{path}:{last}: skipping a torn last line" in caplog.text) == torn
+            path.unlink()
+            path.with_name(path.name + ".index").unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("stage", ["write", "rename"])
+    def test_a_load_killed_while_it_merges_the_index_changes_no_answer(
+        self, tmp_path, stage
+    ):
+        path = tmp_path / "c.jsonl"
+        cache = KbCache(path)
+        for i in range(300):
+            cache.put("wikidata", f"Q{i}", {"i": i})
+            if i == 199:  # an index of the first 200 lines, stale after the rest
+                cache = KbCache(path)
+        index = path.with_name("c.jsonl.index")
+        before = index.read_bytes()
+        merger = start_child(MERGER, stage, str(path))
+        try:
+            assert merger.stdout.readline() == "stopped\n"
+        finally:
+            rest = kill(merger)
+        assert rest == []
+        assert index.read_bytes() == before
+        for _ in range(2):  # the load after the kill, and the one after its own merge
+            cache = KbCache(path)
+            assert cache.keys() == sorted(("wikidata", f"Q{i}") for i in range(300))
+            for i in range(300):
+                assert cache.get("wikidata", f"Q{i}") == {"i": i}
 
 
 SOURCES = ["wikidata", "dbpedia", "wplink", "sé", 's"q']
