@@ -34,18 +34,16 @@ from .config import (
 from .corpus import (
     SUPPORTED_LANGUAGES,
     Article,
-    LocationTuple,
     compute_stats,
     format_stats_table,
     load_corpus,
     load_gold,
     save_corpus,
 )
-from .memo import map_articles
-from .pairs import TrainingPair, generate_pairs, load_pairs, save_pairs
 
 if TYPE_CHECKING:
     from .locations import Resolver
+    from .pairs import TrainingPair
 
 # Each command imports the layers it runs when it runs, through the config's
 # builders or its own imports: each command starts in a fresh interpreter, and
@@ -252,17 +250,6 @@ def _note_sources(articles: Sequence[Article], path: str, sources: dict[str, str
         sources[article.id] = path
 
 
-def _category_locations(
-    articles: Sequence[Article], resolver: Resolver, workers: int
-) -> dict[str, list[LocationTuple]]:
-    found = map_articles(
-        lambda article: resolver.classify_categories(article.categories, article.language),
-        articles,
-        workers,
-    )
-    return {article.id: locations for article, locations in zip(articles, found)}
-
-
 def _write_json(path: str, value: Any) -> None:
     """Write `value` as indented JSON with sorted keys."""
     text = json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
@@ -287,27 +274,42 @@ def cmd_ingest(args: argparse.Namespace, config: None) -> int:
 
 
 def cmd_classify_categories(args: argparse.Namespace, config: PipelineConfig) -> int:
+    from .memo import map_articles
+
     articles = _load_all(config)
     resolver = config.build_resolver()
-    locations = _category_locations(articles, resolver, config.workers)
+    found = map_articles(
+        lambda article: resolver.classify_categories(article.categories, article.language),
+        articles,
+        config.workers,
+    )
     records = [
-        {"article_id": article.id, "locations": [loc.to_json() for loc in locations[article.id]]}
-        for article in articles
+        {"article_id": article.id, "locations": [loc.to_json() for loc in locations]}
+        for article, locations in zip(articles, found)
     ]
     _write_jsonl(args.output, records)
-    located = sum(1 for article in articles if locations[article.id])
+    located = sum(1 for locations in found if locations)
     print(f"classified {len(articles)} articles, {located} with category locations -> {args.output}")
     return 0
+
+
+def generate_pairs(articles: Sequence[Article], **settings: Any) -> list[TrainingPair]:
+    """`pairs.generate_pairs`, imported on first use; perfbench's tracer wraps this name."""
+    from . import pairs
+
+    return pairs.generate_pairs(articles, **settings)
 
 
 def _corpus_pairs(config: PipelineConfig) -> list[TrainingPair]:
     """Training pairs of the corpus, from its category locations."""
     articles = _load_all(config)
     resolver = config.build_resolver()
-    return generate_pairs(articles, resolver, seed=config.seed, workers=config.workers)
+    return generate_pairs(articles, resolver=resolver, seed=config.seed, workers=config.workers)
 
 
 def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
+    from .pairs import save_pairs
+
     pairs = _corpus_pairs(config)
     save_pairs(pairs, args.output)
     positives = sum(1 for pair in pairs if pair.label == 1)
@@ -319,6 +321,7 @@ def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
+    from .memo import map_articles
     from .ranking import ranking_record
 
     articles = _load_all(config)
@@ -361,6 +364,7 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
+    from .pairs import load_pairs
     from .training import LinearAdapter, TrainingDiverged, save_checkpoint, train
 
     pairs = load_pairs(args.pairs) if args.pairs else _corpus_pairs(config)

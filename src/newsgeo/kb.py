@@ -121,7 +121,8 @@ class KbCache:
     line wins, so neither a hash collision nor a damaged index can answer
     with another key's record. A load that indexes any line merges their
     entries into the index, searches the merged index from then on, and
-    rewrites the file with it (a temporary file, then a rename).
+    rewrites the file with it (a temporary file, then a rename), first
+    removing the temporary files of writers no longer running (on POSIX).
     The index is disposable: a failed write is ignored, and a missing,
     unreadable or stale index only makes the pass start at 0.
 
@@ -346,6 +347,7 @@ class KbCache:
             _INDEX_MAGIC, covered, crc, self._len, len(body) // 16, zlib.crc32(body)
         )
         index = self._index_path()
+        _remove_orphans(index)
         temp = index.with_name(f"{index.name}.{os.getpid()}-{threading.get_ident()}.tmp")
         try:
             temp.write_bytes(header + body)
@@ -360,6 +362,27 @@ class KbCache:
     def _number(self, entry: int | str) -> int | None:
         """The line number of an offset of `_data`; None for the line of a `put`."""
         return self._data.count(b"\n", 0, entry) + 1 if isinstance(entry, int) else None
+
+
+def _remove_orphans(index: Path) -> None:
+    """Remove each `<index>.<pid>-<thread>.tmp` whose writer, process `pid`,
+    no longer runs: one killed while it wrote the index. Only on POSIX, where
+    `os.kill(pid, 0)` only asks; on Windows it would end the process."""
+    if os.name != "posix":
+        return
+    prefix, suffix = index.name + ".", ".tmp"
+    with contextlib.suppress(OSError), os.scandir(index.parent) as entries:
+        for entry in entries:
+            name = entry.name
+            pid, dash, _ = name[len(prefix) : -len(suffix)].partition("-")
+            if name.startswith(prefix) and name.endswith(suffix) and dash and pid.isdecimal():
+                try:
+                    os.kill(int(pid), 0)
+                except ProcessLookupError:
+                    with contextlib.suppress(OSError):
+                        os.unlink(entry.path)
+                except (OSError, OverflowError):  # another user's process, or no such pid
+                    pass
 
 
 # The index file's header: tag, covered, its CRC-32, keys, entries, body CRC-32.

@@ -13,14 +13,16 @@ run that the KB cache answers stays on one thread. Within an article,
 the same way: once one waits on the network, the later ones go out beside
 it, at most `workers` per article. So threads can reach `workers` squared,
 16 at `workers` 4, while articles in flight stay at most `workers`. No
-article or item starts after one has failed. Each thread of a map knows the
-corpus index of the article it runs or works for (`article_index`), so that
-a KB rate limiter can give its next request slot to the earliest article
-waiting for one, and an article's requests keep the article's place.
+article or item starts after one has failed. A map's threads run in copies
+of the context that created it, whatever a Python version gives a new
+thread, so an article's context variables follow it onto all of its
+threads. One is its corpus index (`article_index`), by which a KB rate
+limiter gives its next request slot to the earliest article waiting.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence, TypeVar
 
@@ -74,9 +76,10 @@ class Memo:
             mine.set()
 
 
-# The map whose item the current thread runs, for `waiting`, and the index of
-# the article that item is or belongs to, for `article_index`.
-_current = threading.local()
+# The map whose item this context runs, for `waiting`, and the index of the
+# article that item is or belongs to, for `article_index`.
+_map: contextvars.ContextVar[_LazyMap | None] = contextvars.ContextVar("map", default=None)
+_index: contextvars.ContextVar[int | None] = contextvars.ContextVar("index", default=None)
 
 
 def waiting() -> None:
@@ -84,7 +87,7 @@ def waiting() -> None:
     item of a map, one more thread starts on that map's later items, up to
     its `workers`, and the same goes for the map of articles an item of
     `map_in_article` belongs to; outside a map nothing happens."""
-    mapped = getattr(_current, "map", None)
+    mapped = _map.get()
     while mapped is not None:
         mapped.add_thread()
         mapped = mapped.outer
@@ -93,28 +96,23 @@ def waiting() -> None:
 def article_index() -> int | None:
     """The corpus index of the article this thread runs in `map_articles`, or
     None on a thread that runs none."""
-    return getattr(_current, "index", None)
+    return _index.get()
 
 
 class _LazyMap:
     """The items of one `map_articles` or `map_in_article` call. Each of its
     threads takes the next item from one counter until none is left or one
-    has failed. `article` is None in a map of articles, where each item is
-    the article of its own index, and otherwise the index of the article
-    whose items these are; `outer` is that article's map."""
+    has failed, in a fresh copy of the context that created the map (one
+    thread at a time may enter a context): it sees what was set around the
+    map, and what an item sets never reaches the map's caller. `outer` is
+    the map whose item created this one, if any; in a map of articles
+    (`indexed`) each item sets its own `article_index`."""
 
-    def __init__(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        workers: int,
-        article: int | None = None,
-        outer: _LazyMap | None = None,
-    ):
+    def __init__(self, fn: Callable[[Any], Any], items: Sequence[Any], workers: int, indexed: bool):
         self._fn, self._items, self.workers = fn, items, workers
-        self._article, self.outer = article, outer
-        self._lock = threading.Lock()
-        self._next = 0
+        self._indexed, self.outer = indexed, _map.get()
+        self._context = contextvars.copy_context()
+        self._lock, self._next = threading.Lock(), 0
         self._threads: list[threading.Thread] = []
         self._results: list[Any] = [None] * len(items)
         self._errors: dict[int, BaseException] = {}
@@ -125,36 +123,33 @@ class _LazyMap:
 
     def _work(self) -> None:
         """Run items until none is left or one has failed."""
-        saved = getattr(_current, "map", None), article_index()
-        _current.map = self
-        try:
-            while True:
+        _map.set(self)
+        while True:
+            with self._lock:
+                if not self._open():
+                    return
+                index, self._next = self._next, self._next + 1
+            if self._indexed:
+                _index.set(index)
+            try:
+                self._results[index] = self._fn(self._items[index])
+            except BaseException as exc:
                 with self._lock:
-                    if not self._open():
-                        return
-                    index, self._next = self._next, self._next + 1
-                _current.index = index if self._article is None else self._article
-                try:
-                    self._results[index] = self._fn(self._items[index])
-                except BaseException as exc:
-                    with self._lock:
-                        self._errors[index] = exc
-        finally:
-            _current.map, _current.index = saved
+                    self._errors[index] = exc
 
     def add_thread(self) -> None:
         """Start one more thread on the items, unless `workers` already run."""
         with self._lock:
             if self._open() and len(self._threads) + 1 < self.workers:
                 # Started before it is listed, so no join finds it unstarted.
-                thread = threading.Thread(target=self._work)
+                thread = threading.Thread(target=self._context.copy().run, args=(self._work,))
                 thread.start()
                 self._threads.append(thread)
 
     def run(self) -> list[Any]:
         """Run the items from the calling thread on and return their results
         in order, or raise the exception of the earliest failed item."""
-        self._work()
+        self._context.copy().run(self._work)
         # The list grows only while one of its threads, not yet joined, runs,
         # or an item of an article one of them runs.
         for thread in self._threads:
@@ -193,7 +188,7 @@ def map_articles(
                 raise
             raise ValueError(f"article {article.id}: {exc}") from exc
 
-    return _LazyMap(run, articles, workers).run()
+    return _LazyMap(run, articles, workers, indexed=True).run()
 
 
 def map_in_article(fn: Callable[[Any], T], items: Sequence[Any]) -> list[T]:
@@ -208,7 +203,7 @@ def map_in_article(fn: Callable[[Any], T], items: Sequence[Any]) -> list[T]:
     the earliest failed item is raised unchanged. Outside a map, or at one
     worker, this is a plain loop.
     """
-    enclosing = getattr(_current, "map", None)
+    enclosing = _map.get()
     if enclosing is None or enclosing.workers == 1:
         return [fn(item) for item in items]
-    return _LazyMap(fn, items, enclosing.workers, article_index(), enclosing).run()
+    return _LazyMap(fn, items, enclosing.workers, indexed=False).run()

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
 from .corpus import Article, LocationTuple, read_strict_jsonl, render_location
-from .memo import map_articles
 
 if TYPE_CHECKING:
     from .locations import Resolver
@@ -71,6 +70,8 @@ def generate_pairs(
     classified and paired in one task; the articles run on up to `workers`
     threads while some wait on the KB, and their pairs come in corpus order.
     """
+    from .memo import map_articles  # here, so `train --pairs` loads no map
+
     per_article = map_articles(
         lambda article: _article_pairs(article, resolver, seed), corpus, workers
     )

@@ -247,24 +247,41 @@ class TestRank:
         assert main(["rank", "--config", config, "--workers", "4", "--output", str(threaded)]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
 
-    @pytest.mark.parametrize("blocked", ["read-only directory", "index path is a directory"])
-    def test_a_failed_index_write_leaves_the_output_alone(self, tmp_path, fixture_tree, blocked):
+    @pytest.mark.parametrize(
+        "blocked", ["read-only directory", "index path is a directory", "temporary write refused"]
+    )
+    def test_a_failed_index_write_leaves_the_output_alone(
+        self, tmp_path, fixture_tree, blocked, monkeypatch
+    ):
         folder = fixture_tree["cache"].parent
         index = folder / "kb_cache.jsonl.index"
         index.unlink(missing_ok=True)
         argv = ["rank", "--config", str(fixture_tree["config"]), "--output"]
+        refused = []
         if blocked == "read-only directory":
             folder.chmod(0o555)
-        else:
+        elif blocked == "index path is a directory":
             index.mkdir()
+        else:  # as a read-only directory would, also for a user that permission bits do not stop
+            write_bytes = Path.write_bytes
+
+            def refuse_temporary(path, data):
+                if path.name.endswith(".tmp"):
+                    refused.append(path)
+                    raise PermissionError(13, "Permission denied", str(path))
+                return write_bytes(path, data)
+
+            monkeypatch.setattr(Path, "write_bytes", refuse_temporary)
         before = sorted(folder.iterdir())
         try:
             if os.access(folder, os.W_OK) and blocked == "read-only directory":
                 pytest.skip("permission bits do not stop this user's writes")
             assert main([*argv, str(tmp_path / "blocked.jsonl")]) == 0
             assert sorted(folder.iterdir()) == before
+            assert len(refused) == (blocked == "temporary write refused")
         finally:
             folder.chmod(0o755)
+            monkeypatch.undo()
         if index.is_dir():
             index.rmdir()
         assert main([*argv, str(tmp_path / "writes_index.jsonl")]) == 0
@@ -1374,6 +1391,8 @@ sys.exit(code)
 # The modules of the KB clients, the linker, the resolver and NER.
 KB_LAYERS = ("newsgeo.kb", "newsgeo.linking", "newsgeo.locations")
 LAYERS = (*KB_LAYERS, "newsgeo.ner")
+# Loaded only by the commands that map articles or read or build pairs.
+MEMO, PAIRS = "newsgeo.memo", "newsgeo.pairs"
 
 
 def run_probe(tmp_path, fixture_tree, command, modules) -> dict:
@@ -1484,20 +1503,21 @@ class TestImports:
     @pytest.mark.parametrize(
         "command, layers",
         [
-            (["train", "--pairs", "{pairs}", "--epochs", "1", "--output", "{out}"], ()),
+            (["train", "--pairs", "{pairs}", "--epochs", "1", "--output", "{out}"], (PAIRS,)),
             (["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"], ()),
-            (["cache-export", "--output", "{out}"], ("newsgeo.kb",)),
-            (["generate-pairs", "--output", "{out}"], KB_LAYERS),
-            (["classify-categories", "--output", "{out}"], KB_LAYERS),
-            (["train", "--epochs", "1", "--output", "{out}"], KB_LAYERS),
-            (["evaluate", "--output", "{out}"], LAYERS),
-            (["rank", "--output", "{out}"], LAYERS),
-            (["evaluate", "--baseline", "first-location", "--output", "{out}"], LAYERS),
+            (["cache-export", "--output", "{out}"], ("newsgeo.kb", MEMO)),
+            (["generate-pairs", "--output", "{out}"], (*KB_LAYERS, MEMO, PAIRS)),
+            (["classify-categories", "--output", "{out}"], (*KB_LAYERS, MEMO)),
+            (["train", "--epochs", "1", "--output", "{out}"], (*KB_LAYERS, MEMO, PAIRS)),
+            (["evaluate", "--output", "{out}"], (*LAYERS, MEMO)),
+            (["rank", "--output", "{out}"], (*LAYERS, MEMO)),
+            (["evaluate", "--baseline", "first-location", "--output", "{out}"], (*LAYERS, MEMO)),
         ],
         ids=lambda value: "-".join(p.lstrip("-") for p in value[:2]) if isinstance(value, list) else None,
     )
     def test_layers_only_in_commands_that_run_them(self, tmp_path, fixture_tree, command, layers):
-        assert loaded_modules(tmp_path, fixture_tree, command, LAYERS) == set(layers)
+        checked = (*LAYERS, MEMO, PAIRS)
+        assert loaded_modules(tmp_path, fixture_tree, command, checked) == set(layers)
 
 
 class TestThreads:

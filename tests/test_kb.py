@@ -655,11 +655,31 @@ class TestKilledWriter:
             rest = kill(merger)
         assert rest == []
         assert index.read_bytes() == before
+        assert len(list(tmp_path.glob("c.jsonl.index.*.tmp"))) == 1  # the killed load's
         for _ in range(2):  # the load after the kill, and the one after its own merge
             cache = KbCache(path)
             assert cache.keys() == sorted(("wikidata", f"Q{i}") for i in range(300))
             for i in range(300):
                 assert cache.get("wikidata", f"Q{i}") == {"i": i}
+            assert list(tmp_path.glob("c.jsonl.index.*.tmp")) == []
+
+    def test_only_the_temporary_files_of_this_index_s_dead_writers_are_removed(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        KbCache(path).put("wikidata", "Q1", {"i": 1})
+        dead = start_child("")
+        dead.wait(timeout=60)
+        dead.stdout.close()
+        names = [
+            f"c.jsonl.index.{os.getpid()}-1.tmp",  # a running writer's: this process
+            f"d.jsonl.index.{dead.pid}-1.tmp",  # another index's
+            f"c.jsonl.index.{dead.pid}.tmp",  # not a writer's name
+            f"c.jsonl.index.{dead.pid}-1.tmp",  # a dead writer's
+        ]
+        for name in names:
+            (tmp_path / name).write_bytes(b"half")
+        KbCache(path)  # merges the line into a new index
+        assert (tmp_path / "c.jsonl.index").exists()
+        assert sorted(p.name for p in tmp_path.glob("*.tmp")) == sorted(names[:3])
 
 
 SOURCES = ["wikidata", "dbpedia", "wplink", "sé", 's"q']

@@ -2,6 +2,7 @@
 the map of one article's items."""
 
 import contextlib
+import contextvars
 import sys
 import threading
 import time
@@ -393,3 +394,71 @@ class TestMapInArticle:
         expected = [[(index, number) for number in range(20)] for index in range(30)]
         assert found == expected
         assert sorted(runs) == [pair for per_article in expected for pair in per_article]
+
+
+# Set by an article or an item in the tests of `TestContext`.
+mark: contextvars.ContextVar = contextvars.ContextVar("mark", default=None)
+
+
+class TestContext:
+    """A context variable set around an article follows it onto every thread
+    of its items, and one an item sets never reaches the map's caller."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_an_article_s_variable_is_seen_by_every_item(self, workers):
+        def item(number):
+            waiting()
+            time.sleep(0.001)  # the other threads take items and articles meanwhile
+            return mark.get(), number
+
+        def article(article):
+            mark.set(article.id)
+            return map_in_article(item, range(6))
+
+        found = finished(lambda: map_articles(article, articles(5), workers))
+        assert found == [[(f"a-{index}", number) for number in range(6)] for index in range(5)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_value_an_item_sets_is_gone_when_map_articles_returns(self, workers):
+        def fn(article):
+            mark.set(article.id)
+            waiting()
+            return article.id
+
+        def run():
+            return map_articles(fn, articles(6), workers), mark.get()
+
+        assert finished(run) == ([f"a-{index}" for index in range(6)], None)
+
+    @pytest.mark.parametrize("waits", [False, True])
+    def test_a_value_an_item_sets_is_gone_when_map_in_article_returns(self, waits):
+        def item(number):
+            mark.set(number)
+            if waits:
+                waiting()
+            return number
+
+        def article(article):
+            mark.set(article.id)
+            return map_in_article(item, range(4)), mark.get()
+
+        found = finished(lambda: map_articles(article, articles(3), workers=4))
+        assert found == [([0, 1, 2, 3], f"a-{index}") for index in range(3)]
+
+    def test_every_item_sees_its_own_article_s_value_under_stress(self):
+        def item(number):
+            waiting()
+            time.sleep(0)  # let the other threads take items and articles meanwhile
+            return mark.get()
+
+        def article(article):
+            mark.set(article.id)
+            return map_in_article(item, range(20))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            found = finished(lambda: map_articles(article, articles(30), workers=8), timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert found == [[f"a-{index}"] * 20 for index in range(30)]
