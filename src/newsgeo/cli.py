@@ -42,13 +42,12 @@ from .corpus import (
 )
 
 if TYPE_CHECKING:
-    from .locations import Resolver
     from .pairs import TrainingPair
 
 # Each command imports the layers it runs when it runs, through the config's
 # builders or its own imports: each command starts in a fresh interpreter, and
-# most of a short command's time would otherwise go to importing. `train
-# --pairs` loads no KB layer, and numpy loads at a command's first vector, so
+# most of a short command's time would otherwise go to importing. `train`
+# loads no KB layer, and numpy loads at a command's first vector, so
 # `evaluate --baseline`, and a run whose articles yield no candidate, never
 # load it.
 
@@ -71,7 +70,7 @@ _BASELINES = {
 
 # Each flag a command's configuration reads: the config fields it sets
 # ("loss." names a training setting), and its argparse settings. A flag left
-# out, or given an empty string, sets nothing.
+# out, or given an empty string, is not given (`_given`) and sets nothing.
 _FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
     "--config": ((), dict(help="JSON config file")),
     "--cache": (("cache",), dict(help="KB cache file or directory")),
@@ -94,16 +93,18 @@ _FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
     "--patience": (("loss.early_stop_patience",), dict(type=int)),
     "--learning-rate": (("loss.learning_rate",), dict(type=float)),
 }
-# The shared flags: the KB stages read five, generate-pairs adds the seed of
-# its sampler, and the stages that embed, which may all read the KB, add the embedder.
+# The shared flags: the KB stages read five, generate-pairs adds the seed of its
+# sampler, and rank and evaluate add the embedder. train reads no KB flag.
 _KB_FLAGS = ("--config", "--cache", "--network", "--workers", "--corpus")
 _PAIR_FLAGS = (*_KB_FLAGS, "--seed")
 _ALL_FLAGS = (*_PAIR_FLAGS, "--embedder")
+# The flags of evaluate that a baseline does not read, with what it does instead.
+_NOT_BASELINE = {"--seed": "builds no encoder", "--embedder": "builds no encoder",
+                 "--mode": "reads the modes it names"}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         # A command without --config (ingest) reads no configuration.
@@ -157,32 +158,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--language", required=True, choices=SUPPORTED_LANGUAGES)
     p.add_argument("--output", required=True)
     p.add_argument("--stats", action="store_true", help="print the corpus statistics table")
-    p = command(
-        "classify-categories", cmd_classify_categories, _KB_FLAGS,
-        "infer locations from article categories",
-    )
+    p = command("classify-categories", cmd_classify_categories, _KB_FLAGS,
+                "infer locations from article categories")
     p.add_argument("--output", required=True)
-    p = command(
-        "generate-pairs", cmd_generate_pairs, _PAIR_FLAGS, "build contrastive training pairs"
-    )
+    p = command("generate-pairs", cmd_generate_pairs, _PAIR_FLAGS,
+                "build contrastive training pairs")
     p.add_argument("--output", required=True)
     p = command("rank", cmd_rank, (*_ALL_FLAGS, "--mode"), "rank candidate entities per article")
     p.add_argument("--output", required=True)
-    p = command(
-        "evaluate", cmd_evaluate, (*_ALL_FLAGS, "--gold", "--mode"),
-        "score predictions against the gold file",
-    )
+    p = command("evaluate", cmd_evaluate, (*_ALL_FLAGS, "--gold", "--mode"),
+                "score predictions against the gold file")
     p.add_argument("--baseline", choices=sorted(_BASELINES))
     p.add_argument("--output", help="write the full report as JSON")
     p.add_argument("--trace", help="write the per-document trace as JSONL")
     training = ("--loss", "--batch-size", "--epochs", "--margin", "--patience", "--learning-rate")
-    p = command("train", cmd_train, (*_ALL_FLAGS, *training), "fine-tune the embedding adapter")
-    p.add_argument("--pairs", help="pairs JSONL from generate-pairs (else computed)")
+    p = command("train", cmd_train, ("--config", "--seed", "--embedder", *training),
+                "fine-tune the embedding adapter")
+    p.add_argument("--pairs", required=True, help="pairs JSONL from generate-pairs")
     p.add_argument("--output", help="write the training report as JSON")
     p.add_argument("--checkpoint", help="write the fine-tuned weights (.npz)")
-    p = command(
-        "cache-export", cmd_cache_export, ("--config", "--cache"), "write a sorted cache snapshot"
-    )
+    p = command("cache-export", cmd_cache_export, ("--config", "--cache"),
+                "write a sorted cache snapshot")
     p.add_argument("--output", required=True)
     return parser
 
@@ -193,8 +189,7 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     changes: dict[str, Any] = {}
     loss_changes: dict[str, Any] = {}
     for flag, (fields, _) in _FLAGS.items():
-        value = vars(args).get(flag[2:].replace("-", "_"))
-        if value is None or value == "":
+        if (value := _given(args, flag)) is None:
             continue
         if flag == "--corpus":
             value = _corpus_entries(value)
@@ -204,6 +199,12 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     config = config._replace(**changes, loss=config.loss._replace(**loss_changes))
     config.validate()
     return config
+
+
+def _given(args: argparse.Namespace, flag: str) -> Any:
+    """`flag`'s value in `args`; None if it is left out or given an empty string."""
+    value = vars(args).get(flag[2:].replace("-", "_"))
+    return None if value == "" else value
 
 
 def _corpus_entries(entries: list[str]) -> dict[str, str]:
@@ -300,17 +301,11 @@ def generate_pairs(articles: Sequence[Article], **settings: Any) -> list[Trainin
     return pairs.generate_pairs(articles, **settings)
 
 
-def _corpus_pairs(config: PipelineConfig) -> list[TrainingPair]:
-    """Training pairs of the corpus, from its category locations."""
-    articles = _load_all(config)
-    resolver = config.build_resolver()
-    return generate_pairs(articles, resolver=resolver, seed=config.seed, workers=config.workers)
-
-
 def cmd_generate_pairs(args: argparse.Namespace, config: PipelineConfig) -> int:
     from .pairs import save_pairs
 
-    pairs = _corpus_pairs(config)
+    articles, resolver = _load_all(config), config.build_resolver()
+    pairs = generate_pairs(articles, resolver=resolver, seed=config.seed, workers=config.workers)
     save_pairs(pairs, args.output)
     positives = sum(1 for pair in pairs if pair.label == 1)
     print(
@@ -340,8 +335,10 @@ def cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     from .evaluation import baseline_predictor, format_report_table, run_experiment
 
-    if args.baseline and args.mode:
-        raise ConfigError(["--mode: not used with --baseline, which reads the modes it names"])
+    unused = [f"{flag}: not used with --baseline, which {why}"
+              for flag, why in _NOT_BASELINE.items() if _given(args, flag) is not None]
+    if args.baseline and unused:
+        raise ConfigError(unused)
     if not config.gold:
         raise ConfigError(["gold: no gold file configured"])
     articles = _load_all(config)
@@ -355,11 +352,11 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
         system = "ranked-" + "+".join(config.representation_modes)
         predictor = config.build_pipeline().predict
     report = run_experiment(articles, gold, predictor, system=system, workers=config.workers)
-    print(format_report_table([report]))
     if args.output:
         _write_json(args.output, report.to_json())
     if args.trace:
         _write_jsonl(args.trace, (entry.to_json() for entry in report.trace))
+    print(format_report_table([report]))
     return 0
 
 
@@ -367,20 +364,20 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
     from .pairs import load_pairs
     from .training import LinearAdapter, TrainingDiverged, save_checkpoint, train
 
-    pairs = load_pairs(args.pairs) if args.pairs else _corpus_pairs(config)
+    pairs = load_pairs(args.pairs)
     adapter = LinearAdapter(config.build_embedder())
     try:
         report = train(adapter, pairs, config.loss, config.chunking_mode)
     except TrainingDiverged as exc:
         return _fail("training-diverged", [str(exc)])
-    print(
-        f"trained loss={report.loss} batch={report.batch_size} "
-        f"epochs={report.epochs_run}/{report.epochs_requested} best={report.best_epoch}"
-    )
     if args.output:
         _write_json(args.output, report.to_json())
     if args.checkpoint:
         save_checkpoint(adapter, args.checkpoint)
+    print(
+        f"trained loss={report.loss} batch={report.batch_size} "
+        f"epochs={report.epochs_run}/{report.epochs_requested} best={report.best_epoch}"
+    )
     return 0
 
 

@@ -162,9 +162,11 @@ class PipelineConfig(NamedTuple):
             )
         if self.chunking_mode not in (TRUNCATE, AVERAGE):
             found.append(f"chunking_mode: unknown mode {self.chunking_mode!r}")
-        for mode in self.representation_modes:
+        for i, mode in enumerate(self.representation_modes):
             if mode not in REPRESENTATION_MODES:
                 found.append(f"representation_modes: unknown mode {mode!r}")
+            elif mode in self.representation_modes[:i]:
+                found.append(f"representation_modes: mode {mode!r} given twice")
         if not self.representation_modes:
             found.append("representation_modes: at least one mode required")
         if self.workers < 1:

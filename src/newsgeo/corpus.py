@@ -144,8 +144,9 @@ class Article(NamedTuple):
             raise ValueError("empty text")
         if not self.text.startswith(self.title):
             raise ValueError("title is not a prefix of text")
-        if type(self.categories) is not list or not all(type(c) is str for c in self.categories):
-            raise ValueError(f"categories must be a list of strings, got {self.categories!r}")
+        categories = self.categories
+        if type(categories) is not list or not all(type(c) is str and c for c in categories):
+            raise ValueError(f"categories must be a list of non-empty strings, got {categories!r}")
         for mention in self.mentions:
             mention.validate(self.text)
 

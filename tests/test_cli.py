@@ -12,6 +12,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -78,8 +79,16 @@ SHARED_FLAGS_BY_COMMAND = {
     "generate-pairs": KB_FLAGS | {"--seed"},
     "rank": SHARED_FLAGS,
     "evaluate": SHARED_FLAGS,
-    "train": SHARED_FLAGS,
+    "train": {"--config", "--seed", "--embedder"},
 }
+
+
+def fixture_pairs(tmp_path, fixture_tree) -> Path:
+    """The pairs file that generate-pairs writes on the fixture config."""
+    pairs = tmp_path / "pairs.jsonl"
+    argv = ["generate-pairs", "--config", str(fixture_tree["config"]), "--output", str(pairs)]
+    assert main(argv) == 0
+    return pairs
 
 
 class TestIngest:
@@ -135,6 +144,25 @@ class TestIngest:
             "details": [f"duplicate article id {article_id!r} in {repeated}"],
         }
         assert not output.exists()
+
+    def test_a_record_with_an_empty_category_is_skipped(self, tmp_path, fixture_tree, capsys):
+        """An empty category names no page; the record is skipped like any
+        other broken one, so the commands that classify categories run on."""
+        clean_lines = read_lines(fixture_tree["articles_en"])
+        record = json.loads(clean_lines[0]) | {"id": "en-999", "categories": ["Politics", ""]}
+        messy = tmp_path / "messy.jsonl"
+        messy.write_text("\n".join([*clean_lines, json.dumps(record)]) + "\n", encoding="utf-8")
+        output = tmp_path / "clean.jsonl"
+        code = main(["ingest", "--input", str(messy), "--language", "en", "--output", str(output)])
+        assert code == 0
+        assert f"loaded {len(clean_lines)} articles, skipped 1" in capsys.readouterr().out
+        assert read_lines(output) == clean_lines
+        pairs = []
+        for corpus in (messy, output):
+            pairs.append(tmp_path / f"pairs-{corpus.stem}.jsonl")
+            argv = ["generate-pairs", "--config", str(fixture_tree["config"])]
+            assert main([*argv, "--corpus", f"en={corpus}", "--output", str(pairs[-1])]) == 0
+        assert pairs[0].read_bytes() == pairs[1].read_bytes()
 
     def test_idempotent_on_its_own_output(self, tmp_path, fixture_tree):
         first = tmp_path / "first.jsonl"
@@ -342,16 +370,39 @@ class TestEvaluate:
         assert len(trace) == 10
         assert all(entry["error"] is None for entry in trace)
 
-    def test_mode_with_baseline_is_a_config_error(self, tmp_path, fixture_tree, capsys):
-        """A baseline reads the modes it names, so --mode would be ignored."""
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mode", "non_locations"],
+            ["--embedder", "mock:8"],
+            ["--seed", "3"],
+            ["--seed", "3", "--embedder", "mock:8", "--mode", "non_locations"],
+        ],
+        ids=["mode", "embedder", "seed", "all"],
+    )
+    def test_a_flag_a_baseline_does_not_read_is_a_config_error(
+        self, tmp_path, fixture_tree, flags, capsys
+    ):
+        """A baseline builds no encoder and reads the modes it names, so
+        --seed, --embedder and --mode would be ignored."""
+        unused = {
+            "--mode": "--mode: not used with --baseline, which reads the modes it names",
+            "--embedder": "--embedder: not used with --baseline, which builds no encoder",
+            "--seed": "--seed: not used with --baseline, which builds no encoder",
+        }
         report = tmp_path / "report.json"
         argv = ["evaluate", "--config", str(fixture_tree["config"]), "--baseline", "first-location"]
-        assert main([*argv, "--mode", "non_locations", "--output", str(report)]) == 1
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "config",
-            "details": ["--mode: not used with --baseline, which reads the modes it names"],
-        }
+        assert main([*argv, *flags, "--output", str(report)]) == 1
+        details = json.loads(capsys.readouterr().err.strip())["details"]
+        assert sorted(details) == sorted(unused[flag] for flag in flags[::2])
         assert not report.exists()
+
+    def test_an_empty_flag_is_not_given_to_a_baseline(self, tmp_path, fixture_tree):
+        """An empty --embedder sets nothing, as in every command."""
+        report = tmp_path / "report.json"
+        argv = ["evaluate", "--config", str(fixture_tree["config"]), "--baseline", "first-location"]
+        assert main([*argv, "--embedder", "", "--output", str(report)]) == 0
+        assert report.exists()
 
     def test_reruns_and_worker_counts_byte_identical(self, tmp_path, fixture_tree):
         config = str(fixture_tree["config"])
@@ -473,8 +524,10 @@ class TestTrain:
 
         monkeypatch.setattr("newsgeo.training.loss_contrastive_grad", non_finite)
         output = tmp_path / "training.json"
-        argv = ["train", "--config", str(fixture_tree["config"]), "--output", str(output)]
-        assert main(argv) == 1
+        pairs = fixture_pairs(tmp_path, fixture_tree)
+        capsys.readouterr()
+        argv = ["train", "--config", str(fixture_tree["config"]), "--pairs", str(pairs)]
+        assert main([*argv, "--output", str(output)]) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "training-diverged",
             "details": ["non-finite loss nan at epoch 1, batch starting at 0"],
@@ -493,9 +546,11 @@ class TestTrain:
     def test_non_finite_flag_is_a_config_error(
         self, tmp_path, fixture_tree, monkeypatch, capsys, flag, value, problem
     ):
+        pairs = fixture_pairs(tmp_path, fixture_tree)
+        capsys.readouterr()
         embeds = count_calls(monkeypatch, MockEmbedder, "embed")
         output = tmp_path / "training.json"
-        argv = ["train", "--config", str(fixture_tree["config"]), flag, value]
+        argv = ["train", "--config", str(fixture_tree["config"]), "--pairs", str(pairs), flag, value]
         assert main([*argv, "--output", str(output)]) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "config",
@@ -570,19 +625,37 @@ class TestCacheExport:
         assert exported == [json.loads(caches[source].read_text(encoding="utf-8"))["key"]]
 
 
+def shared_flags_taken() -> dict[str, set[str]]:
+    """The shared flags each command of `build_parser()` takes."""
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        command: SHARED_FLAGS & {flag for action in p._actions for flag in action.option_strings}
+        for command, p in subparsers.choices.items()
+    }
+
+
 class TestFlags:
     def test_each_command_takes_the_shared_flags_it_reads(self):
-        subparsers = next(
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        taken = {
-            command: SHARED_FLAGS & {flag for action in p._actions for flag in action.option_strings}
-            for command, p in subparsers.choices.items()
-        }
+        taken = shared_flags_taken()
         assert taken == SHARED_FLAGS_BY_COMMAND
-        assert sum(map(len, taken.values())) == 34
+        assert sum(map(len, taken.values())) == 30
+
+    def test_the_readme_table_lists_the_shared_flags_of_each_command(self):
+        """Each row of the README's shared-flags table names its commands and
+        their flags in backquotes; "none" is a command without one."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = readme.split("| command | shared flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for row in rows.splitlines():
+            _, commands, flags, _ = row.split("|")
+            for command in re.findall(r"`([^`]+)`", commands):
+                assert command not in listed, command
+                listed[command] = set(re.findall(r"--[a-z-]+", flags))
+        assert listed == shared_flags_taken()
 
     @pytest.mark.parametrize(
         "argv",
@@ -592,19 +665,43 @@ class TestFlags:
                 "--corpus", "en=nonexistent.jsonl",
             ],
             ["cache-export", "--config", "{config}", "--output", "{out}", "--workers", "0"],
+            *(
+                ["train", "--config", "{config}", "--pairs", "{pairs}", "--output", "{out}", *flag]
+                for flag in (
+                    ["--cache", "{out}.cache"],
+                    ["--network", "online"],
+                    ["--workers", "3"],
+                    ["--corpus", "en={articles_en}"],
+                )
+            ),
         ],
-        ids=["ingest-corpus", "cache-export-workers"],
+        ids=[
+            "ingest-corpus", "cache-export-workers",
+            "train-cache", "train-network", "train-workers", "train-corpus",
+        ],
     )
     def test_a_flag_the_command_does_not_read_is_a_usage_error(
         self, tmp_path, fixture_tree, argv, capsys
     ):
+        """train reads its pairs from --pairs alone, so it reads no KB flag."""
         output = tmp_path / "out.jsonl"
         paths = dict(out=output, articles_en=fixture_tree["articles_en"], config=fixture_tree["config"])
+        if "{pairs}" in argv:
+            paths["pairs"] = fixture_pairs(tmp_path, fixture_tree)
+            capsys.readouterr()
         with pytest.raises(SystemExit) as excinfo:
             main([part.format(**paths) for part in argv])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments" in captured.err
+        assert not output.exists()
+
+    def test_train_without_a_pairs_file_is_a_usage_error(self, tmp_path, fixture_tree, capsys):
+        output = tmp_path / "training.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--config", str(fixture_tree["config"]), "--output", str(output)])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --pairs" in capsys.readouterr().err
         assert not output.exists()
 
 
@@ -757,9 +854,20 @@ class TestFailureModes:
         }
         assert not output.exists()
 
-    @pytest.mark.parametrize(
-        "command", ["rank", "evaluate", "classify-categories", "generate-pairs", "train"]
-    )
+    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    def test_repeated_mode_is_a_config_error(self, tmp_path, fixture_tree, command, capsys):
+        """A mode given twice would rank its candidates twice and name the system after both."""
+        output = tmp_path / "out.json"
+        argv = [command, "--config", str(fixture_tree["config"])]
+        argv += ["--mode", "only_locations", "--mode", "only_locations"]
+        assert main([*argv, "--output", str(output)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config",
+            "details": ["representation_modes: mode 'only_locations' given twice"],
+        }
+        assert not output.exists()
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate", "classify-categories", "generate-pairs"])
     def test_cache_only_run_without_a_cache_file_is_missing_file(
         self, tmp_path, fixture_tree, command, capsys
     ):
@@ -955,6 +1063,11 @@ class TestFailureModes:
             ("chunking_mode", "sentences", "chunking_mode: unknown mode 'sentences'"),
             ("representation_modes", ["all"], "representation_modes: unknown mode 'all'"),
             ("representation_modes", [], "representation_modes: at least one mode required"),
+            (
+                "representation_modes",
+                ["only_locations", "non_locations", "only_locations"],
+                "representation_modes: mode 'only_locations' given twice",
+            ),
             ("max_depth", 0, "max_depth: must be >= 1"),
             ("embedder", "openai:x", "embedder: unknown provider kind 'openai'"),
             ("ner_providers", ["flair"], "ner_providers: unknown provider kind 'flair'"),
@@ -962,7 +1075,8 @@ class TestFailureModes:
         ids=[
             "mock-abc", "mock-1", "missing-gazetteer", "corpus-pt", "loss-nan", "loss-inf",
             "missing-corpus", "missing-gold", "chunking-mode", "representation-mode",
-            "no-representation-mode", "max-depth-0", "embedder-kind", "ner-kind",
+            "no-representation-mode", "repeated-representation-mode", "max-depth-0",
+            "embedder-kind", "ner-kind",
         ],
     )
     def test_unusable_component_is_a_config_error(
@@ -1020,7 +1134,11 @@ class TestFailureModes:
         path = fixture_tree["config"].parent / "config_optional.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         output = tmp_path / "out.json"
-        assert main([command, "--config", str(path), "--output", str(output)]) == 1
+        argv = [command, "--config", str(path), "--output", str(output)]
+        if command == "train":
+            argv += ["--pairs", str(fixture_pairs(tmp_path, fixture_tree))]
+            capsys.readouterr()
+        assert main(argv) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "config", "details": [problem]}
         assert not output.exists()
 
@@ -1142,7 +1260,6 @@ KB_COMMANDS = {
     "rank": ["rank", "--output", "{out}"],
     "generate-pairs": ["generate-pairs", "--output", "{out}"],
     "classify-categories": ["classify-categories", "--output", "{out}"],
-    "train": ["train", "--output", "{out}", "--checkpoint", "{out}.npz"],
 }
 
 
@@ -1471,7 +1588,7 @@ PROBED_COMMANDS = [
     ),
     (["rank", "--output", "{out}"], True),
     (["evaluate", "--output", "{out}"], True),
-    (["train", "--epochs", "1", "--output", "{out}"], True),
+    (["train", "--pairs", "{pairs}", "--epochs", "1", "--output", "{out}"], True),
 ]
 
 
@@ -1508,7 +1625,6 @@ class TestImports:
             (["cache-export", "--output", "{out}"], ("newsgeo.kb", MEMO)),
             (["generate-pairs", "--output", "{out}"], (*KB_LAYERS, MEMO, PAIRS)),
             (["classify-categories", "--output", "{out}"], (*KB_LAYERS, MEMO)),
-            (["train", "--epochs", "1", "--output", "{out}"], (*KB_LAYERS, MEMO, PAIRS)),
             (["evaluate", "--output", "{out}"], (*LAYERS, MEMO)),
             (["rank", "--output", "{out}"], (*LAYERS, MEMO)),
             (["evaluate", "--baseline", "first-location", "--output", "{out}"], (*LAYERS, MEMO)),
@@ -1788,16 +1904,63 @@ class TestProcessExit:
             ["rank", "--config", "{config}", "--workers", "1", "--output", "{out}"],
             ["evaluate", "--config", "{config}", "--workers", "1", "--output", "{out}",
              "--trace", "{out}.trace"],
-            ["train", "--config", "{config}", "--workers", "1", "--epochs", "1", "--output", "{out}",
-             "--checkpoint", "{out}.npz"],
+            ["train", "--config", "{config}", "--pairs", "{pairs}", "--epochs", "1",
+             "--output", "{out}", "--checkpoint", "{out}.npz"],
             ["cache-export", "--config", "{config}", "--output", "{out}"],
         ],
         ids=lambda argv: argv[0],
     )
     def test_a_command_leaves_nothing_for_exit(self, tmp_path, fixture_tree, argv):
         paths = {"out": tmp_path / "out", **fixture_tree}
+        if "{pairs}" in argv:
+            paths["pairs"] = fixture_pairs(tmp_path, fixture_tree)
         argv = [part.format(**paths) for part in argv]
         assert leaves_nothing_for_exit(lambda: main(argv)) == 0
+
+
+class ClosedStdout:
+    """A standard output whose reader has gone, as in `newsgeo ... | true`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedStdout:
+    """evaluate and train write their files before their summary, as every
+    other command does, so a closed standard output loses none of them."""
+
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [
+            (["evaluate"], ("--output", "--trace")),
+            (["train", "--pairs", "{pairs}", "--epochs", "2"], ("--output", "--checkpoint")),
+        ],
+        ids=["evaluate", "train"],
+    )
+    def test_the_files_are_written_before_the_summary(
+        self, tmp_path, fixture_tree, monkeypatch, capsys, command, outputs
+    ):
+        pairs = fixture_pairs(tmp_path, fixture_tree)
+
+        def run(name):
+            argv = [part.format(pairs=pairs) for part in command]
+            argv += ["--config", str(fixture_tree["config"])]
+            for flag in outputs:
+                argv += [flag, str(tmp_path / f"{name}{flag}")]
+            return main(argv)
+
+        assert run("open") == 0
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        assert run("closed") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "brokenpipeerror",
+            "details": ["[Errno 32] Broken pipe"],
+        }
+        for flag in outputs:
+            assert (tmp_path / f"closed{flag}").read_bytes() == (tmp_path / f"open{flag}").read_bytes()
 
 
 # Boundaries the benchmark's tracer wraps that the program no longer has at

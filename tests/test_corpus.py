@@ -113,7 +113,9 @@ class TestLoadCorpus:
         assert [a.id for a in loaded] == ["a-1"]
         assert report.skipped == 6
         assert [w.split(":")[0] for w in report.warnings] == [f"line {n}" for n in range(2, 8)]
-        assert report.warnings[-1] == "line 7: categories must be a list of strings, got 'Paris'"
+        assert report.warnings[-1] == (
+            "line 7: categories must be a list of non-empty strings, got 'Paris'"
+        )
 
     @pytest.mark.parametrize(
         "field, value, problem",
@@ -129,10 +131,21 @@ class TestLoadCorpus:
             ("id", ["a"], "id must be a non-empty string, got ['a']"),
             ("id", 7, "id must be a non-empty string, got 7"),
             ("id", "", "id must be a non-empty string, got ''"),
+            (
+                "categories",
+                ["Politics", ""],
+                "categories must be a list of non-empty strings, got ['Politics', '']",
+            ),
+            (
+                "categories",
+                ["Politics", 5],
+                "categories must be a list of non-empty strings, got ['Politics', 5]",
+            ),
         ],
         ids=[
             "text-int", "text-list", "text-null", "title-int", "url-int", "start-float",
-            "start-bool", "id-null", "id-list", "id-int", "id-empty",
+            "start-bool", "id-null", "id-list", "id-int", "id-empty", "category-empty",
+            "category-int",
         ],
     )
     def test_field_of_the_wrong_type_skipped_with_warning(self, tmp_path, field, value, problem):
