@@ -487,15 +487,18 @@ def forbidden_transport(url: str) -> Any:
 class WikidataItem(NamedTuple):
     """A WikiData entity reduced to the properties the pipeline consumes.
 
-    ``p31`` keeps the English label of each target class next to its id so
-    that the city test (substring match on the class name) needs no further
-    lookups.
+    ``p31`` pairs each instance-of class id with its label, or with None. A
+    fetched record holds None, and `WikidataClient.fetch` fills the label in
+    from the class's labels-only record unless its caller reads labels
+    itself: the city test reads one the first time it needs the name, so a
+    class it never reads is never fetched. Older records, and the fixture
+    cache, hold the label inline.
     """
 
     qid: str
     labels: dict[str, str]
     p17: list[str]
-    p31: list[tuple[str, str]]
+    p31: list[tuple[str, str | None]]
     p131: list[str]
 
     def label(self) -> str | None:
@@ -506,8 +509,9 @@ class WikidataItem(NamedTuple):
         qid, labels, p17, p31, p131 = d["qid"], d["labels"], d["p17"], d["p31"], d["p131"]
         # Fetched payloads and cached records both become items here, so a
         # field of the wrong JSON type, an id or claim target that is not an
-        # item id, or a label that is not a string never reaches a lookup or
-        # a report; a string where a list belongs would read as its characters.
+        # item id, or a label that is not a string (a class label may be null:
+        # not fetched yet) never reaches a lookup or a report; a string where
+        # a list belongs would read as its characters.
         if type(labels) is not dict:
             raise TypeError(f"labels must be an object, got {labels!r}")
         for field, ids in (("p17", p17), ("p131", p131)):
@@ -520,7 +524,7 @@ class WikidataItem(NamedTuple):
         p31 = [tuple(pair) for pair in p31]
         for target in (qid, *p17, *(class_qid for class_qid, _ in p31), *p131):
             _check_qid(target)
-        for label in (*labels.values(), *(label for _, label in p31)):
+        for label in (*labels.values(), *(label for _, label in p31 if label is not None)):
             _check_string(label, "label")
         return WikidataItem(qid, labels, p17, p31, p131)
 
@@ -597,9 +601,8 @@ class _CachedClient:
         )
 
     def _fetch_into_cache(self, source: str, key: str, fetch: Callable[[], Any]) -> bool:
-        # Nested lookups go from `wikidata` to `wikidata-label` and from
-        # `wplink` to `wptitle` only, so no fetch waits on a key whose fetch
-        # waits on it.
+        # The one nested lookup goes from `wplink` to `wptitle`, so no fetch
+        # waits on a key whose fetch waits on it.
         value = fetch()
         self.cache.put(source, key, _MISSING if value is None else value)
         return True
@@ -607,7 +610,7 @@ class _CachedClient:
     def _fetch_reduced(self, url: str, reduce: Callable[[Any], Any]) -> Any:
         """`reduce` of the payload at `url`; None on a 404. A transport that
         keeps failing after the retries, or a payload `reduce` cannot read,
-        raises :class:`KbRemoteError` naming `url`; a `KbError` passes unchanged."""
+        raises :class:`KbRemoteError` naming `url`."""
         waiting()  # another thread may take the map's next article meanwhile
         for attempt in range(RETRIES + 1):
             self.rate_limiter.wait()
@@ -624,8 +627,6 @@ class _CachedClient:
                 time.sleep(delay)
         try:
             return None if payload is None else reduce(payload)
-        except KbError:
-            raise
         except (KeyError, TypeError, AttributeError, ValueError, IndexError) as exc:
             # Not the shape the endpoint documents: an outage of the KB, not
             # an answer, so nothing is cached and a later run asks again.
@@ -633,20 +634,32 @@ class _CachedClient:
 
 
 class WikidataClient(_CachedClient):
-    """Per-entity WikiData lookups with label resolution for target classes."""
+    """Per-entity WikiData lookups, and labels-only lookups for class names."""
 
     SOURCE = "wikidata"
     LABEL_SOURCE = "wikidata-label"
 
-    def fetch(self, qid: str) -> WikidataItem | None:
+    def fetch(self, qid: str, class_labels: bool = True) -> WikidataItem | None:
         """The entity with country / instance-of / located-in populated; None
-        when it does not exist."""
+        when it does not exist.
+
+        With `class_labels`, a class label the record lacks is read through
+        `label` ("" for a class that does not exist), so every class carries
+        its name. Without, it stays None: the city test reads a label only
+        when no earlier class matched, and asks for no other.
+        """
         url = WIKIDATA_ENTITY_URL.format(qid=_check_qid(qid))
-        return self._lookup(
+        item = self._lookup(
             self.SOURCE, qid,
-            lambda: self._fetch_reduced(url, lambda p: self._parse_entity(qid, p)),
+            lambda: self._fetch_reduced(url, lambda p: _entity_record(qid, p)),
             WikidataItem.from_json,
         )
+        if item is None or not class_labels:
+            return item
+        return item._replace(p31=[
+            (class_qid, (self.label(class_qid) or "") if label is None else label)
+            for class_qid, label in item.p31
+        ])
 
     def label(self, qid: str) -> str | None:
         """English label of an entity (else any), from its labels-only record
@@ -659,21 +672,6 @@ class WikidataClient(_CachedClient):
                 {lang: _check_string(label, "label") for lang, label in value["labels"].items()}
             ),
         )
-
-    def _parse_entity(self, qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
-        entity = _entity_node(qid, payload)
-        if entity is None:
-            return None
-        labels = _entity_labels(entity)
-        claims = entity.get("claims", {})
-        p17 = _claim_targets(claims.get("P17", []))
-        p131 = _claim_targets(claims.get("P131", []))
-        p31 = []
-        for target in _claim_targets(claims.get("P31", [])):
-            p31.append((target, self.label(target) or ""))
-        return WikidataItem.from_json(
-            dict(qid=qid, labels=labels, p17=p17, p31=p31, p131=p131)
-        ).to_json()
 
 
 def _check_string(value: Any, field: str) -> str:
@@ -700,6 +698,20 @@ def _entity_node(qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
         return entities[qid]
     # A redirected entity is keyed by its canonical id; no entity is an absence.
     return next(iter(entities.values()), None)
+
+
+def _entity_record(qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:
+    entity = _entity_node(qid, payload)
+    if entity is None:
+        return None
+    claims = entity.get("claims", {})
+    return WikidataItem.from_json(dict(
+        qid=qid,
+        labels=_entity_labels(entity),
+        p17=_claim_targets(claims.get("P17", [])),
+        p31=[(target, None) for target in _claim_targets(claims.get("P31", []))],
+        p131=_claim_targets(claims.get("P131", [])),
+    )).to_json()
 
 
 def _labels_record(qid: str, payload: dict[str, Any]) -> dict[str, Any] | None:

@@ -65,7 +65,7 @@ def resolve_country(
     if not item.p17:
         return None
     qid = item.p17[0]
-    country = wikidata.fetch(qid)
+    country = wikidata.fetch(qid, class_labels=False)
     label = country.label() if country else None
     if not label:
         logger.warning("no label for country %s (via %s)", qid, item.qid)
@@ -74,7 +74,10 @@ def resolve_country(
 
 
 def resolve_city(
-    item: WikidataItem, wikidata: WikidataClient, max_depth: int = 10
+    item: WikidataItem,
+    wikidata: WikidataClient,
+    class_label: Callable[[str], str | None],
+    max_depth: int = 10,
 ) -> tuple[str, str] | None:
     """Find the city an item belongs to as (label, qid).
 
@@ -82,16 +85,21 @@ def resolve_city(
     contains a city-like word; otherwise each located-in target is tried in
     listed order, recursively, until a city is found, the chain runs out, or
     `max_depth` edges have been followed. A visited set terminates cycles.
+    A class label the record does not hold comes from `class_label`.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    return _resolve_city(item, wikidata, max_depth, visited={item.qid})
+    return _resolve_city(item, wikidata, class_label, max_depth, visited={item.qid})
 
 
 def _resolve_city(
-    item: WikidataItem, wikidata: WikidataClient, depth_left: int, visited: set[str]
+    item: WikidataItem,
+    wikidata: WikidataClient,
+    class_label: Callable[[str], str | None],
+    depth_left: int,
+    visited: set[str],
 ) -> tuple[str, str] | None:
-    if _is_city(item):
+    if _is_city(item, class_label):
         return item.label() or item.qid, item.qid
     if depth_left == 0:
         return None
@@ -99,18 +107,26 @@ def _resolve_city(
         if target in visited:
             continue
         visited.add(target)
-        next_item = wikidata.fetch(target)
+        next_item = wikidata.fetch(target, class_labels=False)
         if next_item is None:
             logger.warning("located-in target %s of %s does not exist", target, item.qid)
             continue
-        found = _resolve_city(next_item, wikidata, depth_left - 1, visited)
+        found = _resolve_city(next_item, wikidata, class_label, depth_left - 1, visited)
         if found is not None:
             return found
     return None
 
 
-def _is_city(item: WikidataItem) -> bool:
-    for _, label in item.p31:
+def _is_city(item: WikidataItem, class_label: Callable[[str], str | None]) -> bool:
+    """Whether an instance-of class of the item names a city-like settlement.
+
+    Classes are read in claim order and the first city-like one answers, so
+    a label the record lacks is looked up only when no earlier class matched.
+    An absent class (no label) is not a city.
+    """
+    for class_qid, label in item.p31:
+        if label is None:
+            label = class_label(class_qid) or ""
         folded = label.casefold()
         if any(marker in folded for marker in CITY_CLASS_MARKERS):
             return True
@@ -131,8 +147,9 @@ def _memoized(method: Callable) -> Callable:
 class Resolver:
     """Bundles the KB clients behind the location-resolution operations.
 
-    Each KB question has one method: `page_title` (the page a surface links
-    to), `locate_surface` (the location of the item it links to),
+    Each KB question has one method: `class_label` (the name of an
+    instance-of class), `page_title` (the page a surface links to),
+    `locate_surface` (the location of the item it links to),
     `locate_qid` (the location of an item), `page_abstract` and
     `implicit_locate`. They are memoized by their arguments for the life of
     the resolver, that is, one command: their results are frozen values (or
@@ -153,9 +170,16 @@ class Resolver:
         self.dbpedia = dbpedia
         self.linker = linker
         self.max_depth = max_depth
-        # Memoized lookups only call ones listed before them here: page_title,
-        # locate_qid, then locate_surface, page_abstract, implicit_locate.
+        # Memoized lookups only call ones listed before them here: class_label,
+        # page_title, locate_qid, then locate_surface, page_abstract,
+        # implicit_locate.
         self._memo = Memo()
+
+    @_memoized
+    def class_label(self, qid: str) -> str | None:
+        """Label of an instance-of class; None when the class does not exist
+        or has no labels."""
+        return self.wikidata.label(qid)
 
     @_memoized
     def page_title(self, surface: str, language: str) -> str | None:
@@ -192,11 +216,13 @@ class Resolver:
 
     def locate_item(self, item: WikidataItem) -> LocationTuple | None:
         """Complete an item to a LocationTuple; None when no country is reachable."""
-        city = resolve_city(item, self.wikidata, self.max_depth)
+        if not item.p17 and not item.p131:
+            return None  # no claim leads to a country, not even through a city
+        city = resolve_city(item, self.wikidata, self.class_label, self.max_depth)
         country = resolve_country(item, self.wikidata)
         if country is None and city is not None:
             # The item has no country claim of its own; borrow the city's.
-            city_item = self.wikidata.fetch(city[1])
+            city_item = self.wikidata.fetch(city[1], class_labels=False)
             country = resolve_country(city_item, self.wikidata) if city_item else None
         if country is None:
             return None
@@ -211,7 +237,7 @@ class Resolver:
     @_memoized
     def locate_qid(self, qid: str) -> LocationTuple | None:
         """LocationTuple for a bare WikiData id; None when unlocatable."""
-        item = self.wikidata.fetch(qid)
+        item = self.wikidata.fetch(qid, class_labels=False)
         return None if item is None else self.locate_item(item)
 
     @_memoized

@@ -101,7 +101,9 @@ class DictKb:
     def __init__(self, items: dict[str, WikidataItem]):
         self.items = items
 
-    def fetch(self, qid: str) -> WikidataItem | None:
+    def fetch(self, qid: str, class_labels: bool = True) -> WikidataItem | None:
+        # Items come back as held: the location code asks for them without
+        # class labels filled in, and reads a null one through `label`.
         return self.items.get(qid)
 
     def label(self, qid: str) -> str | None:
@@ -167,6 +169,16 @@ def build_admin_graph(
         p131=[a, city_qids[0]],
     )
     return items, acyclic, cyclic
+
+
+def without_class_labels(items: dict[str, WikidataItem]) -> dict[str, WikidataItem]:
+    """`items` with every class label null, as a fetched record holds them,
+    plus an item per class that carries its label for `DictKb.label`."""
+    bare = {qid: item._replace(p31=[(c, None) for c, _ in item.p31]) for qid, item in items.items()}
+    for item in items.values():
+        for class_qid, label in item.p31:
+            bare[class_qid] = WikidataItem(class_qid, {"en": label}, [], [], [])
+    return bare
 
 
 def bfs_nearest_city(

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DictKb, bfs_nearest_city, build_admin_graph
+from conftest import DictKb, bfs_nearest_city, build_admin_graph, without_class_labels
 from oracles import (
     central_difference,
     gradient_agreement,
@@ -182,11 +182,13 @@ class TestCityResolutionOracle:
             start = time.perf_counter()
             for seed in (5, 6, 7, 8, 9):
                 items, acyclic, cyclic = build_admin_graph(n_items=50, seed=seed)
-                kb = DictKb(items)
-                for qid in acyclic:
-                    assert resolve_city(items[qid], kb, max_depth=60) == bfs_nearest_city(items, qid)
-                for qid in cyclic:
-                    resolve_city(items[qid], kb, max_depth=60)
+                # Class labels inline, and null with each read through `label`.
+                for kb in (DictKb(items), DictKb(without_class_labels(items))):
+                    for qid in acyclic:
+                        found = resolve_city(kb.items[qid], kb, kb.label, max_depth=60)
+                        assert found == bfs_nearest_city(items, qid)
+                    for qid in cyclic:
+                        resolve_city(kb.items[qid], kb, kb.label, max_depth=60)
             assert time.perf_counter() - start < 1.0
 
 

@@ -28,12 +28,12 @@ from newsgeo.cli import _effective_config, build_parser, cmd_cache_export, main
 from newsgeo.config import PipelineConfig, load_config
 from newsgeo.corpus import LocationTuple, load_corpus, render_location
 from newsgeo.embedding import MockEmbedder
-from newsgeo.kb import DBPEDIA_DATA_URL, WIKIDATA_ENTITY_URL, KbCache
+from newsgeo.kb import DBPEDIA_DATA_URL, WIKIDATA_ENTITY_URL, KbCache, KbCacheMiss
 from newsgeo.linking import PAGEPROPS_URL, SEARCH_URL
 from newsgeo.locations import Resolver
 from newsgeo.memo import article_index
 
-from conftest import count_calls
+from conftest import cache_only_resolver, count_calls
 from test_kb import wikidata_payload
 
 # Config field, value and reported problem of a component whose optional
@@ -1620,16 +1620,32 @@ class TestImports:
     @pytest.mark.parametrize(
         "command, layers",
         [
-            (["train", "--pairs", "{pairs}", "--epochs", "1", "--output", "{out}"], (PAIRS,)),
-            (["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"], ()),
-            (["cache-export", "--output", "{out}"], ("newsgeo.kb", MEMO)),
-            (["generate-pairs", "--output", "{out}"], (*KB_LAYERS, MEMO, PAIRS)),
-            (["classify-categories", "--output", "{out}"], (*KB_LAYERS, MEMO)),
-            (["evaluate", "--output", "{out}"], (*LAYERS, MEMO)),
-            (["rank", "--output", "{out}"], (*LAYERS, MEMO)),
-            (["evaluate", "--baseline", "first-location", "--output", "{out}"], (*LAYERS, MEMO)),
+            pytest.param(
+                ["train", "--pairs", "{pairs}", "--epochs", "1", "--output", "{out}"], (PAIRS,),
+                id="train",
+            ),
+            pytest.param(
+                ["ingest", "--input", "{articles_en}", "--language", "en", "--output", "{out}"], (),
+                id="ingest",
+            ),
+            pytest.param(
+                ["cache-export", "--output", "{out}"], ("newsgeo.kb", MEMO), id="cache-export"
+            ),
+            pytest.param(
+                ["generate-pairs", "--output", "{out}"], (*KB_LAYERS, MEMO, PAIRS),
+                id="generate-pairs",
+            ),
+            pytest.param(
+                ["classify-categories", "--output", "{out}"], (*KB_LAYERS, MEMO),
+                id="classify-categories",
+            ),
+            pytest.param(["evaluate", "--output", "{out}"], (*LAYERS, MEMO), id="evaluate"),
+            pytest.param(["rank", "--output", "{out}"], (*LAYERS, MEMO), id="rank"),
+            pytest.param(
+                ["evaluate", "--baseline", "first-location", "--output", "{out}"], (*LAYERS, MEMO),
+                id="evaluate-baseline",
+            ),
         ],
-        ids=lambda value: "-".join(p.lstrip("-") for p in value[:2]) if isinstance(value, list) else None,
     )
     def test_layers_only_in_commands_that_run_them(self, tmp_path, fixture_tree, command, layers):
         checked = (*LAYERS, MEMO, PAIRS)
@@ -1808,6 +1824,52 @@ class TestColdRun:
             assert len(urls) == len(set(urls)) == len(runs["1"][2].requests)
         assert runs["1"][2].overlapping_articles() == set()
         assert runs["2"][2].overlapping_articles() - {None}
+
+    @pytest.mark.parametrize("command", ["generate-pairs", "classify-categories"])
+    def test_a_category_run_keeps_its_output_and_asks_no_unread_class_label(
+        self, tmp_path, fixture_tree, monkeypatch, command
+    ):
+        """A category item with neither a country nor a located-in claim
+        reaches no country, so the city test never reads its class label."""
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        warm = tmp_path / "warm"
+        assert main([command, "--config", str(fixture_tree["config"]), "--output", str(warm)]) == 0
+        unlocated, classes = [], set()
+        for line in read_lines(fixture_tree["cache"]):
+            record = json.loads(line)
+            if record["source"] == "wikidata" and not (record["value"]["p17"] or record["value"]["p131"]):
+                unlocated.append(WIKIDATA_ENTITY_URL.format(qid=record["value"]["qid"]))
+                classes |= {WIKIDATA_ENTITY_URL.format(qid=qid) for qid, _ in record["value"]["p31"]}
+        runs = {
+            workers: self.run(tmp_path, fixture_tree, monkeypatch, workers, [command, "--workers", workers])
+            for workers in ("1", "2", "4")
+        }
+        for output, keys, remote in runs.values():
+            assert output == warm.read_bytes()
+            assert keys == runs["1"][1]
+            urls = [url for url, *_ in remote.requests]
+            assert len(urls) == len(set(urls)) == len(runs["1"][2].requests)
+            assert set(unlocated) & set(urls)  # the Politics category's item
+            assert not classes & set(urls)
+
+    def test_a_cache_only_run_after_a_cold_generate_pairs_can_miss_a_class_label(
+        self, tmp_path, fixture_tree, monkeypatch
+    ):
+        """The README's limitation: `generate-pairs` reads Germany's record for
+        its name only, so a later city test of Germany finds no class label."""
+        monkeypatch.setattr("newsgeo.kb.RateLimiter.wait", lambda self: None)
+        berlin = read_lines(fixture_tree["articles_de"])[0]
+        assert json.loads(berlin)["categories"] == ["Berlin", "Politics"]
+        fixture_tree["articles_de"].write_text(berlin + "\n", encoding="utf-8")
+        config = json.loads(fixture_tree["config"].read_text(encoding="utf-8"))
+        config["corpus"] = {"de": "articles_de.jsonl"}
+        fixture_tree["config"].write_text(json.dumps(config), encoding="utf-8")
+        _, keys, _ = self.run(tmp_path, fixture_tree, monkeypatch, "pairs", ["generate-pairs"])
+        assert {("wikidata", "Q64"), ("wikidata-label", "Q515"), ("wikidata", "Q183")} <= keys
+        resolver = cache_only_resolver(KbCache(tmp_path / "cache-pairs.jsonl"))
+        assert resolver.locate_qid("Q64") == LocationTuple("Germany", "Q183", "Berlin", "Q64")
+        with pytest.raises(KbCacheMiss, match="wikidata-label:Q6256"):
+            resolver.locate_qid("Q183")
 
     def test_a_first_mention_baseline_asks_no_more_at_two_workers(
         self, tmp_path, fixture_tree, monkeypatch

@@ -32,9 +32,9 @@ from newsgeo.kb import (
     forbidden_transport,
 )
 from newsgeo.linking import WikipediaLinker
-from newsgeo.locations import LocationTuple, Resolver
+from newsgeo.locations import LocationTuple, Resolver, resolve_city
 
-from conftest import FIXTURES
+from conftest import FIXTURES, cache_only_resolver, count_calls
 from oracles import CORRUPT, oracle_kb_cache
 
 
@@ -875,13 +875,24 @@ class TestPolicies:
         )
         cache = KbCache(tmp_path)
         client = WikidataClient(cache, policy=ONLINE, transport=transport)
-        item = client.fetch("Q90")
+        item = client.fetch("Q90", class_labels=False)
         assert item.labels["en"] == "Paris"
         assert item.p17 == ["Q142"]
-        assert item.p31 == [("Q515", "city")]
+        # The class label is not fetched with the entity: the record holds null.
+        assert item.p31 == [("Q515", None)]
+        assert transport.calls == [url.format(qid="Q90")]
+        assert cache.get("wikidata", "Q90")["p31"] == [["Q515", None]]
         # Second fetch is served from the cache, even offline.
         offline = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
-        assert offline.fetch("Q90").to_json() == item.to_json()
+        assert offline.fetch("Q90", class_labels=False).to_json() == item.to_json()
+        # The city test fetches the label once and caches its labels-only record.
+        assert resolve_city(item, client, client.label) == ("Paris", "Q90")
+        assert transport.calls == [url.format(qid="Q90"), url.format(qid="Q515")]
+        assert resolve_city(offline.fetch("Q90", class_labels=False), offline, offline.label) == (
+            "Paris", "Q90"
+        )
+        # By default a fetch fills the label in from that record.
+        assert offline.fetch("Q90").p31 == [("Q515", "city")]
 
     def test_absence_is_cached(self, tmp_path):
         url = "https://www.wikidata.org/wiki/Special:EntityData/Q404.json"
@@ -978,7 +989,7 @@ class TestWikidataClient:
         assert client.fetch("Q1000").labels["en"] == "Paris"
 
     def test_absent_instance_of_class_keeps_the_entity(self, tmp_path):
-        """A P31 class that answers 404 gets the label "", and the entity is cached."""
+        """A P31 class that answers 404 is not a city, and the entity stays cached."""
         url = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"
         transport = FakeTransport(
             {
@@ -990,11 +1001,55 @@ class TestWikidataClient:
             }
         )
         cache = KbCache(tmp_path)
-        item = WikidataClient(cache, policy=ONLINE, transport=transport).fetch("Q90")
-        assert item.p31 == [("Q404", ""), ("Q515", "city")]
+        client = WikidataClient(cache, policy=ONLINE, transport=transport)
+        item = client.fetch("Q90", class_labels=False)
+        assert item.p31 == [("Q404", None), ("Q515", None)]
+        assert resolve_city(item, client, client.label) == ("Paris", "Q90")
         offline = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
-        assert offline.fetch("Q90").to_json() == item.to_json()
+        assert offline.fetch("Q90", class_labels=False).to_json() == item.to_json()
         assert offline.label("Q404") is None
+        assert offline.fetch("Q90").p31 == [("Q404", ""), ("Q515", "city")]
+        absent_only = item._replace(p31=[("Q404", None)])
+        assert resolve_city(absent_only, offline, offline.label) is None
+
+    def test_a_class_after_a_city_like_one_is_never_requested(self, tmp_path):
+        url = "https://www.wikidata.org/wiki/Special:EntityData/{qid}.json"
+        transport = FakeTransport(
+            {
+                url.format(qid="Q90"): wikidata_payload(
+                    "Q90", labels={"en": "Paris"}, p31=["Q515", "Q5119"]
+                ),
+                url.format(qid="Q515"): wikidata_payload("Q515", labels={"en": "city"}),
+            }
+        )
+        client = WikidataClient(KbCache(tmp_path), policy=ONLINE, transport=transport)
+        item = client.fetch("Q90", class_labels=False)
+        assert resolve_city(item, client, client.label) == ("Paris", "Q90")
+        assert transport.calls == [url.format(qid="Q90"), url.format(qid="Q515")]
+
+    def test_inline_class_labels_are_read_without_a_request(self, tmp_path):
+        """Records written with the class label beside its id (older caches,
+        the fixture cache) need no labels-only record."""
+        cache = KbCache(tmp_path)
+        item = WikidataItem("Q90", {"en": "Paris"}, ["Q142"], [("Q5119", "capital")], [])
+        cache.put("wikidata", "Q90", item.to_json())
+        offline = WikidataClient(cache, policy=CACHE_ONLY, transport=forbidden_transport)
+        assert offline.fetch("Q90") == item
+        assert resolve_city(item, offline, offline.label) == ("Paris", "Q90")
+        assert cache.keys() == [("wikidata", "Q90")]
+
+    def test_a_resolver_reads_each_class_label_once(self, tmp_path, monkeypatch):
+        cache = KbCache(tmp_path)
+        cache.put("wikidata-label", "Q515", {"labels": {"en": "city"}})
+        cache.put("wikidata", "Q142", WikidataItem("Q142", {"en": "France"}, [], [], []).to_json())
+        for qid, name in (("Q90", "Paris"), ("Q456", "Lyon")):
+            item = WikidataItem(qid, {"en": name}, ["Q142"], [("Q515", None)], [])
+            cache.put("wikidata", qid, item.to_json())
+        labels = count_calls(monkeypatch, WikidataClient, "label")
+        resolver = cache_only_resolver(cache)
+        assert resolver.locate_qid("Q90") == LocationTuple("France", "Q142", "Paris", "Q90")
+        assert resolver.locate_qid("Q456") == LocationTuple("France", "Q142", "Lyon", "Q456")
+        assert labels == [("Q515",)]
 
     def test_label_is_english_else_any_from_the_labels_record_only(self, tmp_path):
         cache = KbCache(tmp_path)
@@ -1153,6 +1208,7 @@ class TestLabels:
         assert cache.keys() == []
 
     def test_a_fetched_class_label_that_is_not_a_string_is_a_remote_error(self, tmp_path):
+        """The city test reads the class label; the entity fetch does not."""
         city, item = self.URL.format(qid="Q515"), self.URL.format(qid="Q90")
         transport = FakeTransport(
             {
@@ -1162,10 +1218,12 @@ class TestLabels:
         )
         cache = KbCache(tmp_path)
         client = WikidataClient(cache, policy=ONLINE, transport=transport)
+        paris = client.fetch("Q90", class_labels=False)
+        assert transport.calls == [item]
         with pytest.raises(KbRemoteError, match=f"^{re.escape(city)}: malformed payload"):
-            client.fetch("Q90")
+            resolve_city(paris, client, client.label)
         assert transport.calls == [item, city]
-        assert cache.keys() == []
+        assert cache.keys() == [("wikidata", "Q90")]
 
     @pytest.mark.parametrize("where", ["labels", "p31", "labels-record"])
     def test_a_cached_label_that_is_not_a_string_is_corrupt(self, tmp_path, where):
@@ -1300,7 +1358,7 @@ class TestMalformedPayloads:
         assert len(transport.calls) == 2
 
     @pytest.mark.parametrize("nested", ["remote-error", "corrupt-record"])
-    def test_a_kb_error_inside_the_reduction_passes_unchanged(self, tmp_path, monkeypatch, nested):
+    def test_a_kb_error_reading_a_class_label_passes_unchanged(self, tmp_path, monkeypatch, nested):
         monkeypatch.setattr("newsgeo.kb.RETRIES", 0)
         city, target = self.URL.format(qid="Q90"), self.URL.format(qid="Q515")
         transport = FakeTransport(
@@ -1310,13 +1368,15 @@ class TestMalformedPayloads:
         if nested == "corrupt-record":
             cache.put("wikidata-label", "Q515", {"no-labels": {}})
         client = WikidataClient(cache, policy=ONLINE, transport=transport)
+        item = client.fetch("Q90", class_labels=False)
         error = KbRemoteError if nested == "remote-error" else KbCacheCorrupt
         with pytest.raises(error) as excinfo:
-            client.fetch("Q90")
+            resolve_city(item, client, client.label)
         assert type(excinfo.value) is error and "malformed" not in str(excinfo.value)
         if nested == "remote-error":
             assert str(excinfo.value) == f"{target}: down"
-        assert ("wikidata", "Q90") not in cache
+            assert ("wikidata-label", "Q515") not in cache
+        assert ("wikidata", "Q90") in cache
 
 
 def dbpedia_payload(title, type_uris=(), properties=None, abstracts=None):

@@ -23,7 +23,13 @@ from newsgeo.locations import (
 from newsgeo.ner import NerSpan
 from newsgeo.ranking import resolve_location_span
 
-from conftest import DictKb, bfs_nearest_city, cache_only_resolver, count_calls
+from conftest import (
+    DictKb,
+    bfs_nearest_city,
+    cache_only_resolver,
+    count_calls,
+    without_class_labels,
+)
 
 
 class TestLocationTuple:
@@ -100,11 +106,13 @@ class TestResolveCity:
     )
     def test_item_is_its_own_city(self, class_label):
         item = city_item("Q1", "Somewhere", p31_label=class_label)
-        assert resolve_city(item, DictKb({"Q1": item})) == ("Somewhere", "Q1")
+        kb = DictKb({"Q1": item})
+        assert resolve_city(item, kb, kb.label) == ("Somewhere", "Q1")
 
     def test_non_city_classes_do_not_match(self):
         item = city_item("Q1", "Somewhere", p31_label="sovereign state")
-        assert resolve_city(item, DictKb({"Q1": item})) is None
+        kb = DictKb({"Q1": item})
+        assert resolve_city(item, kb, kb.label) is None
 
     def test_two_hop_chain(self):
         """Mayfair-style chain: area -> borough -> city."""
@@ -113,7 +121,8 @@ class TestResolveCity:
             "Q2": area_item("Q2", "Westminster", ["Q3"], p31_label="borough"),
             "Q3": city_item("Q3", "London", p31_label="capital"),
         }
-        assert resolve_city(items["Q1"], DictKb(items)) == ("London", "Q3")
+        kb = DictKb(items)
+        assert resolve_city(items["Q1"], kb, kb.label) == ("London", "Q3")
 
     def test_targets_tried_in_listed_order(self):
         items = {
@@ -121,7 +130,8 @@ class TestResolveCity:
             "Q2": city_item("Q2", "First City"),
             "Q3": city_item("Q3", "Second City"),
         }
-        assert resolve_city(items["Q1"], DictKb(items)) == ("First City", "Q2")
+        kb = DictKb(items)
+        assert resolve_city(items["Q1"], kb, kb.label) == ("First City", "Q2")
 
     def test_dead_first_branch_falls_through(self):
         items = {
@@ -129,7 +139,8 @@ class TestResolveCity:
             "Q2": area_item("Q2", "Dead end", []),
             "Q3": city_item("Q3", "Found"),
         }
-        assert resolve_city(items["Q1"], DictKb(items)) == ("Found", "Q3")
+        kb = DictKb(items)
+        assert resolve_city(items["Q1"], kb, kb.label) == ("Found", "Q3")
 
     def test_cycle_terminates_and_still_finds_exit(self):
         items = {
@@ -137,14 +148,16 @@ class TestResolveCity:
             "Q2": area_item("Q2", "B", ["Q1", "Q3"], p31_label="county"),
             "Q3": city_item("Q3", "Exit Town", p31_label="town"),
         }
-        assert resolve_city(items["Q1"], DictKb(items)) == ("Exit Town", "Q3")
+        kb = DictKb(items)
+        assert resolve_city(items["Q1"], kb, kb.label) == ("Exit Town", "Q3")
 
     def test_pure_cycle_returns_none(self):
         items = {
             "Q1": area_item("Q1", "A", ["Q2"]),
             "Q2": area_item("Q2", "B", ["Q1"]),
         }
-        assert resolve_city(items["Q1"], DictKb(items)) is None
+        kb = DictKb(items)
+        assert resolve_city(items["Q1"], kb, kb.label) is None
 
     def test_depth_cap(self):
         items = {
@@ -153,29 +166,31 @@ class TestResolveCity:
             "Q3": city_item("Q3", "Deep City"),
         }
         kb = DictKb(items)
-        assert resolve_city(items["Q1"], kb, max_depth=1) is None
-        assert resolve_city(items["Q1"], kb, max_depth=2) == ("Deep City", "Q3")
+        assert resolve_city(items["Q1"], kb, kb.label, max_depth=1) is None
+        assert resolve_city(items["Q1"], kb, kb.label, max_depth=2) == ("Deep City", "Q3")
 
     def test_max_depth_below_one_rejected(self):
         item = city_item("Q1", "X")
+        kb = DictKb({"Q1": item})
         with pytest.raises(ValueError):
-            resolve_city(item, DictKb({"Q1": item}), max_depth=0)
+            resolve_city(item, kb, kb.label, max_depth=0)
 
     def test_missing_target_skipped(self):
         items = {
             "Q1": area_item("Q1", "Start", ["Q404", "Q3"]),
             "Q3": city_item("Q3", "Found"),
         }
-        assert resolve_city(items["Q1"], DictKb(items)) == ("Found", "Q3")
+        kb = DictKb(items)
+        assert resolve_city(items["Q1"], kb, kb.label) == ("Found", "Q3")
 
     def test_agrees_with_breadth_first_oracle(self, admin_graph):
         """Spot check on the synthetic graph; the full sweep is an acceptance test."""
         items, acyclic, _ = admin_graph
-        kb = DictKb(items)
-        for qid in acyclic[:10]:
-            assert resolve_city(items[qid], kb, max_depth=60) == bfs_nearest_city(
-                items, qid
-            )
+        for kb in (DictKb(items), DictKb(without_class_labels(items))):
+            for qid in acyclic[:10]:
+                assert resolve_city(kb.items[qid], kb, kb.label, max_depth=60) == bfs_nearest_city(
+                    items, qid
+                )
 
 
 class TestResolveCountry:
@@ -321,6 +336,18 @@ class TestLocateItem:
             WikidataItem("Q8802", {"en": "Orphan"}, [], [("Q0", "concept")], []).to_json(),
         )
         assert resolver.locate_qid("Q8802") is None
+
+    def test_an_item_without_country_or_located_in_reads_no_class_label(self, resolver, kb_cache):
+        """Its class has no labels-only record in the cache, so reading the
+        class label would be a cache miss."""
+        kb_cache.put(
+            "wikidata",
+            "Q8804",
+            WikidataItem("Q8804", {"en": "Nowhere"}, [], [("Q8805", None)], []).to_json(),
+        )
+        assert resolver.locate_qid("Q8804") is None
+        with pytest.raises(KbCacheMiss):
+            resolver.class_label("Q8805")
 
     def test_unknown_qid_returns_none(self, resolver, kb_cache):
         kb_cache.put("wikidata", "Q8803", {"__missing__": True})
